@@ -17,8 +17,8 @@ import json
 import math
 import sys
 
-from .graph_build import KIND_BY_NAME, GraphKind, build_graph, export_graph
-from .graph_metrics import metrics, np_metrics, partiteness, triangle_profile
+from .graph_build import KIND_BY_NAME, GraphKind, GraphTooLargeError, build_graph, export_graph
+from .graph_metrics import BoundExceededError, metrics, np_metrics, partiteness, triangle_profile
 from .harness import SUITES, SuiteConfig, render_report, run_suite
 from .isomorphism import are_isomorphic
 from .measure_space import ATOMIC, INTERVAL, AtomicSpace, IntervalSpace
@@ -34,11 +34,14 @@ def _parse_atom_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def _kind(name: str) -> GraphKind:
-    try:
-        return KIND_BY_NAME[name]
-    except KeyError:
-        raise SystemExit(2)
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
 
 
 def _space(args):
@@ -72,7 +75,7 @@ def _jsonable(value):
 
 
 def cmd_build(args) -> int:
-    g = _build_from_args(args, _kind(args.kind))
+    g = _build_from_args(args, KIND_BY_NAME[args.kind])
     if g.n_vertices == 0:
         sys.stderr.write("note: empty graph (no vertices satisfy the kind's constraints)\n")
     _emit(export_graph(g, args.format), args.out)
@@ -80,7 +83,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    g = _build_from_args(args, _kind(args.kind))
+    g = _build_from_args(args, KIND_BY_NAME[args.kind])
     if g.n_vertices == 0:
         _emit(json.dumps({"graph": g.name(), "empty": True}, indent=2) + "\n", args.out)
         return 0
@@ -121,8 +124,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    left = _build_from_args(args, _kind(args.left))
-    right = _build_from_args(args, _kind(args.right))
+    left = _build_from_args(args, KIND_BY_NAME[args.left])
+    right = _build_from_args(args, KIND_BY_NAME[args.right])
     verdict = are_isomorphic(left, right, budget=args.budget)
     doc = {
         "left": left.name(),
@@ -142,8 +145,12 @@ def cmd_iso(args) -> int:
 def _config_from_args(args, backend: str) -> SuiteConfig:
     base: dict = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            base = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                base = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            sys.stderr.write(f"cannot read config {args.config}: {exc}\n")
+            raise SystemExit(2)
     atoms_min, atoms_max = _parse_atom_range(args.atoms) if args.atoms else (None, None)
     overrides = {
         "backend": backend,
@@ -189,9 +196,10 @@ def cmd_sample(args) -> int:
 
 def _add_graph_selectors(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=[ATOMIC, INTERVAL], default=ATOMIC)
-    p.add_argument("--atoms", type=int, default=3, help="atom count (atomic backend)")
+    p.add_argument("--atoms", type=_int_at_least(1), default=3, help="atom count (atomic backend)")
     p.add_argument("--mode", choices=["quotient", "expanded"], default="quotient")
-    p.add_argument("--alphabet", type=int, default=3, help="symbols per atom in expanded mode")
+    p.add_argument("--alphabet", type=_int_at_least(2), default=3,
+                   help="symbols per atom in expanded mode")
     p.add_argument("--weights", choices=["unit", "random-positive"], default="unit")
     p.add_argument("--samples", type=int, default=100, help="sampled classes (interval backend)")
     p.add_argument("--seed", type=int, default=7)
@@ -270,6 +278,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
+    except (BoundExceededError, GraphTooLargeError) as exc:
+        sys.stderr.write(f"mrfgraph: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -203,14 +203,35 @@ class Graph:
 
 
 def _fill_adjacency(kind, space, zero_sets) -> tuple[int, ...]:
-    n = len(zero_sets)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacent(kind, space, zero_sets[i], zero_sets[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return tuple(rows)
+    """Adjacency rows, deciding each pair of distinct zero sets once.
+
+    Adjacency depends only on the zero set, so vertices sharing one are
+    false twins.  Vertices are grouped into classes numbered by first
+    appearance (never by hash order), ``adjacent`` is called once per
+    unordered pair of classes and once per class with itself, and each row
+    is the union of the member masks of its adjacent classes minus the
+    vertex's own bit.  Classes are indexed by position inside the pair
+    loop: hashing an interval set is not cached and costs a tuple of
+    Fractions per lookup.
+    """
+    class_index: dict[MeasurableSet, int] = {}
+    reps: list[MeasurableSet] = []
+    members: list[int] = []
+    vertex_class: list[int] = []
+    for v, z in enumerate(zero_sets):
+        c = class_index.setdefault(z, len(reps))
+        if c == len(reps):
+            reps.append(z)
+            members.append(0)
+        members[c] |= 1 << v
+        vertex_class.append(c)
+    reach = [members[c] if adjacent(kind, space, z, z) else 0 for c, z in enumerate(reps)]
+    for a, za in enumerate(reps):
+        for b in range(a + 1, len(reps)):
+            if adjacent(kind, space, za, reps[b]):
+                reach[a] |= members[b]
+                reach[b] |= members[a]
+    return tuple(reach[c] & ~(1 << v) for v, c in enumerate(vertex_class))
 
 
 def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -327,7 +327,3 @@ def render_report(report: Report, output: str | None = None) -> str:
     if fmt == "text":
         return report.to_text()
     raise ValueError(f"unknown output format {fmt!r}")
-
-
-def rerun_with(config: SuiteConfig, **overrides) -> Report:
-    return run_suite(replace(config, **overrides))

@@ -129,17 +129,6 @@ def _check(space: MeasureSpace, *sets: MeasurableSet) -> None:
             raise ValueError(f"atom index out of range for a {space.n_atoms}-atom space")
 
 
-def full_set(space: MeasureSpace) -> MeasurableSet:
-    """The whole space X."""
-    if space.backend == ATOMIC:
-        return atom_set(range(space.n_atoms))
-    return interval_set([(Fraction(0), Fraction(1))])
-
-
-def empty_set(space: MeasureSpace) -> MeasurableSet:
-    return MeasurableSet(space.backend)
-
-
 def _interval_union(a, b):
     return _canonical(list(a) + list(b))
 

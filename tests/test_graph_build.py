@@ -12,7 +12,15 @@ from mrfgraph.graph_build import (
     oracle_adjacent,
     weakly_adjacent_all,
 )
-from mrfgraph.measure_space import IntervalSpace, atom_set, complement, null_equal, unit_space
+from mrfgraph.harness import make_weights
+from mrfgraph.measure_space import (
+    AtomicSpace,
+    IntervalSpace,
+    atom_set,
+    complement,
+    null_equal,
+    unit_space,
+)
 from mrfgraph.vertex_universe import ExpandedFunction, enumerate_functions, sample_interval_classes
 
 KINDS = (GraphKind.ZERO_DIVISOR, GraphKind.COMAXIMAL,
@@ -147,6 +155,37 @@ def test_interval_build_is_sampled_and_deduped():
     assert g.mode == "sampled"
     assert g.n_vertices == len({zc.zero_set for zc in classes})
 
+
+
+def pairwise_adjacency(g):
+    """Reference build: the closed form called on every vertex pair."""
+    rows = [0] * g.n_vertices
+    for i, j in itertools.combinations(range(g.n_vertices), 2):
+        if adjacent(g.kind, g.space, g.zero_sets[i], g.zero_sets[j]):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+ATOMIC_BUILDS = ([(n, "quotient", None) for n in range(1, 6)]
+                 + [(n, "expanded", k) for n in (2, 3, 4) for k in (2, 3, 4)]
+                 + [(5, "expanded", 3)])
+
+
+@pytest.mark.parametrize("weights", ["unit", "random-positive"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_class_build_matches_pairwise_reference(kind, weights):
+    for n, mode, k in ATOMIC_BUILDS:
+        space = AtomicSpace(make_weights(n, weights, 7))
+        g = build_graph(space, kind, mode, alphabet=k)
+        assert g.adj == pairwise_adjacency(g), (g.name(), weights)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_class_build_matches_pairwise_reference_sampled(kind):
+    classes = sample_interval_classes(5, 40)
+    g = build_graph(IntervalSpace(), kind, sample=classes + classes[::3])
+    assert g.adj == pairwise_adjacency(g)
 
 def test_subgraph_containment_and_strictness():
     for n in (2, 3):

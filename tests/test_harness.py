@@ -1,6 +1,11 @@
 """Suite runner determinism, coverage auditing, and the CLI surface."""
 
+import importlib.util
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +20,7 @@ from mrfgraph.harness import (
 )
 
 SMALL = SuiteConfig(atoms_min=2, atoms_max=3)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +184,65 @@ def test_cli_usage_errors():
         main([])
     assert err.value.code == 2
 
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["build", "--atoms", "0", "--kind", "comaximal"], "--atoms: must be at least 1"),
+    (["build", "--mode", "expanded", "--alphabet", "1", "--kind", "comaximal"],
+     "--alphabet: must be at least 2"),
+    (["verify", "--config", "/nonexistent/run.json"], "cannot read config"),
+    (["metrics", "--atoms", "5", "--kind", "comaximal", "--which", "dominating",
+      "--dominating-bound", "10"], "exceed dominating bound 10"),
+    (["build", "--atoms", "9", "--mode", "expanded", "--kind", "comaximal"],
+     "exceed guard 5000"),
+], ids=["atoms-0", "alphabet-1", "missing-config", "bound-exceeded", "graph-too-large"])
+def test_cli_input_errors_exit_2(argv, message, capsys):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err.splitlines()[-1]
+
+
+def test_cli_malformed_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("{not json")
+    assert _exit_code(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("cannot read config")
+
+
+def test_sample_cli_matches_default_suite_script(capsys):
+    """scripts/run_default_suite.py writes reports/interval.* with the same
+    bytes as the CLI command its docstring names."""
+    spec = importlib.util.spec_from_file_location(
+        "run_default_suite", ROOT / "scripts" / "run_default_suite.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    expected = render_report(run_suite(script.CONFIGS["interval"]), "json")
+    assert main(["sample", "--samples", "100", "--seed", "7", "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--atoms", "2..3", "--format", "json"],
+    ["sample", "--samples", "50", "--format", "json"],
+], ids=["verify", "sample"])
+def test_output_independent_of_hash_seed(argv):
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "mrfgraph.cli", *argv], env=env,
+                              capture_output=True, check=True, timeout=300)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 def test_cli_out_file(tmp_path):
     out = tmp_path / "report.json"
