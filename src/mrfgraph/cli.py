@@ -26,12 +26,13 @@ from .harness import make_weights
 from .vertex_universe import sample_interval_classes
 
 
-def _parse_atom_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+def _atom_range(text: str) -> tuple[int, int]:
+    """argparse type: an atom count ``n`` or a range ``lo..hi``."""
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
 
 
 def _int_at_least(lo: int):
@@ -151,7 +152,7 @@ def _config_from_args(args, backend: str) -> SuiteConfig:
         except (OSError, json.JSONDecodeError) as exc:
             sys.stderr.write(f"cannot read config {args.config}: {exc}\n")
             raise SystemExit(2)
-    atoms_min, atoms_max = _parse_atom_range(args.atoms) if args.atoms else (None, None)
+    atoms_min, atoms_max = args.atoms or (None, None)
     overrides = {
         "backend": backend,
         "atoms_min": atoms_min,
@@ -190,7 +191,7 @@ def cmd_verify(args, backend: str = ATOMIC) -> int:
 
 def cmd_sample(args) -> int:
     if args.atoms is None:
-        args.atoms = "2..2"  # atom range is irrelevant on the interval backend
+        args.atoms = (2, 2)  # atom range is irrelevant on the interval backend
     return cmd_verify(args, backend=INTERVAL)
 
 
@@ -201,7 +202,8 @@ def _add_graph_selectors(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alphabet", type=_int_at_least(2), default=3,
                    help="symbols per atom in expanded mode")
     p.add_argument("--weights", choices=["unit", "random-positive"], default="unit")
-    p.add_argument("--samples", type=int, default=100, help="sampled classes (interval backend)")
+    p.add_argument("--samples", type=_int_at_least(1), default=100,
+                   help="sampled classes (interval backend)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", help="write output to a file instead of stdout")
 
@@ -215,11 +217,11 @@ def _add_bounds(p: argparse.ArgumentParser) -> None:
 def _add_suite_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", default="all",
                    help=f"comma-separated subset of {','.join(SUITES)} or 'all'")
-    p.add_argument("--atoms", default=None, help="atom range, e.g. 3 or 2..5")
+    p.add_argument("--atoms", type=_atom_range, default=None, help="atom range, e.g. 3 or 2..5")
     p.add_argument("--alphabet", type=int, default=None)
     p.add_argument("--weights", choices=["unit", "random-positive"], default=None)
     p.add_argument("--kinds", default=None, help="comma-separated graph kinds to build")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-cycle-len", type=int, default=None, dest="max_cycle_len")
     p.add_argument("--budget", type=int, default=None, help="isomorphism search node budget")

@@ -234,6 +234,19 @@ def _fill_adjacency(kind, space, zero_sets) -> tuple[int, ...]:
     return tuple(reach[c] & ~(1 << v) for v, c in enumerate(vertex_class))
 
 
+def _vertex_count(n: int, kind: GraphKind, mode: str, alphabet: int | None) -> int:
+    """Closed-form vertex count of an atomic graph, known before enumeration:
+    zero sets are the proper nonempty atom subsets (single atoms for
+    weakly-zd), each realized by (k-1)^|cozero| functions in expanded mode."""
+    if n == 1:
+        return 0
+    if kind is GraphKind.WEAKLY_ZD:
+        return n if mode == "quotient" else n * (alphabet - 1) ** (n - 1)
+    if mode == "quotient":
+        return 2 ** n - 2
+    return alphabet ** n - (alphabet - 1) ** n - 1
+
+
 def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
                 alphabet: int | None = None, sample: Iterable[ZClass] | None = None,
                 max_vertices: int = 5000) -> Graph:
@@ -261,22 +274,23 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
         return Graph(kind, "sampled", None, space, tuple(classes), zero_sets,
                      _fill_adjacency(kind, space, zero_sets))
 
+    if mode not in ("quotient", "expanded"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "expanded" and (alphabet is None or alphabet < 2):
+        raise ValueError("expanded mode needs an alphabet size k >= 2")
+    count = _vertex_count(space.n_atoms, kind, mode, alphabet)
+    if count > max_vertices:
+        raise GraphTooLargeError(f"{count} vertices exceed guard {max_vertices}")
     if mode == "quotient":
         payloads: list = list(enumerate_zclasses(space))
         if kind is GraphKind.WEAKLY_ZD:
             payloads = [zc for zc in payloads if is_atom(space, zc.zero_set)]
         zero_sets = tuple(zc.zero_set for zc in payloads)
-    elif mode == "expanded":
-        if alphabet is None or alphabet < 2:
-            raise ValueError("expanded mode needs an alphabet size k >= 2")
+    else:
         payloads = list(enumerate_functions(space, alphabet))
         if kind is GraphKind.WEAKLY_ZD:
             payloads = [f for f in payloads if is_atom(space, f.zero_set())]
         zero_sets = tuple(f.zero_set() for f in payloads)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if len(payloads) > max_vertices:
-        raise GraphTooLargeError(f"{len(payloads)} vertices exceed guard {max_vertices}")
     return Graph(kind, mode, alphabet if mode == "expanded" else None, space,
                  tuple(payloads), zero_sets, _fill_adjacency(kind, space, zero_sets))
 

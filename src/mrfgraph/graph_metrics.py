@@ -30,7 +30,8 @@ INF = math.inf
 
 
 class BoundExceededError(ValueError):
-    """Graph exceeds the configured exhaustive-solver bound."""
+    """Input exceeds a configured bound on exhaustive work: a solver's vertex
+    bound, or (raised by checks) the oracle's atom bound."""
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,6 @@ class MetricsSummary:
     diameter: float
     girth: float
     connected: bool
-    vertex_in_triangle: tuple[bool, ...]
-    edge_in_triangle: tuple[tuple[tuple[int, int], bool], ...]
 
     def eccentricity_histogram(self) -> dict[float, int]:
         hist: dict[float, int] = {}
@@ -99,7 +98,7 @@ def _girth(adj: tuple[int, ...], n: int) -> float:
 
 
 def metrics(g: Graph) -> MetricsSummary:
-    """Breadth-first all-pairs distances plus triangle flags, exact."""
+    """Breadth-first all-pairs distances, eccentricities and girth, exact."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("metrics of an empty graph are undefined")
@@ -108,20 +107,7 @@ def metrics(g: Graph) -> MetricsSummary:
                 for s, row in enumerate(distances))
     diameter = max(ecc)
     connected = diameter < INF
-    vertex_flags = []
-    for i in range(n):
-        row = g.adj[i]
-        found = False
-        probe = row
-        while probe and not found:
-            bit = probe & -probe
-            probe ^= bit
-            j = bit.bit_length() - 1
-            found = bool(g.adj[j] & row)
-        vertex_flags.append(found)
-    edge_flags = tuple(((i, j), bool(g.adj[i] & g.adj[j])) for i, j in g.edges())
-    return MetricsSummary(distances, ecc, diameter, _girth(g.adj, n),
-                          connected, tuple(vertex_flags), edge_flags)
+    return MetricsSummary(distances, ecc, diameter, _girth(g.adj, n), connected)
 
 
 def _paths_of_length(g: Graph, u: int, v: int, length: int, banned: int,

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
 from .graph_build import Graph, GraphKind, build_graph
-from .graph_metrics import MetricsSummary, metrics
-from .measure_space import ATOMIC, INTERVAL, AtomicSpace, IntervalSpace, MeasureSpace
+from .graph_metrics import BoundExceededError, MetricsSummary, metrics
+from .measure_space import ATOMIC, INTERVAL, AtomicSpace, IntervalSpace
 from .vertex_universe import ZClass, sample_interval_classes
 
 SUITES = ("measure_core", "comaximal", "zero_divisor", "annihilator",
@@ -60,6 +60,10 @@ class SuiteConfig:
             raise ValueError("need 1 <= atoms_min <= atoms_max")
         if self.alphabet < 2:
             raise ValueError("alphabet must be at least 2")
+        if self.sample_count < 1:
+            raise ValueError("sample_count must be at least 1")
+        if self.max_cycle_len < 3:
+            raise ValueError("max_cycle_len must be at least 3")
         bad = [s for s in self.suites if s not in SUITES]
         if bad:
             raise ValueError(f"unknown suites {bad}")
@@ -175,23 +179,71 @@ class Report:
 
 
 @dataclass(frozen=True)
+class Outcome:
+    """What one check instance found; the harness turns it into a report entry."""
+
+    expected: object
+    computed: object
+    ok: bool
+    witness: object = None
+    note: str = ""
+    instance: str | None = None   # replaces the label the harness derives
+
+
+@dataclass(frozen=True)
 class CheckDef:
+    """One registered check and the domain of instances it runs on.
+
+    An atomic check runs once per atom count n from ``n_min`` to ``n_max``
+    (both clipped to the configured range, and to ``oracle_atoms_max`` when
+    ``oracle_capped``) and, when ``per_mode``, once per mode at each n:
+    ``fn(ctx, n, "quotient", None)``, then ``fn(ctx, n, "expanded", k)``.
+    Otherwise it runs as ``fn(ctx, n, k)`` for k the configured alphabet plus
+    any further ``alphabets``, ascending.  An interval check runs once, as
+    ``fn(ctx)``.  Each call returns an :class:`Outcome`, or raises
+    :class:`BoundExceededError` to skip its instance.
+    """
+
     id: str
     suite: str
     backend: str                  # atomic | interval
     kind: str | None              # graph kind gate, or None
     fn: Callable
+    n_min: int = 2
+    n_max: int | None = None
+    oracle_capped: bool = False
+    per_mode: bool = False
+    alphabets: tuple[int, ...] = ()
+    needs_k3: str | None = None   # skip reason when the alphabet is below 3
+    label: str = "n={n} k={k} expanded"
+    skip_label: str = "n={n} k={k}"
+
+    def instances(self, config: SuiteConfig):
+        """``(n, mode, k)`` for every atomic instance, in report order."""
+        hi = config.atoms_max if self.n_max is None else min(config.atoms_max, self.n_max)
+        if self.oracle_capped:
+            hi = min(hi, config.oracle_atoms_max)
+        alphabets = sorted({config.alphabet, *self.alphabets})
+        for n in range(max(config.atoms_min, self.n_min), hi + 1):
+            if self.per_mode:
+                yield n, "quotient", None
+                yield n, "expanded", config.alphabet
+            else:
+                for k in alphabets:
+                    yield n, None, k
 
 
 REGISTRY: dict[str, CheckDef] = {}
 
 
-def register(check_id: str, suite: str, backend: str = ATOMIC, kind: str | None = None):
-    """Decorator adding one check to the global registry."""
+def register(check_id: str, suite: str, backend: str = ATOMIC, kind: str | None = None,
+             **domain):
+    """Decorator adding one check, with its :class:`CheckDef` domain fields,
+    to the global registry."""
     def wrap(fn):
         if check_id in REGISTRY:
             raise ValueError(f"duplicate check id {check_id}")
-        REGISTRY[check_id] = CheckDef(check_id, suite, backend, kind, fn)
+        REGISTRY[check_id] = CheckDef(check_id, suite, backend, kind, fn, **domain)
         return fn
     return wrap
 
@@ -213,9 +265,6 @@ class RunContext:
         self._metrics: dict[tuple, MetricsSummary] = {}
         self._interval_space = IntervalSpace()
         self._interval_classes: list[ZClass] | None = None
-
-    def atom_counts(self) -> range:
-        return range(self.config.atoms_min, self.config.atoms_max + 1)
 
     def space(self, n: int, policy: str | None = None) -> AtomicSpace:
         policy = policy or self.config.weights
@@ -250,33 +299,6 @@ class RunContext:
             self._metrics[key] = metrics(g)
         return self._metrics[key]
 
-    def repro(self, check_id: str, n: int | None = None) -> str:
-        c = self.config
-        atoms = f"{n}..{n}" if n is not None else f"{c.atoms_min}..{c.atoms_max}"
-        cmd = (f"mrfgraph verify --backend {c.backend} --atoms {atoms} "
-               f"--alphabet {c.alphabet} --weights {c.weights} --seed {c.seed} "
-               f"--only {check_id}")
-        if c.backend == INTERVAL:
-            cmd += f" --samples {c.sample_count}"
-        return cmd
-
-    def entry(self, check_id: str, instance: str, expected, computed,
-              ok: bool, witness=None, note: str = "", n: int | None = None) -> ReportEntry:
-        return ReportEntry(
-            check=check_id,
-            instance=instance,
-            expected=str(expected),
-            computed=str(computed),
-            status=PASS if ok else FAIL,
-            note=note,
-            witness=witness,
-            repro="" if ok else self.repro(check_id, n),
-        )
-
-    def skip(self, check_id: str, instance: str, reason: str) -> ReportEntry:
-        return ReportEntry(check=check_id, instance=instance, expected="",
-                           computed="", status=SKIPPED, note=reason)
-
 
 def applicable_checks(config: SuiteConfig) -> list[CheckDef]:
     from . import checks  # noqa: F401  (populates REGISTRY on first import)
@@ -293,6 +315,57 @@ def applicable_checks(config: SuiteConfig) -> list[CheckDef]:
     return out
 
 
+def _repro(config: SuiteConfig, check_id: str, n: int | None) -> str:
+    atoms = f"{n}..{n}" if n is not None else f"{config.atoms_min}..{config.atoms_max}"
+    cmd = (f"mrfgraph verify --backend {config.backend} --atoms {atoms} "
+           f"--alphabet {config.alphabet} --weights {config.weights} --seed {config.seed} "
+           f"--only {check_id}")
+    if config.backend == INTERVAL:
+        cmd += f" --samples {config.sample_count}"
+    return cmd
+
+
+def _entry(config: SuiteConfig, check_id: str, instance: str | None, n: int | None,
+           outcome: Outcome) -> ReportEntry:
+    return ReportEntry(
+        check=check_id,
+        instance=outcome.instance or instance,
+        expected=str(outcome.expected),
+        computed=str(outcome.computed),
+        status=PASS if outcome.ok else FAIL,
+        note=outcome.note,
+        witness=outcome.witness,
+        repro="" if outcome.ok else _repro(config, check_id, n),
+    )
+
+
+def _skip(check_id: str, instance: str, reason: str) -> ReportEntry:
+    return ReportEntry(check=check_id, instance=instance, expected="",
+                       computed="", status=SKIPPED, note=reason)
+
+
+def _check_entries(check: CheckDef, ctx: RunContext) -> list[ReportEntry]:
+    """Run one check over its domain: one entry per instance, in order."""
+    config = ctx.config
+    if check.needs_k3 is not None and config.alphabet < 3:
+        return [_skip(check.id, "all", check.needs_k3)]
+    if check.backend == INTERVAL:
+        return [_entry(config, check.id, None, None, check.fn(ctx))]
+    entries = []
+    for n, mode, k in check.instances(config):
+        try:
+            outcome = check.fn(ctx, n, mode, k) if check.per_mode else check.fn(ctx, n, k)
+        except BoundExceededError as exc:
+            entries.append(_skip(check.id, check.skip_label.format(n=n, k=k), str(exc)))
+            continue
+        if mode is None:
+            label = check.label.format(n=n, k=k)
+        else:
+            label = f"n={n} {mode}" + (f" k={k}" if k is not None else "")
+        entries.append(_entry(config, check.id, label, n, outcome))
+    return entries
+
+
 def run_suite(config: SuiteConfig) -> Report:
     """Execute every applicable check and append a coverage self-audit."""
     ctx = RunContext(config)
@@ -300,11 +373,11 @@ def run_suite(config: SuiteConfig) -> Report:
     entries: list[ReportEntry] = []
     for check in selected:
         if check.kind is not None and check.kind not in config.kinds:
-            entries.append(ctx.skip(check.id, "all", f"kind {check.kind} not selected"))
+            entries.append(_skip(check.id, "all", f"kind {check.kind} not selected"))
             continue
-        produced = check.fn(ctx)
+        produced = _check_entries(check, ctx)
         if not produced:
-            produced = [ctx.skip(check.id, "none", "check produced no instances")]
+            produced = [_skip(check.id, "none", "check produced no instances")]
         entries.extend(produced)
     if config.only is None:
         expected_ids = sorted(c.id for c in selected)

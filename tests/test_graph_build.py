@@ -148,6 +148,36 @@ def test_build_guard_rail():
                     max_vertices=10)
 
 
+def test_guard_counts_are_exact():
+    from mrfgraph.graph_build import GraphTooLargeError
+    for n in range(1, 5):
+        for k in (2, 3):
+            for kind in GraphKind:
+                for mode in ("quotient", "expanded"):
+                    space = unit_space(n)
+                    size = build_graph(space, kind, mode, alphabet=k).n_vertices
+                    build_graph(space, kind, mode, alphabet=k, max_vertices=size)
+                    if size:
+                        with pytest.raises(GraphTooLargeError):
+                            build_graph(space, kind, mode, alphabet=k, max_vertices=size - 1)
+
+
+def test_guard_fires_before_enumeration(monkeypatch):
+    from mrfgraph import graph_build
+    from mrfgraph.graph_build import GraphTooLargeError
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated vertices of an oversized graph")
+
+    monkeypatch.setattr(graph_build, "enumerate_functions", refuse)
+    monkeypatch.setattr(graph_build, "enumerate_zclasses", refuse)
+    for kind in GraphKind:
+        with pytest.raises(GraphTooLargeError, match="exceed guard 5000"):
+            build_graph(unit_space(12), kind, "expanded", alphabet=3)
+    with pytest.raises(GraphTooLargeError, match="^4094 vertices exceed guard 5$"):
+        build_graph(unit_space(12), GraphKind.COMAXIMAL, "quotient", max_vertices=5)
+
+
 def test_interval_build_is_sampled_and_deduped():
     space = IntervalSpace()
     classes = sample_interval_classes(3, 20)

@@ -107,12 +107,13 @@ def test_metrics_match_networkx(g):
 @settings(max_examples=40)
 @given(random_graphs())
 def test_triangle_flags_match_brute_force(g):
-    summary = metrics(g)
+    profile = triangle_profile(g)
     h = to_nx(g)
     triangles = [set(t) for t in nx.enumerate_all_cliques(h) if len(t) == 3]
     for i in range(g.n_vertices):
-        assert summary.vertex_in_triangle[i] == any(i in t for t in triangles)
-    for (i, j), flag in summary.edge_in_triangle:
+        assert profile.vertex_flags[i] == any(i in t for t in triangles)
+    assert [e for e, _ in profile.edge_flags] == list(g.edges())
+    for (i, j), flag in profile.edge_flags:
         assert flag == any(i in t and j in t for t in triangles)
 
 

@@ -34,6 +34,13 @@ def test_small_run_all_pass(small_report):
     assert counts["pass"] > 80
 
 
+def test_small_run_matches_committed_report(small_report):
+    """Every entry of the 2..3 run appears, in order, in reports/atomic.json."""
+    committed = iter(json.loads((ROOT / "reports" / "atomic.json").read_text())["entries"])
+    for entry in json.loads(small_report.to_json())["entries"]:
+        assert any(entry == other for other in committed), entry
+
+
 def test_reports_are_byte_identical(small_report):
     again = run_suite(SMALL)
     assert render_report(small_report) == render_report(again)
@@ -100,6 +107,10 @@ def test_config_validation():
         SuiteConfig(atoms_min=3, atoms_max=2)
     with pytest.raises(ValueError):
         SuiteConfig(alphabet=1)
+    with pytest.raises(ValueError):
+        SuiteConfig(sample_count=0)
+    with pytest.raises(ValueError):
+        SuiteConfig(max_cycle_len=2)
     with pytest.raises(ValueError):
         SuiteConfig.from_dict({"no_such_key": 1})
 
@@ -202,7 +213,12 @@ def _exit_code(argv) -> int:
       "--dominating-bound", "10"], "exceed dominating bound 10"),
     (["build", "--atoms", "9", "--mode", "expanded", "--kind", "comaximal"],
      "exceed guard 5000"),
-], ids=["atoms-0", "alphabet-1", "missing-config", "bound-exceeded", "graph-too-large"])
+    (["verify", "--atoms", "2..x"], "--atoms: expected N or LO..HI, got '2..x'"),
+    (["verify", "--atoms", "2..3", "--max-cycle-len", "0", "--suite", "comaximal"],
+     "invalid configuration: max_cycle_len must be at least 3"),
+    (["sample", "--samples", "0"], "--samples: must be at least 1"),
+], ids=["atoms-0", "alphabet-1", "missing-config", "bound-exceeded", "graph-too-large",
+        "atoms-malformed", "max-cycle-len-0", "samples-0"])
 def test_cli_input_errors_exit_2(argv, message, capsys):
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
@@ -227,6 +243,7 @@ def test_sample_cli_matches_default_suite_script(capsys):
     expected = render_report(run_suite(script.CONFIGS["interval"]), "json")
     assert main(["sample", "--samples", "100", "--seed", "7", "--format", "json"]) == 0
     assert capsys.readouterr().out == expected
+    assert (ROOT / "reports" / "interval.json").read_text() == expected
 
 
 @pytest.mark.parametrize("argv", [
