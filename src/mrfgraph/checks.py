@@ -289,10 +289,11 @@ def check_comaximal_distance(ctx: RunContext, n: int, mode: str, k: int | None):
     bad = 0
     total = 0
     for i in range(g.n_vertices):
+        row = summary.distances_from(i)
         for j in range(i + 1, g.n_vertices):
             total += 1
             want = expected_comaximal_distance(space, g.zero_sets[i], g.zero_sets[j])
-            if summary.distances[i][j] != want:
+            if row[j] != want:
                 bad += 1
     return Outcome(f"{total} pairwise distances follow the three-case rule",
                    f"{bad} mismatches", bad == 0)
@@ -683,7 +684,7 @@ def check_annihilator_cycle_rank(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("annihilator.girth_rule", "annihilator", kind="annihilator")
+@register("annihilator.girth_rule", "annihilator", kind="annihilator", needs_k3=NEEDS_K3)
 def check_annihilator_girth(ctx: RunContext, n: int, k: int):
     summary = ctx.graph_metrics(ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k))
     want = 4 if n == 2 else 3

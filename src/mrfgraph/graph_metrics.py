@@ -10,8 +10,10 @@ cycle) are first-class and reported as ``inf``.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 
 from .graph_build import Graph, GraphKind
 from .measure_space import (
@@ -36,13 +38,22 @@ class BoundExceededError(ValueError):
 
 @dataclass(frozen=True)
 class MetricsSummary:
-    """All-pairs exact metrics of one graph."""
+    """All-pairs exact metrics of one graph.  Distances are not stored: a
+    row is recomputed from the graph's adjacency on demand."""
 
-    distances: tuple[tuple[float, ...], ...]
+    adj: tuple[int, ...]
     eccentricity: tuple[float, ...]
     diameter: float
     girth: float
     connected: bool
+
+    def distances_from(self, source: int) -> list[float]:
+        """Shortest-path distances from ``source``; ``inf`` when unreachable."""
+        dist: list[float] = [INF] * len(self.adj)
+        for d, level in enumerate(_levels(self.adj, source)[0]):
+            for x in _members(level):
+                dist[x] = d
+        return dist
 
     def eccentricity_histogram(self) -> dict[float, int]:
         hist: dict[float, int] = {}
@@ -51,114 +62,93 @@ class MetricsSummary:
         return hist
 
 
-def _bfs_distances(adj: tuple[int, ...], n: int, source: int) -> list[float]:
-    dist: list[float] = [INF] * n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        x = q.popleft()
-        row = adj[x]
-        while row:
-            bit = row & -row
-            row ^= bit
-            y = bit.bit_length() - 1
-            if dist[y] is INF:
-                dist[y] = dist[x] + 1
-                q.append(y)
-    return dist
+def _members(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
 
 
-def _girth(adj: tuple[int, ...], n: int) -> float:
-    """Shortest cycle length via BFS from every vertex; non-tree edges close
-    walks of length d(x)+d(y)+1, and the minimum over all starts is exact."""
-    best = INF
-    for s in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            if best < INF and 2 * dist[x] >= best:
-                continue
-            row = adj[x]
-            while row:
-                bit = row & -row
-                row ^= bit
-                y = bit.bit_length() - 1
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    q.append(y)
-                elif y != parent[x]:
-                    cand = dist[x] + dist[y] + 1
-                    if cand < best:
-                        best = cand
-    return best
+def _levels(adj: tuple[int, ...], source: int) -> tuple[list[int], int, float]:
+    """Breadth-first search from ``source`` as level masks: each level is the
+    OR of its frontier's rows, masked by the vertices not yet seen (the
+    bottom-up step of Beamer, Asanovic and Patterson's direction-optimizing
+    BFS).
+
+    Returns the levels, the mask of vertices reached, and the shortest cycle
+    the search detects: 2d+1 for an edge inside level d, 2d+2 for a vertex of
+    level d+1 with two neighbours in level d, ``inf`` for neither.  Each is
+    the length of a closed walk that contains a cycle, so it bounds the girth
+    from above; from a vertex on a shortest cycle it equals the girth, so the
+    minimum over all sources is exact.
+    """
+    frontier = reached = 1 << source
+    levels = [frontier]
+    cycle = INF
+    while True:
+        unseen = ~reached
+        nxt = twice = inner = 0
+        probe = frontier
+        while probe:
+            bit = probe & -probe
+            probe ^= bit
+            row = adj[bit.bit_length() - 1]
+            inner |= row & frontier
+            row &= unseen
+            twice |= nxt & row
+            nxt |= row
+        if cycle == INF and (inner or twice):
+            cycle = 2 * len(levels) - (1 if inner else 0)
+        if not nxt:
+            return levels, reached, cycle
+        reached |= nxt
+        levels.append(nxt)
+        frontier = nxt
 
 
 def metrics(g: Graph) -> MetricsSummary:
-    """Breadth-first all-pairs distances, eccentricities and girth, exact."""
+    """Eccentricities, diameter and girth from one level-set BFS per source."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("metrics of an empty graph are undefined")
-    distances = tuple(tuple(_bfs_distances(g.adj, n, s)) for s in range(n))
-    ecc = tuple(max(row[j] for j in range(n) if j != s) if n > 1 else 0
-                for s, row in enumerate(distances))
+    full = (1 << n) - 1
+    ecc: list[float] = []
+    girth = INF
+    for s in range(n):
+        levels, reached, cycle = _levels(g.adj, s)
+        ecc.append(len(levels) - 1 if reached == full else INF)
+        girth = min(girth, cycle)
     diameter = max(ecc)
-    connected = diameter < INF
-    return MetricsSummary(distances, ecc, diameter, _girth(g.adj, n), connected)
+    return MetricsSummary(g.adj, tuple(ecc), diameter, girth, diameter < INF)
 
 
-def _paths_of_length(g: Graph, u: int, v: int, length: int, banned: int,
-                     dist_to_v: list[float]) -> list[int]:
+def _paths(g: Graph, u: int, v: int, length: int, banned: int, ball: list[int],
+           first: bool) -> list[int]:
     """Internal-vertex masks of simple u->v paths with exactly ``length``
-    edges avoiding ``banned`` vertices; pruned by BFS distance to v."""
+    edges avoiding ``banned`` vertices, stopping after one path when
+    ``first``.  ``ball[d]`` masks the vertices within distance d of v; a step
+    that leaves too few edges to reach v is pruned."""
     results: list[int] = []
 
-    def dfs(x: int, steps: int, internal: int) -> None:
-        if dist_to_v[x] > steps:
-            return
+    def dfs(x: int, steps: int, internal: int) -> bool:
         row = g.adj[x] & ~banned & ~internal & ~(1 << u)
         if steps == 1:
             if row >> v & 1:
                 results.append(internal)
-            return
-        row &= ~(1 << v)
-        while row:
-            bit = row & -row
-            row ^= bit
-            y = bit.bit_length() - 1
-            dfs(y, steps - 1, internal | bit)
-
-    if length == 1:
-        if g.is_edge(u, v):
-            results.append(0)
-    else:
-        dfs(u, length, 0)
-    return results
-
-
-def _exists_path(g: Graph, u: int, v: int, length: int, banned: int,
-                 dist_to_v: list[float]) -> bool:
-    def dfs(x: int, steps: int, internal: int) -> bool:
-        if dist_to_v[x] > steps:
+                return first
             return False
-        row = g.adj[x] & ~banned & ~internal & ~(1 << u)
-        if steps == 1:
-            return bool(row >> v & 1)
-        row &= ~(1 << v)
+        row &= ball[steps - 1] & ~(1 << v)
         while row:
             bit = row & -row
             row ^= bit
-            y = bit.bit_length() - 1
-            if dfs(y, steps - 1, internal | bit):
+            if dfs(bit.bit_length() - 1, steps - 1, internal | bit):
                 return True
         return False
 
-    if length == 1:
-        return g.is_edge(u, v)
-    return dfs(u, length, 0)
+    if ball[length] >> u & 1:
+        dfs(u, length, 0)
+    return results
 
 
 def cycle_rank(g: Graph, u: int, v: int, max_len: int = 8) -> float:
@@ -173,15 +163,16 @@ def cycle_rank(g: Graph, u: int, v: int, max_len: int = 8) -> float:
         raise ValueError("max_len must be at least 3")
     if u == v:
         raise ValueError("cycle rank takes two distinct vertices")
-    dist_to_v = _bfs_distances(g.adj, g.n_vertices, v)
+    ball = list(accumulate(_levels(g.adj, v)[0], or_))
+    ball += [ball[-1]] * (max_len - len(ball))
     path_cache: dict[int, list[int]] = {}
     for total in range(3, max_len + 1):
         for a in range(1, total // 2 + 1):
             b = total - a
             if a not in path_cache:
-                path_cache[a] = _paths_of_length(g, u, v, a, 0, dist_to_v)
+                path_cache[a] = _paths(g, u, v, a, 0, ball, first=False)
             for internal_a in path_cache[a]:
-                if _exists_path(g, u, v, b, internal_a, dist_to_v):
+                if _paths(g, u, v, b, internal_a, ball, first=True):
                     return total
     return INF
 
@@ -347,45 +338,31 @@ class Partiteness:
 
 
 def partiteness(g: Graph) -> Partiteness:
-    """Bipartiteness by 2-coloring; complete multipartiteness by checking
-    that non-adjacency is an equivalence relation with all cross pairs
-    joined (parts returned when detected)."""
+    """Bipartiteness as 'no edge inside any BFS level' over every component;
+    complete bipartiteness on a connected graph by joining its even levels
+    to its odd levels; complete multipartiteness by checking that
+    non-adjacency is an equivalence relation with all cross pairs joined
+    (parts returned when detected)."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("partiteness of an empty graph is undefined")
-    color = [-1] * n
-    bipartite = True
+    components = []
+    seen = 0
     for s in range(n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        q = deque([s])
-        while q and bipartite:
-            x = q.popleft()
-            for y in g.neighbors(x):
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    q.append(y)
-                elif color[y] == color[x]:
-                    bipartite = False
-                    break
+        if not seen >> s & 1:
+            levels, reached, _ = _levels(g.adj, s)
+            seen |= reached
+            components.append(levels)
+    bipartite = not any(g.adj[x] & level for levels in components
+                        for level in levels for x in _members(level))
     complete_bipartite = False
-    if bipartite and n >= 2 and all(c != -1 for c in color):
-        left = [i for i in range(n) if color[i] == 0]
-        right = [i for i in range(n) if color[i] == 1]
-        if left and right:
-            complete_bipartite = all(g.is_edge(i, j) for i in left for j in right)
-            # a complete bipartite graph is connected, so the 2-coloring
-            # above is only trustworthy when the graph is connected
-            if complete_bipartite:
-                complete_bipartite = _connected(g)
+    if bipartite and len(components) == 1 and n >= 2:
+        levels = components[0]
+        right = reduce(or_, levels[1::2])
+        complete_bipartite = all(g.adj[x] == right for level in levels[0::2]
+                                 for x in _members(level))
     parts = _complete_multipartite_parts(g)
     return Partiteness(bipartite, complete_bipartite, parts)
-
-
-def _connected(g: Graph) -> bool:
-    dist = _bfs_distances(g.adj, g.n_vertices, 0)
-    return all(d < INF for d in dist)
 
 
 def _complete_multipartite_parts(g: Graph):

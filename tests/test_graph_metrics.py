@@ -59,7 +59,7 @@ def test_distance_example_quotient_n3():
     summary = metrics(g)
     idx = {g.zero_sets[i].atoms: i for i in range(g.n_vertices)}
     i, j = idx[frozenset({1, 2})], idx[frozenset({0, 2})]
-    assert summary.distances[i][j] == 3
+    assert summary.distances_from(i)[j] == 3
 
 
 def test_k22_diameter_and_girth():
@@ -92,6 +92,9 @@ def test_metrics_empty_graph_rejected():
 def test_metrics_match_networkx(g):
     summary = metrics(g)
     h = to_nx(g)
+    for i in range(g.n_vertices):
+        lengths = nx.shortest_path_length(h, i)
+        assert summary.distances_from(i) == [lengths.get(j, INF) for j in range(g.n_vertices)]
     if nx.is_connected(h):
         ecc = nx.eccentricity(h)
         assert list(summary.eccentricity) == [ecc[i] for i in range(g.n_vertices)]
@@ -102,6 +105,20 @@ def test_metrics_match_networkx(g):
         assert summary.diameter == INF
     girth = nx.girth(h)
     assert summary.girth == (INF if girth == math.inf else girth)
+
+
+@pytest.mark.parametrize("kind", list(GraphKind))
+def test_expanded_metrics_match_networkx(kind):
+    g = build_graph(unit_space(4), kind, "expanded", alphabet=3)
+    summary = metrics(g)
+    h = to_nx(g)
+    ecc = []
+    for i in range(g.n_vertices):
+        lengths = nx.shortest_path_length(h, i)
+        ecc.append(max(lengths.values()) if len(lengths) == g.n_vertices else INF)
+    assert list(summary.eccentricity) == ecc
+    assert summary.girth == nx.girth(h)
+    assert partiteness(g).is_bipartite == nx.is_bipartite(h)
 
 
 @settings(max_examples=40)

@@ -145,6 +145,16 @@ def test_cli_metrics(capsys):
     assert doc["parameters"]["dominating"]["value"] == 3
 
 
+def test_cli_metrics_comaximal_n6(capsys):
+    assert main(["metrics", "--atoms", "6", "--kind", "comaximal", "--mode",
+                 "expanded", "--alphabet", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["vertices"], doc["edges"]) == (664, 86464)
+    assert (doc["diameter"], doc["girth"]) == (3, 3)
+    # 192 = n(k-1)^(n-1) functions whose zero set is a single atom
+    assert doc["eccentricity_histogram"] == {"2": 192, "3": 472}
+
+
 def test_cli_iso(capsys):
     assert main(["iso", "--left", "comaximal", "--right", "zero-divisor",
                  "--atoms", "3", "--alphabet", "3"]) == 0
@@ -165,6 +175,13 @@ def test_cli_verify_only_and_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["fail"] == 0
     assert all(e["check"] == "comaximal.distance_formula" for e in doc["entries"])
+
+
+def test_cli_verify_alphabet_two_skips_girth_rule(capsys):
+    assert main(["verify", "--atoms", "2..3", "--alphabet", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    entries = [e for e in doc["entries"] if e["check"] == "annihilator.girth_rule"]
+    assert [e["status"] for e in entries] == ["skipped"]
 
 
 def test_cli_sample(capsys):
