@@ -18,7 +18,6 @@ from .measure_space import (
     IntervalSpace,
     MeasurableSet,
     atom_set,
-    boolean_combine,
     complement,
     interval_set,
     is_atom,

@@ -29,6 +29,8 @@ from .graph_metrics import (
 from .harness import INTERVAL, Outcome, RunContext, register
 from .isomorphism import NOT_ISOMORPHIC, are_isomorphic, canonical_complement_iso, class_size_iso, verify_mapping
 from .measure_space import (
+    ATOMIC,
+    MeasurableSet,
     atom_set,
     complement,
     difference,
@@ -164,7 +166,7 @@ def check_atom_dichotomy(ctx: RunContext, n: int, k: int):
     for a in range(n):
         atom = atom_set([a])
         for mask in range(1 << n):
-            b = atom_set(i for i in range(n) if mask >> i & 1)
+            b = MeasurableSet(ATOMIC, mask=mask)
             total += 1
             if not (is_null(space, intersect(space, atom, b))
                     or is_null(space, difference(space, atom, b))):

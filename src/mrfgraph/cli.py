@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except (BoundExceededError, GraphTooLargeError) as exc:
+    except (BoundExceededError, GraphTooLargeError, OSError) as exc:
         sys.stderr.write(f"mrfgraph: {exc}\n")
         return 2
 

@@ -70,6 +70,9 @@ class SuiteConfig:
         bad = [k for k in self.kinds if k not in KIND_NAMES]
         if bad:
             raise ValueError(f"unknown kinds {bad}")
+        if self.only is not None and not applicable_checks(self):
+            raise ValueError(f"only={self.only!r} names no {self.backend}-backend check "
+                             "in the selected suites")
 
     def to_dict(self) -> dict:
         out = {}

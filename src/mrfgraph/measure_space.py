@@ -3,27 +3,26 @@
 Two finitely representable backends share one set-algebra API:
 
 * ``AtomicSpace`` -- finitely many atoms with strictly positive rational
-  weights; a measurable set is a subset of atom indices.  A set is null
-  exactly when it is empty.
+  weights; a measurable set is a subset of atom indices, held as an int
+  bitmask (bit i = atom i).  A set is null exactly when it is empty.
 * ``IntervalSpace`` -- the unit interval [0,1) with length measure; a
   measurable set is a finite union of half-open rational intervals kept in
   a unique canonical form (sorted, pairwise disjoint, adjacent pieces
   merged).  The backend is non-atomic: no set is an atom.
 
 All values are ``fractions.Fraction``; nothing in this module ever rounds.
-All types are immutable and all operations are pure functions.
+All types are immutable and all operations are pure functions.  Each
+operation validates its arguments once, then branches once on the backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 ATOMIC = "atomic"
 INTERVAL = "interval"
-
-_OPS = ("union", "intersect", "difference", "symdiff")
 
 
 class BackendMismatchError(ValueError):
@@ -35,6 +34,7 @@ class AtomicSpace:
     """Purely atomic space: one strictly positive rational weight per atom."""
 
     weights: tuple[Fraction, ...]
+    backend: ClassVar[str] = ATOMIC
 
     def __post_init__(self):
         if len(self.weights) < 1:
@@ -45,10 +45,6 @@ class AtomicSpace:
         object.__setattr__(self, "weights", ws)
 
     @property
-    def backend(self) -> str:
-        return ATOMIC
-
-    @property
     def n_atoms(self) -> int:
         return len(self.weights)
 
@@ -57,9 +53,7 @@ class AtomicSpace:
 class IntervalSpace:
     """The unit interval [0,1) with exact length measure (non-atomic)."""
 
-    @property
-    def backend(self) -> str:
-        return INTERVAL
+    backend: ClassVar[str] = INTERVAL
 
 
 MeasureSpace = AtomicSpace | IntervalSpace
@@ -72,7 +66,7 @@ def unit_space(n_atoms: int) -> AtomicSpace:
 
 @dataclass(frozen=True)
 class MeasurableSet:
-    """A set in one backend: atom-index subset, or canonical interval union.
+    """A set in one backend: atom bitmask, or canonical interval union.
 
     Exactly one payload is populated, selected by ``backend``.  Interval
     payloads are always canonical, so structural equality coincides with
@@ -81,7 +75,7 @@ class MeasurableSet:
     """
 
     backend: str
-    atoms: frozenset[int] = frozenset()
+    mask: int = 0
     intervals: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __str__(self) -> str:
@@ -90,10 +84,13 @@ class MeasurableSet:
 
 def atom_set(indices: Iterable[int]) -> MeasurableSet:
     """Atomic-backend set from atom indices."""
-    idx = frozenset(int(i) for i in indices)
-    if any(i < 0 for i in idx):
-        raise ValueError("atom indices must be non-negative")
-    return MeasurableSet(ATOMIC, atoms=idx)
+    mask = 0
+    for i in indices:
+        i = int(i)
+        if i < 0:
+            raise ValueError("atom indices must be non-negative")
+        mask |= 1 << i
+    return MeasurableSet(ATOMIC, mask=mask)
 
 
 def interval_set(pairs: Iterable[tuple[Fraction | int | str, Fraction | int | str]]) -> MeasurableSet:
@@ -125,7 +122,7 @@ def _check(space: MeasureSpace, *sets: MeasurableSet) -> None:
             raise BackendMismatchError(
                 f"set backend {s.backend!r} used with space backend {space.backend!r}"
             )
-        if s.backend == ATOMIC and s.atoms and max(s.atoms) >= space.n_atoms:
+        if s.backend == ATOMIC and s.mask >> space.n_atoms:
             raise ValueError(f"atom index out of range for a {space.n_atoms}-atom space")
 
 
@@ -160,66 +157,51 @@ def _interval_complement(a):
     return tuple(out)
 
 
-def boolean_combine(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet, op: str) -> MeasurableSet:
-    """Exact set algebra; result is always in canonical form."""
+def union(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
     _check(space, a, b)
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}, expected one of {_OPS}")
     if space.backend == ATOMIC:
-        x, y = a.atoms, b.atoms
-        if op == "union":
-            z = x | y
-        elif op == "intersect":
-            z = x & y
-        elif op == "difference":
-            z = x - y
-        else:
-            z = x ^ y
-        return MeasurableSet(ATOMIC, atoms=z)
+        return MeasurableSet(ATOMIC, mask=a.mask | b.mask)
+    return MeasurableSet(INTERVAL, intervals=_interval_union(a.intervals, b.intervals))
+
+
+def intersect(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
+    _check(space, a, b)
+    if space.backend == ATOMIC:
+        return MeasurableSet(ATOMIC, mask=a.mask & b.mask)
+    return MeasurableSet(INTERVAL, intervals=_interval_intersect(a.intervals, b.intervals))
+
+
+def difference(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
+    _check(space, a, b)
+    if space.backend == ATOMIC:
+        return MeasurableSet(ATOMIC, mask=a.mask & ~b.mask)
+    return MeasurableSet(INTERVAL, intervals=_interval_intersect(
+        a.intervals, _interval_complement(b.intervals)))
+
+
+def symdiff(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
+    _check(space, a, b)
+    if space.backend == ATOMIC:
+        return MeasurableSet(ATOMIC, mask=a.mask ^ b.mask)
     x, y = a.intervals, b.intervals
-    if op == "union":
-        z = _interval_union(x, y)
-    elif op == "intersect":
-        z = _interval_intersect(x, y)
-    elif op == "difference":
-        z = _interval_intersect(x, _interval_complement(y))
-    else:
-        z = _interval_union(
-            _interval_intersect(x, _interval_complement(y)),
-            _interval_intersect(y, _interval_complement(x)),
-        )
-    return MeasurableSet(INTERVAL, intervals=z)
+    return MeasurableSet(INTERVAL, intervals=_interval_union(
+        _interval_intersect(x, _interval_complement(y)),
+        _interval_intersect(y, _interval_complement(x))))
 
 
 def complement(space: MeasureSpace, a: MeasurableSet) -> MeasurableSet:
     """Complement relative to X (all atoms, or [0,1))."""
     _check(space, a)
     if space.backend == ATOMIC:
-        return MeasurableSet(ATOMIC, atoms=frozenset(range(space.n_atoms)) - a.atoms)
+        return MeasurableSet(ATOMIC, mask=a.mask ^ ((1 << space.n_atoms) - 1))
     return MeasurableSet(INTERVAL, intervals=_interval_complement(a.intervals))
-
-
-def union(space, a, b):
-    return boolean_combine(space, a, b, "union")
-
-
-def intersect(space, a, b):
-    return boolean_combine(space, a, b, "intersect")
-
-
-def difference(space, a, b):
-    return boolean_combine(space, a, b, "difference")
-
-
-def symdiff(space, a, b):
-    return boolean_combine(space, a, b, "symdiff")
 
 
 def measure(space: MeasureSpace, a: MeasurableSet) -> Fraction:
     """Exact weight sum / length sum."""
     _check(space, a)
     if space.backend == ATOMIC:
-        return sum((space.weights[i] for i in a.atoms), Fraction(0))
+        return sum((w for i, w in enumerate(space.weights) if a.mask >> i & 1), Fraction(0))
     return sum((hi - lo for lo, hi in a.intervals), Fraction(0))
 
 
@@ -231,7 +213,7 @@ def is_null(space: MeasureSpace, a: MeasurableSet) -> bool:
     """
     _check(space, a)
     if space.backend == ATOMIC:
-        return not a.atoms
+        return not a.mask
     return not a.intervals
 
 
@@ -248,7 +230,7 @@ def is_atom(space: MeasureSpace, a: MeasurableSet) -> bool:
     """
     _check(space, a)
     if space.backend == ATOMIC:
-        return len(a.atoms) == 1
+        return a.mask.bit_count() == 1
     return False
 
 
@@ -257,15 +239,13 @@ def split_nonatom(space: MeasureSpace, a: MeasurableSet) -> tuple[MeasurableSet,
     positive-measure parts (lowest atom index vs rest; measure midpoint).
     """
     _check(space, a)
-    if is_null(space, a):
-        raise ValueError("cannot split a null set")
-    if is_atom(space, a):
-        raise ValueError("cannot split an atom")
     if space.backend == ATOMIC:
-        lowest = min(a.atoms)
-        left = MeasurableSet(ATOMIC, atoms=frozenset([lowest]))
-        right = MeasurableSet(ATOMIC, atoms=a.atoms - {lowest})
-        return left, right
+        lowest = a.mask & -a.mask
+        if lowest == a.mask:
+            raise ValueError("cannot split a null set" if not lowest else "cannot split an atom")
+        return MeasurableSet(ATOMIC, mask=lowest), MeasurableSet(ATOMIC, mask=a.mask ^ lowest)
+    if not a.intervals:
+        raise ValueError("cannot split a null set")
     half = measure(space, a) / 2
     left = split_at_measure(space, a, half)
     return left, difference(space, a, left)
@@ -311,7 +291,7 @@ def format_rational(q: Fraction) -> str:
 def format_set(s: MeasurableSet) -> str:
     """Canonical literal: ``{0,2,5}`` or ``[0,1/4)+[1/2,3/4)`` (``[]`` empty)."""
     if s.backend == ATOMIC:
-        return "{" + ",".join(str(i) for i in sorted(s.atoms)) + "}"
+        return "{" + ",".join(str(i) for i in range(s.mask.bit_length()) if s.mask >> i & 1) + "}"
     if not s.intervals:
         return "[]"
     return "+".join(f"[{format_rational(lo)},{format_rational(hi)})" for lo, hi in s.intervals)

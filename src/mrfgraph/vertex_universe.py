@@ -28,7 +28,6 @@ from .measure_space import (
     IntervalSpace,
     MeasurableSet,
     MeasureSpace,
-    atom_set,
     complement,
     difference,
     format_set,
@@ -67,12 +66,9 @@ class ExpandedFunction:
 
     values: tuple[int, ...]
 
-    @property
-    def zero_indices(self) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.values) if v == 0)
-
     def zero_set(self) -> MeasurableSet:
-        return atom_set(self.zero_indices)
+        mask = sum(1 << i for i, v in enumerate(self.values) if v == 0)
+        return MeasurableSet(ATOMIC, mask=mask)
 
     def is_zero_divisor(self) -> bool:
         return any(v == 0 for v in self.values) and any(v != 0 for v in self.values)
@@ -87,11 +83,8 @@ def enumerate_zclasses(space: AtomicSpace) -> list[ZClass]:
     Order is deterministic: ascending bitmask with bit i = atom i present.
     A single-atom space has no zero-divisors and yields the empty list.
     """
-    n = space.n_atoms
-    out = []
-    for mask in range(1, (1 << n) - 1):
-        out.append(ZClass(atom_set(i for i in range(n) if mask >> i & 1)))
-    return out
+    return [ZClass(MeasurableSet(ATOMIC, mask=mask))
+            for mask in range(1, (1 << space.n_atoms) - 1)]
 
 
 def enumerate_functions(space: AtomicSpace, k: int) -> list[ExpandedFunction]:
@@ -110,7 +103,7 @@ def class_size(space: AtomicSpace, zc: ZClass, k: int) -> int:
     """Number of alphabet-k functions in the class: (k-1)^|cozero set|."""
     if zc.zero_set.backend != ATOMIC:
         raise ValueError("class sizes are defined on the atomic backend only")
-    coz = space.n_atoms - len(zc.zero_set.atoms)
+    coz = space.n_atoms - zc.zero_set.mask.bit_count()
     return (k - 1) ** coz
 
 

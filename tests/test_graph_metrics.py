@@ -57,8 +57,8 @@ def random_graphs(draw, max_n=8):
 def test_distance_example_quotient_n3():
     g = build_graph(unit_space(3), GraphKind.COMAXIMAL, "quotient")
     summary = metrics(g)
-    idx = {g.zero_sets[i].atoms: i for i in range(g.n_vertices)}
-    i, j = idx[frozenset({1, 2})], idx[frozenset({0, 2})]
+    idx = {z: i for i, z in enumerate(g.zero_sets)}
+    i, j = idx[atom_set({1, 2})], idx[atom_set({0, 2})]
     assert summary.distances_from(i)[j] == 3
 
 
@@ -154,20 +154,20 @@ def brute_cycle_rank(g: Graph, u: int, v: int, cap: int = 8) -> float:
 
 def test_cycle_rank_examples():
     gq = build_graph(unit_space(3), GraphKind.COMAXIMAL, "quotient")
-    idx = {gq.zero_sets[i].atoms: i for i in range(gq.n_vertices)}
-    assert cycle_rank(gq, idx[frozenset({0})], idx[frozenset({1})]) == 3
+    idx = {z: i for i, z in enumerate(gq.zero_sets)}
+    assert cycle_rank(gq, idx[atom_set({0})], idx[atom_set({1})]) == 3
 
     ge = build_graph(unit_space(3), GraphKind.COMAXIMAL, "expanded", alphabet=3)
     idx_e = {}
     for i, zs in enumerate(ge.zero_sets):
-        idx_e.setdefault(zs.atoms, []).append(i)
-    a = idx_e[frozenset({0})][0]
-    b = idx_e[frozenset({0, 1})][0]
+        idx_e.setdefault(zs, []).append(i)
+    a = idx_e[atom_set({0})][0]
+    b = idx_e[atom_set({0, 1})][0]
     assert cycle_rank(ge, a, b) == 4  # zero sets meet, cozero sets meet
-    c = idx_e[frozenset({0, 1})][0]
-    d = idx_e[frozenset({1, 2})][0]
+    c = idx_e[atom_set({0, 1})][0]
+    d = idx_e[atom_set({1, 2})][0]
     assert cycle_rank(ge, c, d) == 6  # zero sets meet, cozero sets almost disjoint
-    e = idx_e[frozenset({1, 2})][0]
+    e = idx_e[atom_set({1, 2})][0]
     assert cycle_rank(ge, a, e) == 4  # adjacent orthogonal pair: square via doubles
 
 

@@ -234,8 +234,15 @@ def _exit_code(argv) -> int:
     (["verify", "--atoms", "2..3", "--max-cycle-len", "0", "--suite", "comaximal"],
      "invalid configuration: max_cycle_len must be at least 3"),
     (["sample", "--samples", "0"], "--samples: must be at least 1"),
+    (["build", "--atoms", "3", "--kind", "comaximal", "--out", "/nonexistent/x.dot"],
+     "No such file or directory: '/nonexistent/x.dot'"),
+    (["verify", "--atoms", "2..2", "--only", "nosuch.check"],
+     "invalid configuration: only='nosuch.check' names no atomic-backend check"),
+    (["verify", "--only", "measure_core.sampled_no_atoms"],
+     "invalid configuration: only='measure_core.sampled_no_atoms' names no atomic-backend check"),
 ], ids=["atoms-0", "alphabet-1", "missing-config", "bound-exceeded", "graph-too-large",
-        "atoms-malformed", "max-cycle-len-0", "samples-0"])
+        "atoms-malformed", "max-cycle-len-0", "samples-0", "out-unwritable", "only-unknown",
+        "only-other-backend"])
 def test_cli_input_errors_exit_2(argv, message, capsys):
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()

@@ -12,7 +12,6 @@ from mrfgraph.measure_space import (
     IntervalSpace,
     MeasurableSet,
     atom_set,
-    boolean_combine,
     complement,
     difference,
     format_set,
@@ -109,7 +108,7 @@ def test_parse_canonicalizes_interval_literal():
 
 def test_atomic_intersection_example():
     space = unit_space(3)
-    assert boolean_combine(space, atom_set([0, 1]), atom_set([1, 2]), "intersect") == atom_set([1])
+    assert intersect(space, atom_set([0, 1]), atom_set([1, 2])) == atom_set([1])
 
 
 def test_interval_complement_example():
@@ -128,8 +127,51 @@ def test_backend_mismatch_raises():
 
 
 def test_atom_index_out_of_range():
+    space, ok = unit_space(2), atom_set([0])
     with pytest.raises(ValueError):
-        measure(unit_space(2), atom_set([5]))
+        measure(space, atom_set([5]))
+    for bad in (atom_set([2]), atom_set([0, 5]), MeasurableSet("atomic", mask=-1)):
+        for binary in (union, intersect, difference, symdiff, null_equal, is_subset):
+            with pytest.raises(ValueError):
+                binary(space, ok, bad)
+            with pytest.raises(ValueError):
+                binary(space, bad, ok)
+        for unary in (complement, measure, is_null, is_atom, split_nonatom):
+            with pytest.raises(ValueError):
+                unary(space, bad)
+
+
+def _members(s: MeasurableSet) -> frozenset[int]:
+    """The atoms of an atomic set, read bit by bit from its mask."""
+    assert s.backend == "atomic" and s.mask >= 0
+    return frozenset(i for i in range(s.mask.bit_length()) if s.mask >> i & 1)
+
+
+@given(weighted_spaces(), st.data())
+def test_atomic_operations_match_frozenset_model(space, data):
+    """Every atomic operation on masks agrees with plain frozenset algebra."""
+    n = space.n_atoms
+    x, y = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    a, b = MeasurableSet("atomic", mask=x), MeasurableSet("atomic", mask=y)
+    sa, sb = _members(a), _members(b)
+    assert _members(union(space, a, b)) == sa | sb
+    assert _members(intersect(space, a, b)) == sa & sb
+    assert _members(difference(space, a, b)) == sa - sb
+    assert _members(symdiff(space, a, b)) == sa ^ sb
+    assert _members(complement(space, a)) == frozenset(range(n)) - sa
+    assert measure(space, a) == sum((space.weights[i] for i in sa), Fraction(0))
+    assert is_null(space, a) == (not sa)
+    assert is_atom(space, a) == (len(sa) == 1)
+    assert null_equal(space, a, b) == (sa == sb)
+    text = format_set(a)
+    assert text == "{" + ",".join(str(i) for i in sorted(sa)) + "}"
+    assert parse_set(text) == a
+    if len(sa) < 2:
+        with pytest.raises(ValueError):
+            split_nonatom(space, a)
+    else:
+        left, right = split_nonatom(space, a)
+        assert (_members(left), _members(right)) == ({min(sa)}, sa - {min(sa)})
 
 
 @given(space_and_sets())
@@ -176,8 +218,8 @@ def test_canonical_idempotence(a):
 
 @given(interval_sets(), interval_sets())
 def test_boolean_outputs_are_canonical(a, b):
-    for op in ("union", "intersect", "difference", "symdiff"):
-        out = boolean_combine(INTERVAL_SPACE, a, b, op)
+    for op in (union, intersect, difference, symdiff):
+        out = op(INTERVAL_SPACE, a, b)
         assert interval_set(out.intervals) == out
 
 
