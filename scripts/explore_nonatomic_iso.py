@@ -15,7 +15,7 @@ Usage: python scripts/explore_nonatomic_iso.py [--sizes 10,25,50] [--seed 7]
 import argparse
 
 from mrfgraph.graph_build import GraphKind, build_graph
-from mrfgraph.isomorphism import are_isomorphic, verify_mapping
+from mrfgraph.isomorphism import are_isomorphic, complement_iso
 from mrfgraph.measure_space import IntervalSpace, complement
 from mrfgraph.vertex_universe import ZClass, sample_interval_classes
 
@@ -40,9 +40,8 @@ def main() -> int:
         sample = complement_closed(sample_interval_classes(args.seed, size), space)
         g1 = build_graph(space, GraphKind.ZERO_DIVISOR, sample=sample)
         g2 = build_graph(space, GraphKind.COMAXIMAL, sample=sample)
-        index = {zs: i for i, zs in enumerate(g2.zero_sets)}
-        mapping = tuple(index[complement(space, zs)] for zs in g1.zero_sets)
-        explicit = verify_mapping(g1, g2, mapping)
+        verdict = complement_iso(g1, g2)
+        explicit = verdict.is_isomorphic and verdict.nodes_explored == 0
         generic = are_isomorphic(g1, g2, budget=500_000)
         print(f"sample size {size:3d} -> {g1.n_vertices:3d} classes: "
               f"complement map {'verified' if explicit else 'FAILED'}, "

@@ -12,7 +12,7 @@ from .graph_metrics import (
     triangle_profile,
 )
 from .harness import Report, ReportEntry, SuiteConfig, run_suite
-from .isomorphism import IsoVerdict, are_isomorphic, canonical_complement_iso, class_size_iso
+from .isomorphism import IsoVerdict, are_isomorphic, complement_iso
 from .measure_space import (
     AtomicSpace,
     IntervalSpace,
@@ -32,7 +32,6 @@ from .measure_space import (
 from .vertex_universe import (
     ExpandedFunction,
     ZClass,
-    ann_eq,
     ann_leq,
     class_size,
     enumerate_functions,

@@ -21,6 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .measure_space import (
@@ -61,6 +62,16 @@ KIND_BY_NAME.update({"zero-divisor": GraphKind.ZERO_DIVISOR, "weakly-zd": GraphK
 
 class GraphTooLargeError(ValueError):
     """Requested graph exceeds the configured vertex guard rail."""
+
+
+class BoundExceededError(ValueError):
+    """Input exceeds a bound on exhaustive work: the oracle's atom or
+    alphabet bound, a solver's vertex bound, or a check's own cap."""
+
+
+# Largest space and alphabet the brute-force oracle enumerates.
+ORACLE_MAX_ATOMS = 5
+ORACLE_MAX_ALPHABET = 4
 
 
 def adjacent(kind: GraphKind, space: MeasureSpace, zu: MeasurableSet, zv: MeasurableSet) -> bool:
@@ -109,8 +120,7 @@ def _annihilates(space: AtomicSpace, h: Sequence[int], p: Sequence[int]) -> bool
 
 
 def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
-                    f: ExpandedFunction, g: ExpandedFunction,
-                    max_atoms: int = 5, max_alphabet: int = 4) -> bool:
+                    f: ExpandedFunction, g: ExpandedFunction) -> bool:
     """Definition-level brute-force adjacency, no closed forms.
 
     zero-divisor: the product f.g vanishes a.e.
@@ -120,12 +130,15 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
                   over all k^n candidate assignments.
     weakly-zd:    some zero-divisors h1 in ann(f), h2 in ann(g) have a
                   product vanishing a.e., over all candidate pairs.
+
+    Raises :class:`BoundExceededError` beyond ``ORACLE_MAX_ATOMS`` atoms or
+    ``ORACLE_MAX_ALPHABET`` symbols.
     """
     n = space.n_atoms
-    if n > max_atoms:
-        raise ValueError(f"oracle bound exceeded: {n} atoms > {max_atoms}")
-    if k > max_alphabet:
-        raise ValueError(f"oracle bound exceeded: alphabet {k} > {max_alphabet}")
+    if n > ORACLE_MAX_ATOMS:
+        raise BoundExceededError(f"oracle bound exceeded: {n} atoms > {ORACLE_MAX_ATOMS}")
+    if k > ORACLE_MAX_ALPHABET:
+        raise BoundExceededError(f"oracle bound exceeded: alphabet {k} > {ORACLE_MAX_ALPHABET}")
     fv, gv = f.values, g.values
     if kind is GraphKind.ZERO_DIVISOR:
         return _vanishes_ae(space, _pointwise_product(fv, gv))
@@ -153,6 +166,32 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
 
 
 @dataclass(frozen=True)
+class ZeroSetClasses:
+    """Vertices grouped by zero set, classes numbered by first appearance
+    (never by hash order).  Adjacency depends only on the zero set, so the
+    members of one class are false twins."""
+
+    zero_sets: tuple[MeasurableSet, ...]     # zero set of each class
+    index: dict[MeasurableSet, int]          # class of each zero set
+    of: tuple[int, ...]                      # class of each vertex
+    members: tuple[tuple[int, ...], ...]     # vertices of each class, ascending
+
+
+def zero_set_classes(zero_sets: Sequence[MeasurableSet]) -> ZeroSetClasses:
+    """Partition vertex positions by their zero sets."""
+    index: dict[MeasurableSet, int] = {}
+    members: list[list[int]] = []
+    of = []
+    for v, z in enumerate(zero_sets):
+        c = index.setdefault(z, len(members))
+        if c == len(members):
+            members.append([])
+        members[c].append(v)
+        of.append(c)
+    return ZeroSetClasses(tuple(index), index, tuple(of), tuple(map(tuple, members)))
+
+
+@dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: vertex payloads plus symmetric adjacency.
 
@@ -171,6 +210,11 @@ class Graph:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def classes(self) -> ZeroSetClasses:
+        """The vertices grouped by zero set."""
+        return zero_set_classes(self.zero_sets)
 
     def is_edge(self, i: int, j: int) -> bool:
         return i != j and bool(self.adj[i] >> j & 1)
@@ -203,35 +247,24 @@ class Graph:
 
 
 def _fill_adjacency(kind, space, zero_sets) -> tuple[int, ...]:
-    """Adjacency rows, deciding each pair of distinct zero sets once.
+    """Adjacency rows, deciding each pair of zero-set classes once.
 
-    Adjacency depends only on the zero set, so vertices sharing one are
-    false twins.  Vertices are grouped into classes numbered by first
-    appearance (never by hash order), ``adjacent`` is called once per
-    unordered pair of classes and once per class with itself, and each row
-    is the union of the member masks of its adjacent classes minus the
-    vertex's own bit.  Classes are indexed by position inside the pair
-    loop: hashing an interval set is not cached and costs a tuple of
-    Fractions per lookup.
+    ``adjacent`` is called once per unordered pair of classes and once per
+    class with itself, and each row is the union of the member masks of its
+    adjacent classes minus the vertex's own bit.  Classes are indexed by
+    position inside the pair loop: hashing an interval set is not cached and
+    costs a tuple of Fractions per lookup.
     """
-    class_index: dict[MeasurableSet, int] = {}
-    reps: list[MeasurableSet] = []
-    members: list[int] = []
-    vertex_class: list[int] = []
-    for v, z in enumerate(zero_sets):
-        c = class_index.setdefault(z, len(reps))
-        if c == len(reps):
-            reps.append(z)
-            members.append(0)
-        members[c] |= 1 << v
-        vertex_class.append(c)
+    classes = zero_set_classes(zero_sets)
+    reps = classes.zero_sets
+    members = [sum(1 << v for v in vs) for vs in classes.members]
     reach = [members[c] if adjacent(kind, space, z, z) else 0 for c, z in enumerate(reps)]
     for a, za in enumerate(reps):
         for b in range(a + 1, len(reps)):
             if adjacent(kind, space, za, reps[b]):
                 reach[a] |= members[b]
                 reach[b] |= members[a]
-    return tuple(reach[c] & ~(1 << v) for v, c in enumerate(vertex_class))
+    return tuple(reach[c] & ~(1 << v) for v, c in enumerate(classes.of))
 
 
 def _vertex_count(n: int, kind: GraphKind, mode: str, alphabet: int | None) -> int:

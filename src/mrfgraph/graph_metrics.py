@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import accumulate
 from operator import or_
 
-from .graph_build import Graph, GraphKind
+from .graph_build import BoundExceededError, Graph, GraphKind  # noqa: F401  (re-exported)
 from .measure_space import (
     ATOMIC,
     MeasurableSet,
@@ -29,11 +29,6 @@ from .measure_space import (
 )
 
 INF = math.inf
-
-
-class BoundExceededError(ValueError):
-    """Input exceeds a configured bound on exhaustive work: a solver's vertex
-    bound, or (raised by checks) the oracle's atom bound."""
 
 
 @dataclass(frozen=True)
@@ -183,8 +178,6 @@ class TriangleProfile:
     is_hypertriangulated: bool
     vertex_flags: tuple[bool, ...]
     edge_flags: tuple[tuple[tuple[int, int], bool], ...]
-    vertex_witnesses: tuple
-    edge_witnesses: tuple
 
 
 def comaximal_triangle_zero_sets(space: MeasureSpace, zs: MeasurableSet):
@@ -192,13 +185,6 @@ def comaximal_triangle_zero_sets(space: MeasureSpace, zs: MeasurableSet):
     whose zero set is ``zs``: split the cozero set and take the halves."""
     a, b = split_nonatom(space, complement(space, zs))
     return a, b
-
-
-def zero_divisor_triangle_zero_sets(space: MeasureSpace, zs: MeasurableSet):
-    """Same construction for the zero-divisor graph: split the zero set and
-    complement the halves."""
-    a, b = split_nonatom(space, zs)
-    return complement(space, a), complement(space, b)
 
 
 def annihilator_common_neighbor_zero_set(space: MeasureSpace, zu: MeasurableSet,
@@ -218,84 +204,48 @@ def annihilator_common_neighbor_zero_set(space: MeasureSpace, zu: MeasurableSet,
 
 
 def triangle_profile(g: Graph) -> TriangleProfile:
-    """Triangle coverage with explicit witnesses.
+    """Triangle coverage of every vertex and every edge.
 
     Atomic-backend graphs are searched directly.  Sampled interval-backend
-    graphs get their flags from the defining measure predicates, with the
-    witness triangles constructed by splitting sets rather than searched, so
-    the flags describe the full graph and not just the sample.
+    graphs get their flags from the defining measure predicates, so the flags
+    describe the full graph and not just the sample.
     """
     n = g.n_vertices
     if n == 0:
         raise ValueError("triangle profile of an empty graph is undefined")
     if g.space.backend == ATOMIC:
-        vertex_flags, vertex_wits = [], []
-        for i in range(n):
-            row = g.adj[i]
-            wit = None
-            probe = row
-            while probe and wit is None:
-                bit = probe & -probe
-                probe ^= bit
-                j = bit.bit_length() - 1
-                both = g.adj[j] & row
-                if both:
-                    k = (both & -both).bit_length() - 1
-                    wit = (i, j, k)
-            vertex_flags.append(wit is not None)
-            vertex_wits.append(wit)
-        edge_flags, edge_wits = [], []
-        for i, j in g.edges():
-            both = g.adj[i] & g.adj[j]
-            flag = bool(both)
-            edge_flags.append(((i, j), flag))
-            edge_wits.append(((i, j), (both & -both).bit_length() - 1 if flag else None))
+        vertex_flags = [any(g.adj[j] & g.adj[i] for j in _members(g.adj[i])) for i in range(n)]
+        edge_flags = [((i, j), bool(g.adj[i] & g.adj[j])) for i, j in g.edges()]
         return TriangleProfile(all(vertex_flags), bool(edge_flags) and all(f for _, f in edge_flags),
-                               tuple(vertex_flags), tuple(edge_flags),
-                               tuple(vertex_wits), tuple(edge_wits))
+                               tuple(vertex_flags), tuple(edge_flags))
 
     space = g.space
-    vertex_flags, vertex_wits = [], []
+    vertex_flags = []
     for i in range(n):
         zs = g.zero_sets[i]
         if g.kind is GraphKind.COMAXIMAL:
             ok = not is_atom(space, complement(space, zs))
-            wit = comaximal_triangle_zero_sets(space, zs) if ok else None
         elif g.kind is GraphKind.ZERO_DIVISOR:
             ok = not is_atom(space, zs)
-            wit = zero_divisor_triangle_zero_sets(space, zs) if ok else None
         elif g.kind is GraphKind.ANNIHILATOR:
-            if not is_atom(space, complement(space, zs)):
-                ok, wit = True, comaximal_triangle_zero_sets(space, zs)
-            elif not is_atom(space, zs):
-                ok, wit = True, zero_divisor_triangle_zero_sets(space, zs)
-            else:
-                ok, wit = False, None
+            ok = not is_atom(space, complement(space, zs)) or not is_atom(space, zs)
         else:
             ok = n >= 3  # complete multipartite on distinct atomic classes
-            wit = None
         vertex_flags.append(ok)
-        vertex_wits.append(wit)
-    edge_flags, edge_wits = [], []
+    edge_flags = []
     for i, j in g.edges():
         zu, zv = g.zero_sets[i], g.zero_sets[j]
         if g.kind is GraphKind.COMAXIMAL:
             flag = not is_null(space, intersect(space, complement(space, zu), complement(space, zv)))
-            wit = complement(space, union(space, zu, zv)) if flag else None
         elif g.kind is GraphKind.ZERO_DIVISOR:
             flag = not is_null(space, intersect(space, zu, zv))
-            wit = intersect(space, zu, zv) if flag else None
         elif g.kind is GraphKind.ANNIHILATOR:
-            wit = annihilator_common_neighbor_zero_set(space, zu, zv)
-            flag = wit is not None
+            flag = annihilator_common_neighbor_zero_set(space, zu, zv) is not None
         else:
             flag = n >= 3
-            wit = None
         edge_flags.append(((i, j), flag))
-        edge_wits.append(((i, j), wit))
     return TriangleProfile(all(vertex_flags), bool(edge_flags) and all(f for _, f in edge_flags),
-                           tuple(vertex_flags), tuple(edge_flags),
-                           tuple(vertex_wits), tuple(edge_wits))
+                           tuple(vertex_flags), tuple(edge_flags))
 
 
 @dataclass(frozen=True)

@@ -319,13 +319,13 @@ def applicable_checks(config: SuiteConfig) -> list[CheckDef]:
 
 
 def _repro(config: SuiteConfig, check_id: str, n: int | None) -> str:
-    atoms = f"{n}..{n}" if n is not None else f"{config.atoms_min}..{config.atoms_max}"
-    cmd = (f"mrfgraph verify --backend {config.backend} --atoms {atoms} "
-           f"--alphabet {config.alphabet} --weights {config.weights} --seed {config.seed} "
-           f"--only {check_id}")
+    """Command line that reruns one failing check instance."""
     if config.backend == INTERVAL:
-        cmd += f" --samples {config.sample_count}"
-    return cmd
+        return (f"mrfgraph sample --samples {config.sample_count} --seed {config.seed} "
+                f"--only {check_id}")
+    atoms = f"{n}..{n}" if n is not None else f"{config.atoms_min}..{config.atoms_max}"
+    return (f"mrfgraph verify --atoms {atoms} --alphabet {config.alphabet} "
+            f"--weights {config.weights} --seed {config.seed} --only {check_id}")
 
 
 def _entry(config: SuiteConfig, check_id: str, instance: str | None, n: int | None,

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_build import Graph, GraphKind, build_graph
+from .graph_build import Graph
 from .graph_metrics import metrics
-from .measure_space import AtomicSpace, complement
-from .vertex_universe import class_size, enumerate_zclasses, zclass
+from .measure_space import complement
 
 ISOMORPHIC = "isomorphic"
 NOT_ISOMORPHIC = "not_isomorphic"
@@ -46,51 +45,29 @@ def verify_mapping(g1: Graph, g2: Graph, mapping: tuple[int, ...]) -> bool:
     return True
 
 
-def canonical_complement_iso(space: AtomicSpace) -> IsoVerdict:
-    """The explicit isomorphism between the quotient zero-divisor graph and
-    the quotient comaximal graph: send each class to the class of the
-    complementary zero set.  Verified, never searched."""
-    if space.n_atoms < 2:
-        raise ValueError("complement isomorphism needs at least two atoms")
-    g1 = build_graph(space, GraphKind.ZERO_DIVISOR, "quotient")
-    g2 = build_graph(space, GraphKind.COMAXIMAL, "quotient")
-    index = {zs: i for i, zs in enumerate(g2.zero_sets)}
-    mapping = tuple(index[complement(space, zs)] for zs in g1.zero_sets)
-    if not verify_mapping(g1, g2, mapping):
-        raise AssertionError("complement map failed edge verification")
-    return IsoVerdict(ISOMORPHIC, mapping=mapping)
+def complement_iso(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
+    """Isomorphism test that tries the complement map first: the members of
+    each zero-set class of ``g1`` are paired, in order, with the members of
+    the class of ``g2`` whose zero set is the complement.
 
-
-def class_size_iso(space: AtomicSpace, k: int, budget: int = 200_000) -> IsoVerdict:
-    """Isomorphism test between the expanded zero-divisor and comaximal
-    graphs, via per-class bijections onto complementary classes.
-
-    When every class has the same size as its complementary class, the
-    assembled class-by-class map is an isomorphism and is returned after
-    verification.  Otherwise the eccentricity class counts are compared
-    first (the natural discriminator here); only if those agree does the
-    generic search run."""
-    if space.n_atoms < 2:
-        raise ValueError("expanded isomorphism needs at least two atoms")
-    g1 = build_graph(space, GraphKind.ZERO_DIVISOR, "expanded", alphabet=k)
-    g2 = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    sizes_match = all(
-        class_size(space, zc, k) == class_size(space, zclass(space, complement(space, zc.zero_set)), k)
-        for zc in enumerate_zclasses(space)
-    )
-    if sizes_match:
-        by_class: dict = {}
-        for i, zs in enumerate(g1.zero_sets):
-            by_class.setdefault(zs, []).append(i)
-        mapping_list = [-1] * g1.n_vertices
-        for zs, members in by_class.items():
-            targets = by_class[complement(space, zs)]
-            for src, dst in zip(members, targets):
-                mapping_list[src] = dst
-        mapping = tuple(mapping_list)
-        if not verify_mapping(g1, g2, mapping):
-            raise AssertionError("class-size map failed edge verification")
-        return IsoVerdict(ISOMORPHIC, mapping=mapping)
+    When every class meets a complement class of the same size and the
+    assembled map verifies edge by edge, it is returned with
+    ``nodes_explored == 0``.  Otherwise the eccentricity class counts are
+    compared (the natural discriminator between the zero-divisor and
+    comaximal graphs); only if those agree does the generic search run."""
+    if g1.n_vertices == 0:
+        raise ValueError("complement isomorphism needs vertices; a one-atom space has none")
+    space, targets = g1.space, g2.classes
+    mapping = [-1] * g1.n_vertices
+    for z, members in zip(g1.classes.zero_sets, g1.classes.members):
+        c = targets.index.get(complement(space, z))
+        if c is None or len(targets.members[c]) != len(members):
+            break
+        for src, dst in zip(members, targets.members[c]):
+            mapping[src] = dst
+    else:
+        if verify_mapping(g1, g2, tuple(mapping)):
+            return IsoVerdict(ISOMORPHIC, mapping=tuple(mapping))
     left = metrics(g1).eccentricity_histogram()
     right = metrics(g2).eccentricity_histogram()
     if left != right:

@@ -33,7 +33,6 @@ from .measure_space import (
     format_set,
     interval_set,
     is_null,
-    null_equal,
     parse_set,
 )
 
@@ -110,11 +109,6 @@ def class_size(space: AtomicSpace, zc: ZClass, k: int) -> int:
 def ann_leq(space: MeasureSpace, zf: MeasurableSet, zg: MeasurableSet) -> bool:
     """ann(f) contained in ann(g), i.e. Z(f) \\ Z(g) is null."""
     return is_null(space, difference(space, zf, zg))
-
-
-def ann_eq(space: MeasureSpace, zf: MeasurableSet, zg: MeasurableSet) -> bool:
-    """ann(f) = ann(g), i.e. the zero sets agree almost everywhere."""
-    return null_equal(space, zf, zg)
 
 
 def sample_interval_class(seed, depth: int) -> ZClass:

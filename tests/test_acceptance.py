@@ -22,8 +22,7 @@ from mrfgraph.harness import SuiteConfig, render_report, run_suite
 from mrfgraph.isomorphism import (
     NOT_ISOMORPHIC,
     are_isomorphic,
-    canonical_complement_iso,
-    class_size_iso,
+    complement_iso,
     verify_mapping,
 )
 from mrfgraph.measure_space import (
@@ -148,10 +147,10 @@ def test_criterion_2_comaximal_suite():
 @announce(3, "quotient suite: complement isomorphism and parameter transfer")
 def test_criterion_3_quotient_suite():
     for n in range(2, 6):
-        verdict = canonical_complement_iso(unit_space(n))
+        g1, g2 = quotient(n, GraphKind.ZERO_DIVISOR), quotient(n, GraphKind.COMAXIMAL)
+        verdict = complement_iso(g1, g2)
         assert verdict.is_isomorphic
-        assert verify_mapping(quotient(n, GraphKind.ZERO_DIVISOR),
-                              quotient(n, GraphKind.COMAXIMAL), verdict.mapping)
+        assert verify_mapping(g1, g2, verdict.mapping)
     for n in range(2, 5):
         gq = quotient(n, GraphKind.COMAXIMAL)
         ge = expanded(n, GraphKind.COMAXIMAL)
@@ -251,13 +250,13 @@ def test_criterion_5_weakly_suite():
 @announce(6, "isomorphism dichotomy at finite alphabets")
 def test_criterion_6_iso_dichotomy():
     for n in range(2, 6):
-        verdict = class_size_iso(unit_space(n), 2)
-        assert verdict.is_isomorphic
         g1 = build_graph(unit_space(n), GraphKind.ZERO_DIVISOR, "expanded", alphabet=2)
         g2 = build_graph(unit_space(n), GraphKind.COMAXIMAL, "expanded", alphabet=2)
+        verdict = complement_iso(g1, g2)
+        assert verdict.is_isomorphic
         assert verify_mapping(g1, g2, verdict.mapping)
 
-    verdict = class_size_iso(unit_space(3), 3)
+    verdict = complement_iso(expanded(3, GraphKind.ZERO_DIVISOR), expanded(3, GraphKind.COMAXIMAL))
     assert verdict.outcome == NOT_ISOMORPHIC
     cert = verdict.certificate
     assert cert["kind"] == "eccentricity-class-count"

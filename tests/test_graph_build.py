@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from mrfgraph.graph_build import (
+    BoundExceededError,
     GraphKind,
     adjacent,
     build_graph,
@@ -95,9 +96,9 @@ def test_weakly_trichotomy_over_all_divisors(n, k):
 def test_oracle_bounds():
     space = unit_space(6)
     f = ExpandedFunction((0, 1, 1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        oracle_adjacent(GraphKind.COMAXIMAL, space, 3, f, f, max_atoms=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(BoundExceededError):
+        oracle_adjacent(GraphKind.COMAXIMAL, space, 3, f, f)
+    with pytest.raises(BoundExceededError):
         oracle_adjacent(GraphKind.COMAXIMAL, unit_space(2), 5,
                         ExpandedFunction((0, 1)), ExpandedFunction((1, 0)))
 
@@ -216,6 +217,33 @@ def test_class_build_matches_pairwise_reference_sampled(kind):
     classes = sample_interval_classes(5, 40)
     g = build_graph(IntervalSpace(), kind, sample=classes + classes[::3])
     assert g.adj == pairwise_adjacency(g)
+
+def grouped_by_zero_set(g):
+    """(class of each vertex, members of each class), classes numbered by
+    first appearance."""
+    first: list = []
+    of = []
+    for z in g.zero_sets:
+        if z not in first:
+            first.append(z)
+        of.append(first.index(z))
+    members = [tuple(v for v, c in enumerate(of) if c == a) for a in range(len(first))]
+    return tuple(of), tuple(members), tuple(first)
+
+
+def test_graph_classes_match_grouping_by_zero_set():
+    builds = [(n, "quotient", None) for n in range(1, 5)]
+    builds += [(n, "expanded", k) for n in range(1, 5) for k in (2, 3)]
+    graphs = [build_graph(unit_space(n), kind, mode, alphabet=k)
+              for n, mode, k in builds for kind in KINDS]
+    classes = sample_interval_classes(5, 40)
+    graphs.append(build_graph(IntervalSpace(), GraphKind.COMAXIMAL, sample=classes))
+    for g in graphs:
+        of, members, zero_sets = grouped_by_zero_set(g)
+        got = g.classes
+        assert (got.of, got.members, got.zero_sets) == (of, members, zero_sets), g.name()
+        assert got.index == {z: c for c, z in enumerate(zero_sets)}
+
 
 def test_subgraph_containment_and_strictness():
     for n in (2, 3):

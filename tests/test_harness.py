@@ -1,23 +1,29 @@
 """Suite runner determinism, coverage auditing, and the CLI surface."""
 
+import dataclasses
 import importlib.util
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from mrfgraph.cli import main
+from mrfgraph.graph_build import GraphKind
 from mrfgraph.harness import (
     REGISTRY,
+    Outcome,
     Report,
+    RunContext,
     SuiteConfig,
     applicable_checks,
     render_report,
     run_suite,
 )
+from mrfgraph.measure_space import atom_set, complement
 
 SMALL = SuiteConfig(atoms_min=2, atoms_max=3)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -182,6 +188,74 @@ def test_cli_verify_alphabet_two_skips_girth_rule(capsys):
     doc = json.loads(capsys.readouterr().out)
     entries = [e for e in doc["entries"] if e["check"] == "annihilator.girth_rule"]
     assert [e["status"] for e in entries] == ["skipped"]
+
+
+def test_cli_verify_alphabet_beyond_oracle_skips(capsys):
+    assert main(["verify", "--atoms", "2..2", "--alphabet", "5", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["summary"]["fail"] == 0
+    oracle = [e for e in doc["entries"] if "oracle bound exceeded" in e.get("note", "")]
+    assert {e["check"] for e in oracle} == {
+        "comaximal.adjacency_oracle", "zero_divisor.adjacency_oracle",
+        "annihilator.adjacency_oracle", "weakly_zd.adjacency_oracle",
+        "weakly_zd.trichotomy_oracle", "weakly_zd.self_adjacency_rule"}
+    assert all(e["status"] == "skipped" and e["note"] == "oracle bound exceeded: alphabet 5 > 4"
+               for e in oracle)
+
+
+@pytest.mark.parametrize("argv,check_id", [
+    (["verify", "--atoms", "2..3", "--alphabet", "4", "--weights", "random-positive",
+      "--seed", "11"], "quotient.k2_rule"),
+    (["sample", "--samples", "20", "--seed", "3"], "weakly_zd.interval_empty"),
+], ids=["atomic", "interval"])
+def test_failing_entry_repro_line_runs(argv, check_id, monkeypatch, capsys):
+    def fail(ctx, *args):
+        return Outcome("forced", "failure", False)
+
+    monkeypatch.setitem(REGISTRY, check_id, dataclasses.replace(REGISTRY[check_id], fn=fail))
+    assert main(argv + ["--only", check_id, "--format", "json"]) == 1
+    failing = [e for e in json.loads(capsys.readouterr().out)["entries"] if e["status"] == "fail"]
+    assert failing
+    for entry in failing:
+        line = entry["repro"]
+        assert line.startswith("mrfgraph ")
+        assert main(shlex.split(line)[1:]) == 1
+        rerun = json.loads(capsys.readouterr().out)["entries"]
+        assert entry in rerun
+
+
+def _flip_orthogonal_edge(ctx, n, kind, k):
+    """Replace the cached expanded graph with one whose edge between the first
+    members of the classes Z={0} and its complement is toggled."""
+    g = ctx.graph(n, kind, "expanded", alphabet=k)
+    i = g.classes.members[g.classes.index[atom_set([0])]][0]
+    j = g.classes.members[g.classes.index[complement(g.space, atom_set([0]))]][0]
+    adj = list(g.adj)
+    adj[i] ^= 1 << j
+    adj[j] ^= 1 << i
+    key = next(key for key, cached in ctx._graphs.items() if cached is g)
+    ctx._graphs[key] = dataclasses.replace(g, adj=tuple(adj))
+
+
+@pytest.mark.parametrize("check_id,kind,args", [
+    ("comaximal.distance_formula", GraphKind.COMAXIMAL, (3, "expanded", 3)),
+    ("comaximal.neighborhood_rule", GraphKind.COMAXIMAL, (3, 3)),
+    ("annihilator.orthogonality_rule", GraphKind.ANNIHILATOR, (3, 3)),
+])
+def test_rule_checks_read_the_computed_side_per_vertex_pair(check_id, kind, args):
+    """The expected side is evaluated per class pair, but the computed side
+    must still come from each vertex pair: one flipped edge between two
+    members of a class pair is a mismatch."""
+    fn = REGISTRY[check_id].fn
+    ctx = RunContext(SuiteConfig())
+    assert fn(ctx, *args).ok
+    ctx = RunContext(SuiteConfig())
+    _flip_orthogonal_edge(ctx, 3, kind, 3)
+    outcome = fn(ctx, *args)
+    assert not outcome.ok
+    assert int(outcome.computed.split()[0]) >= 1
 
 
 def test_cli_sample(capsys):

@@ -8,8 +8,7 @@ from mrfgraph.isomorphism import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
     are_isomorphic,
-    canonical_complement_iso,
-    class_size_iso,
+    complement_iso,
     verify_mapping,
 )
 from mrfgraph.measure_space import atom_set, unit_space
@@ -27,13 +26,17 @@ def raw_graph(n, edges):
                  payload, tuple(p.zero_set for p in payload), tuple(rows))
 
 
+def zd_comaximal(n, mode="quotient", k=None):
+    space = unit_space(n)
+    return (build_graph(space, GraphKind.ZERO_DIVISOR, mode, alphabet=k),
+            build_graph(space, GraphKind.COMAXIMAL, mode, alphabet=k))
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_complement_iso_verified(n):
-    space = unit_space(n)
-    verdict = canonical_complement_iso(space)
-    assert verdict.is_isomorphic
-    g1 = build_graph(space, GraphKind.ZERO_DIVISOR, "quotient")
-    g2 = build_graph(space, GraphKind.COMAXIMAL, "quotient")
+    g1, g2 = zd_comaximal(n)
+    verdict = complement_iso(g1, g2)
+    assert verdict.is_isomorphic and verdict.nodes_explored == 0
     assert verify_mapping(g1, g2, verdict.mapping)
     mapping = verdict.mapping
     assert all(mapping[mapping[i]] == i for i in range(len(mapping)))  # involution
@@ -41,25 +44,24 @@ def test_complement_iso_verified(n):
 
 def test_complement_iso_needs_two_atoms():
     with pytest.raises(ValueError):
-        canonical_complement_iso(unit_space(1))
+        complement_iso(*zd_comaximal(1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_class_size_iso_alphabet_two(n):
-    verdict = class_size_iso(unit_space(n), 2)
+    g1, g2 = zd_comaximal(n, "expanded", 2)
+    verdict = complement_iso(g1, g2)
     assert verdict.is_isomorphic
-    g1 = build_graph(unit_space(n), GraphKind.ZERO_DIVISOR, "expanded", alphabet=2)
-    g2 = build_graph(unit_space(n), GraphKind.COMAXIMAL, "expanded", alphabet=2)
     assert verify_mapping(g1, g2, verdict.mapping)
 
 
 def test_class_size_iso_two_atoms_any_alphabet():
-    verdict = class_size_iso(unit_space(2), 3)
+    verdict = complement_iso(*zd_comaximal(2, "expanded", 3))
     assert verdict.is_isomorphic
 
 
 def test_class_size_iso_certificate_n3_k3():
-    verdict = class_size_iso(unit_space(3), 3)
+    verdict = complement_iso(*zd_comaximal(3, "expanded", 3))
     assert verdict.outcome == NOT_ISOMORPHIC
     cert = verdict.certificate
     assert cert["kind"] == "eccentricity-class-count"
@@ -68,7 +70,7 @@ def test_class_size_iso_certificate_n3_k3():
 
 
 def test_class_size_iso_not_isomorphic_n4_k3():
-    verdict = class_size_iso(unit_space(4), 3)
+    verdict = complement_iso(*zd_comaximal(4, "expanded", 3))
     assert verdict.outcome == NOT_ISOMORPHIC
 
 

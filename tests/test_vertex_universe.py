@@ -10,7 +10,6 @@ from mrfgraph.measure_space import atom_set, complement, is_null, null_equal, un
 from mrfgraph.vertex_universe import (
     ExpandedFunction,
     ZClass,
-    ann_eq,
     ann_leq,
     class_size,
     enumerate_functions,
@@ -96,7 +95,7 @@ def test_ann_leq_examples():
     assert ann_leq(space, atom_set([0]), atom_set([0, 1]))
     assert not ann_leq(space, atom_set([0, 1]), atom_set([0]))
     for zc in enumerate_zclasses(space):
-        assert ann_eq(space, zc.zero_set, zc.zero_set)
+        assert null_equal(space, zc.zero_set, zc.zero_set)
 
 
 @given(st.integers(2, 5), st.data())
@@ -107,8 +106,7 @@ def test_ann_preorder_properties(n, data):
     assert ann_leq(space, x, x)
     if ann_leq(space, x, y) and ann_leq(space, y, z):
         assert ann_leq(space, x, z)
-    assert ann_eq(space, x, y) == (ann_leq(space, x, y) and ann_leq(space, y, x))
-    assert ann_eq(space, x, y) == null_equal(space, x, y)
+    assert null_equal(space, x, y) == (ann_leq(space, x, y) and ann_leq(space, y, x))
 
 
 def test_two_atom_partition_replay():
