@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .graph_build import GraphKind, adjacent, oracle_adjacent, weakly_adjacent_all
+from .graph_build import GraphKind, adjacent, build_graph, oracle_adjacent, weakly_adjacent_all
 from .graph_metrics import (
     BoundExceededError,
     annihilator_common_neighbor_zero_set,
@@ -850,8 +850,6 @@ def check_weakly_parameters(ctx: RunContext, n: int, k: int):
 
 @register("weakly_zd.interval_empty", "weakly_zd", backend=INTERVAL, kind="weakly_zd")
 def check_weakly_interval_empty(ctx: RunContext):
-    from .graph_build import build_graph
-
     g = build_graph(ctx.interval_space, GraphKind.WEAKLY_ZD, sample=ctx.interval_classes())
     return Outcome("empty vertex set (no atomic zero sets exist)", f"{g.n_vertices} vertices",
                    g.n_vertices == 0, instance=f"{len(ctx.interval_classes())} sampled classes")
@@ -994,17 +992,9 @@ def check_iso_self_identity(ctx: RunContext, n: int, k: int):
 
 @register("iso.sampled_complement_probe", "iso", backend=INTERVAL)
 def check_iso_sampled_probe(ctx: RunContext):
-    from .graph_build import build_graph
-
     space = ctx.interval_space
     base = ctx.interval_classes()[: max(10, ctx.config.sample_count // 4)]
-    closed: list[ZClass] = []
-    seen = set()
-    for zc in base:
-        for zs in (zc.zero_set, complement(space, zc.zero_set)):
-            if zs not in seen:
-                seen.add(zs)
-                closed.append(ZClass(zs))
+    closed = [ZClass(z) for zc in base for z in (zc.zero_set, complement(space, zc.zero_set))]
     g1 = build_graph(space, GraphKind.ZERO_DIVISOR, sample=closed)
     g2 = build_graph(space, GraphKind.COMAXIMAL, sample=closed)
     verdict = complement_iso(g1, g2, budget=ctx.config.iso_budget)
@@ -1012,4 +1002,4 @@ def check_iso_sampled_probe(ctx: RunContext):
     return Outcome("complement map is an isomorphism of the sampled subgraphs",
                    "verified" if ok else "failed", ok,
                    note="sampled evidence only; the exhaustive statement is out of reach",
-                   instance=f"{len(closed)} complement-closed sampled classes")
+                   instance=f"{g1.n_vertices} complement-closed sampled classes")

@@ -10,9 +10,11 @@ Adjacency is decided by closed-form nullity predicates on zero sets:
 * weakly-zd        -- on vertices whose zero set is an atom: the zero sets
                       differ by a set of positive measure.
 
-``oracle_adjacent`` recomputes the same relations from the ring-theoretic
-definitions alone (pointwise products, ideal membership by enumeration) so
-that the closed forms can be cross-validated exhaustively.
+A build tests them on cell masks, where a set is null exactly when its mask
+is 0, so both backends share one int kernel; ``adjacent`` is the exact
+reference.  ``oracle_adjacent`` recomputes the same relations from the
+ring-theoretic definitions alone (pointwise products, ideal membership by
+enumeration) so that the closed forms can be cross-validated exhaustively.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .measure_space import (
     MeasurableSet,
     MeasureSpace,
     atom_set,
+    cell_masks,
     complement,
     difference,
     intersect,
@@ -247,21 +250,22 @@ class Graph:
 
 
 def _fill_adjacency(kind, space, zero_sets) -> tuple[int, ...]:
-    """Adjacency rows, deciding each pair of zero-set classes once.
-
-    ``adjacent`` is called once per unordered pair of classes and once per
-    class with itself, and each row is the union of the member masks of its
-    adjacent classes minus the vertex's own bit.  Classes are indexed by
-    position inside the pair loop: hashing an interval set is not cached and
-    costs a tuple of Fractions per lookup.
-    """
+    """Adjacency rows, testing ``adjacent`` on the cell masks of each
+    unordered pair of zero-set classes once, and of each class with itself.
+    Each row is the union of the member masks of its adjacent classes minus
+    the vertex's own bit.  The weakly-zd atom filter must run before, on the
+    original space: a single cell would look like an atom."""
     classes = zero_set_classes(zero_sets)
-    reps = classes.zero_sets
+    full, masks = cell_masks(space, classes.zero_sets)
+    edge = {GraphKind.COMAXIMAL: lambda a, b: not a & b,
+            GraphKind.ZERO_DIVISOR: lambda a, b: a | b == full,
+            GraphKind.ANNIHILATOR: lambda a, b: bool(a & ~b and b & ~a),
+            GraphKind.WEAKLY_ZD: lambda a, b: a != b}[kind]
     members = [sum(1 << v for v in vs) for vs in classes.members]
-    reach = [members[c] if adjacent(kind, space, z, z) else 0 for c, z in enumerate(reps)]
-    for a, za in enumerate(reps):
-        for b in range(a + 1, len(reps)):
-            if adjacent(kind, space, za, reps[b]):
+    reach = [members[c] if edge(m, m) else 0 for c, m in enumerate(masks)]
+    for a, ma in enumerate(masks):
+        for b in range(a + 1, len(masks)):
+            if edge(ma, masks[b]):
                 reach[a] |= members[b]
                 reach[b] |= members[a]
     return tuple(reach[c] & ~(1 << v) for v, c in enumerate(classes.of))
@@ -294,11 +298,7 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
     if space.backend != ATOMIC:
         if sample is None:
             raise ValueError("interval-backend graphs need an explicit sampled vertex list")
-        seen, classes = set(), []
-        for zc in sample:
-            if zc.zero_set not in seen:
-                seen.add(zc.zero_set)
-                classes.append(zclass(space, zc.zero_set))
+        classes = [zclass(space, z) for z in dict.fromkeys(zc.zero_set for zc in sample)]
         if kind is GraphKind.WEAKLY_ZD:
             classes = [zc for zc in classes if is_atom(space, zc.zero_set)]
         zero_sets = tuple(zc.zero_set for zc in classes)

@@ -318,14 +318,26 @@ def applicable_checks(config: SuiteConfig) -> list[CheckDef]:
     return out
 
 
+# Repro-line flags for non-default settings; oracle_atoms_max has no flag.
+_REPRO_FLAGS = {"max_cycle_len": "--max-cycle-len", "iso_budget": "--budget", "kinds": "--kinds",
+                "clique_bound": "--clique-bound", "chromatic_bound": "--chromatic-bound",
+                "dominating_bound": "--dominating-bound"}
+
+
 def _repro(config: SuiteConfig, check_id: str, n: int | None) -> str:
     """Command line that reruns one failing check instance."""
     if config.backend == INTERVAL:
-        return (f"mrfgraph sample --samples {config.sample_count} --seed {config.seed} "
-                f"--only {check_id}")
-    atoms = f"{n}..{n}" if n is not None else f"{config.atoms_min}..{config.atoms_max}"
-    return (f"mrfgraph verify --atoms {atoms} --alphabet {config.alphabet} "
-            f"--weights {config.weights} --seed {config.seed} --only {check_id}")
+        line = f"mrfgraph sample --samples {config.sample_count} --seed {config.seed}"
+    else:
+        atoms = f"{n}..{n}" if n is not None else f"{config.atoms_min}..{config.atoms_max}"
+        line = (f"mrfgraph verify --atoms {atoms} --alphabet {config.alphabet} "
+                f"--weights {config.weights} --seed {config.seed}")
+    default = SuiteConfig()
+    for name, flag in _REPRO_FLAGS.items():
+        value = getattr(config, name)
+        if value != getattr(default, name):
+            line += f" {flag} {','.join(value) if isinstance(value, tuple) else value}"
+    return f"{line} --only {check_id}"
 
 
 def _entry(config: SuiteConfig, check_id: str, instance: str | None, n: int | None,

@@ -17,7 +17,7 @@ operation validates its arguments once, then branches once on the backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Iterable, Sequence
 
@@ -34,6 +34,7 @@ class AtomicSpace:
     """Purely atomic space: one strictly positive rational weight per atom."""
 
     weights: tuple[Fraction, ...]
+    n_atoms: int = field(init=False, repr=False, compare=False)
     backend: ClassVar[str] = ATOMIC
 
     def __post_init__(self):
@@ -43,10 +44,7 @@ class AtomicSpace:
         if any(w <= 0 for w in ws):
             raise ValueError("atom weights must be strictly positive")
         object.__setattr__(self, "weights", ws)
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.weights)
+        object.__setattr__(self, "n_atoms", len(ws))
 
 
 @dataclass(frozen=True)
@@ -277,6 +275,20 @@ def split_at_measure(space: MeasureSpace, a: MeasurableSet, r: Fraction | int | 
             out.append((lo, lo + remaining))
             remaining = Fraction(0)
     return MeasurableSet(INTERVAL, intervals=tuple(out))
+
+
+def cell_masks(space: MeasureSpace, sets: Sequence[MeasurableSet]) -> tuple[int, list[int]]:
+    """Masks of X and of each set over the cells of the algebra the sets
+    generate: the atoms, or the intervals between consecutive distinct
+    endpoints (0 and 1 included), each of positive length.  A Boolean
+    combination of the sets is null exactly when that of the masks is 0."""
+    _check(space, *sets)
+    if space.backend == ATOMIC:
+        return (1 << space.n_atoms) - 1, [s.mask for s in sets]
+    cuts = sorted({Fraction(0), Fraction(1), *(x for s in sets for p in s.intervals for x in p)})
+    cell = {x: i for i, x in enumerate(cuts)}
+    return (1 << len(cuts) - 1) - 1, [sum((1 << cell[hi]) - (1 << cell[lo])
+                                          for lo, hi in s.intervals) for s in sets]
 
 
 def is_subset(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from mrfgraph.graph_build import (
     BoundExceededError,
     GraphKind,
+    _fill_adjacency,
     adjacent,
     build_graph,
     export_graph,
@@ -19,10 +20,16 @@ from mrfgraph.measure_space import (
     IntervalSpace,
     atom_set,
     complement,
+    interval_set,
     null_equal,
     unit_space,
 )
-from mrfgraph.vertex_universe import ExpandedFunction, enumerate_functions, sample_interval_classes
+from mrfgraph.vertex_universe import (
+    ExpandedFunction,
+    ZClass,
+    enumerate_functions,
+    sample_interval_classes,
+)
 
 KINDS = (GraphKind.ZERO_DIVISOR, GraphKind.COMAXIMAL,
          GraphKind.ANNIHILATOR, GraphKind.WEAKLY_ZD)
@@ -217,6 +224,46 @@ def test_class_build_matches_pairwise_reference_sampled(kind):
     classes = sample_interval_classes(5, 40)
     g = build_graph(IntervalSpace(), kind, sample=classes + classes[::3])
     assert g.adj == pairwise_adjacency(g)
+
+
+def complement_closed(space, classes):
+    """The zero sets ``iso.sampled_complement_probe`` builds on: each sampled
+    zero set, then its complement, first appearance kept."""
+    return list(dict.fromkeys(z for zc in classes
+                              for z in (zc.zero_set, complement(space, zc.zero_set))))
+
+
+# Sets that touch at a shared endpoint, start at 0 or end at 1, and repeat.
+HAND_SETS = [interval_set(pairs) for pairs in (
+    [(0, "1/2")], [("1/2", 1)], [("1/4", "1/2")], [("1/2", "3/4")],
+    [(0, "1/4"), ("3/4", 1)], [("1/4", "3/4")], [(0, "1/3")], [("1/3", "1/2"), ("2/3", 1)],
+    [(0, "1/2")], [("1/4", "3/4")],
+)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mask_kernel_matches_pairwise_adjacent_on_intervals(kind):
+    """The cell-mask kernel against the closed form on every vertex pair,
+    repeated zero sets included, so same-class (diagonal) pairs are tested.
+    A weakly-zd build keeps no interval vertex (no set is an atom), so that
+    kind's kernel is compared with ``adjacent`` minus its atom guard."""
+    space = IntervalSpace()
+    closed = complement_closed(space, sample_interval_classes(9, 60))
+    if kind is GraphKind.WEAKLY_ZD:
+        reference = lambda zu, zv: not null_equal(space, zu, zv)
+        assert build_graph(space, kind, sample=map(ZClass, closed)).n_vertices == 0
+    else:
+        reference = lambda zu, zv: adjacent(kind, space, zu, zv)
+        g = build_graph(space, kind, sample=map(ZClass, closed))
+        assert g.adj == pairwise_adjacency(g)
+    for zero_sets in (closed + closed[:7], HAND_SETS):
+        rows = [0] * len(zero_sets)
+        for i, j in itertools.combinations(range(len(zero_sets)), 2):
+            if reference(zero_sets[i], zero_sets[j]):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        assert _fill_adjacency(kind, space, zero_sets) == tuple(rows)
+
 
 def grouped_by_zero_set(g):
     """(class of each vertex, members of each class), classes numbered by

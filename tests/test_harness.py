@@ -1,6 +1,7 @@
 """Suite runner determinism, coverage auditing, and the CLI surface."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import mrfgraph.checks  # noqa: F401  (populates REGISTRY)
 from mrfgraph.cli import main
 from mrfgraph.graph_build import GraphKind
 from mrfgraph.harness import (
@@ -205,25 +207,37 @@ def test_cli_verify_alphabet_beyond_oracle_skips(capsys):
                for e in oracle)
 
 
-@pytest.mark.parametrize("argv,check_id", [
+@pytest.mark.parametrize("argv,check_id,force", [
     (["verify", "--atoms", "2..3", "--alphabet", "4", "--weights", "random-positive",
-      "--seed", "11"], "quotient.k2_rule"),
-    (["sample", "--samples", "20", "--seed", "3"], "weakly_zd.interval_empty"),
-], ids=["atomic", "interval"])
-def test_failing_entry_repro_line_runs(argv, check_id, monkeypatch, capsys):
-    def fail(ctx, *args):
-        return Outcome("forced", "failure", False)
+      "--seed", "11"], "quotient.k2_rule", True),
+    (["sample", "--samples", "20", "--seed", "3"], "weakly_zd.interval_empty", True),
+    (["verify", "--atoms", "2..3", "--kinds", "comaximal,annihilator", "--budget", "999",
+      "--clique-bound", "100", "--chromatic-bound", "101", "--dominating-bound", "102"],
+     "quotient.k2_rule", True),
+    (["verify", "--atoms", "3..3", "--max-cycle-len", "3"], "comaximal.cycle_rank_cases", False),
+], ids=["atomic", "interval", "atomic-settings", "max-cycle-len"])
+def test_failing_entry_repro_line_runs(argv, check_id, force, monkeypatch, capsys):
+    """The repro line of a failing entry reruns it under the same settings:
+    the rerun reports the same failing entry, and its config differs at most
+    in the atom range, narrowed to the failing instance."""
+    if force:
+        def fail(ctx, *args):
+            return Outcome("forced", "failure", False)
 
-    monkeypatch.setitem(REGISTRY, check_id, dataclasses.replace(REGISTRY[check_id], fn=fail))
+        monkeypatch.setitem(REGISTRY, check_id, dataclasses.replace(REGISTRY[check_id], fn=fail))
     assert main(argv + ["--only", check_id, "--format", "json"]) == 1
-    failing = [e for e in json.loads(capsys.readouterr().out)["entries"] if e["status"] == "fail"]
+    report = json.loads(capsys.readouterr().out)
+    failing = [e for e in report["entries"] if e["status"] == "fail"]
     assert failing
+    unnarrowed = lambda config: {key: value for key, value in config.items()
+                                 if key not in ("atoms_min", "atoms_max")}
     for entry in failing:
         line = entry["repro"]
         assert line.startswith("mrfgraph ")
         assert main(shlex.split(line)[1:]) == 1
-        rerun = json.loads(capsys.readouterr().out)["entries"]
-        assert entry in rerun
+        rerun = json.loads(capsys.readouterr().out)
+        assert entry in rerun["entries"]
+        assert unnarrowed(rerun["config"]) == unnarrowed(report["config"])
 
 
 def _flip_orthogonal_edge(ctx, n, kind, k):
@@ -342,6 +356,14 @@ def test_sample_cli_matches_default_suite_script(capsys):
     assert main(["sample", "--samples", "100", "--seed", "7", "--format", "json"]) == 0
     assert capsys.readouterr().out == expected
     assert (ROOT / "reports" / "interval.json").read_text() == expected
+
+
+def test_sample_1000_report_is_pinned(capsys):
+    """The 1000-sample interval report, the same bytes the benchmark's
+    ``interval_sample`` workload gates on."""
+    assert main(["sample", "--samples", "1000", "--seed", "7", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ba330d1d22a1f909ee79b82cf12d197bc439d7f4fd5e799542e3ec5c1cdf3aaa"
 
 
 @pytest.mark.parametrize("argv", [

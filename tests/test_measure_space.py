@@ -1,5 +1,6 @@
 """Exact set algebra, measure evaluation, atoms, and constructive splitting."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from mrfgraph.measure_space import (
     IntervalSpace,
     MeasurableSet,
     atom_set,
+    cell_masks,
     complement,
     difference,
     format_set,
@@ -329,3 +331,40 @@ def test_atom_dichotomy(space, mask):
         atom = atom_set([a])
         assert is_null(space, intersect(space, atom, b)) or \
             is_null(space, difference(space, atom, b))
+
+
+# -- cell masks --------------------------------------------------------------
+
+@given(st.lists(interval_sets(), min_size=1, max_size=5))
+def test_interval_cell_masks_commute_with_set_algebra(sets):
+    """A mask is 0 iff its set is null, masks are equal iff their sets are,
+    and every operation on sets is the matching int operation on masks."""
+    a, b = sets[0], sets[-1]
+    ops = [union(INTERVAL_SPACE, a, b), intersect(INTERVAL_SPACE, a, b),
+           difference(INTERVAL_SPACE, a, b), complement(INTERVAL_SPACE, a)]
+    full, masks = cell_masks(INTERVAL_SPACE, [*sets, *ops])
+    ma, mb = masks[0], masks[len(sets) - 1]
+    assert masks[len(sets):] == [ma | mb, ma & mb, ma & ~mb, full ^ ma]
+    everything = [*sets, *ops]
+    for s, m in zip(everything, masks):
+        assert (m == 0) == is_null(INTERVAL_SPACE, s)
+        assert m & ~full == 0
+    for (s, m), (t, n) in itertools.combinations(zip(everything, masks), 2):
+        assert (m == n) == null_equal(INTERVAL_SPACE, s, t)
+
+
+def test_interval_cell_masks_examples():
+    sets = [iv((0, "1/2")), iv(("1/2", 1)), iv(("1/4", "1/2"), ("3/4", 1))]
+    assert cell_masks(INTERVAL_SPACE, sets) == (0b1111, [0b0011, 0b1100, 0b1010])
+    assert cell_masks(INTERVAL_SPACE, []) == (0b1, [])
+    assert cell_masks(INTERVAL_SPACE, [iv()]) == (0b1, [0])
+    with pytest.raises(BackendMismatchError):
+        cell_masks(INTERVAL_SPACE, [atom_set([0])])
+
+
+@given(space_and_sets(count=3))
+def test_atomic_cell_masks_are_the_atom_masks(args):
+    space, *sets = args
+    full, masks = cell_masks(space, sets)
+    assert full == complement(space, MeasurableSet("atomic")).mask
+    assert masks == [s.mask for s in sets]
