@@ -13,8 +13,9 @@ Adjacency is decided by closed-form nullity predicates on zero sets:
 A build tests them on cell masks, where a set is null exactly when its mask
 is 0, so both backends share one int kernel; ``adjacent`` is the exact
 reference.  ``oracle_adjacent`` recomputes the same relations from the
-ring-theoretic definitions alone (pointwise products, ideal membership by
-enumeration) so that the closed forms can be cross-validated exhaustively.
+ring-theoretic definitions alone (pointwise products; annihilator ideals as
+bitsets over the k^n candidate functions, one cached table per space and
+alphabet) so that the closed forms can be cross-validated exhaustively.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .measure_space import (
@@ -105,21 +106,30 @@ def weakly_adjacent_all(space: MeasureSpace, zu: MeasurableSet, zv: MeasurableSe
     return not is_atom(space, zu)
 
 
-def _coz_indices(values: Sequence[int]) -> list[int]:
-    return [i for i, v in enumerate(values) if v != 0]
-
-
-def _pointwise_product(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a * b for a, b in zip(f, g))
-
-
 def _vanishes_ae(space: AtomicSpace, values: Sequence[int]) -> bool:
-    return is_null(space, atom_set(_coz_indices(values)))
+    return is_null(space, atom_set(i for i, v in enumerate(values) if v != 0))
 
 
-def _annihilates(space: AtomicSpace, h: Sequence[int], p: Sequence[int]) -> bool:
-    """h is in ann(p): the pointwise product is zero almost everywhere."""
-    return _vanishes_ae(space, _pointwise_product(h, p))
+@lru_cache(maxsize=8)
+class _AnnihilatorTable:
+    """ann(p) as a bitset over the k^n candidate functions, computed on first
+    use per value tuple p: bit c is set when candidates[c] * p vanishes a.e.
+    ``nonzero`` marks the candidates that do not vanish a.e."""
+
+    def __init__(self, space: AtomicSpace, k: int):
+        self.space = space
+        self.candidates = list(itertools.product(range(k), repeat=space.n_atoms))
+        self.nonzero = sum(1 << c for c, h in enumerate(self.candidates)
+                           if not _vanishes_ae(space, h))
+        self._ann: dict[tuple[int, ...], int] = {}
+
+    def ann(self, p: tuple[int, ...]) -> int:
+        mask = self._ann.get(p)
+        if mask is None:
+            mask = self._ann[p] = sum(
+                1 << c for c, h in enumerate(self.candidates)
+                if _vanishes_ae(self.space, tuple(a * b for a, b in zip(h, p))))
+        return mask
 
 
 def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
@@ -132,10 +142,11 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
     annihilator:  some h lies in ann(f.g) but in neither ann(f) nor ann(g),
                   over all k^n candidate assignments.
     weakly-zd:    some zero-divisors h1 in ann(f), h2 in ann(g) have a
-                  product vanishing a.e., over all candidate pairs.
+                  product vanishing a.e., over all candidate pairs; nonzero
+                  h1, h2 with h1.h2 = 0 are zero-divisors by definition.
 
     Raises :class:`BoundExceededError` beyond ``ORACLE_MAX_ATOMS`` atoms or
-    ``ORACLE_MAX_ALPHABET`` symbols.
+    ``ORACLE_MAX_ALPHABET`` symbols, before any table is built.
     """
     n = space.n_atoms
     if n > ORACLE_MAX_ATOMS:
@@ -144,27 +155,18 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
         raise BoundExceededError(f"oracle bound exceeded: alphabet {k} > {ORACLE_MAX_ALPHABET}")
     fv, gv = f.values, g.values
     if kind is GraphKind.ZERO_DIVISOR:
-        return _vanishes_ae(space, _pointwise_product(fv, gv))
+        return _vanishes_ae(space, tuple(a * b for a, b in zip(fv, gv)))
     if kind is GraphKind.COMAXIMAL:
         witness = tuple(a * a + b * b for a, b in zip(fv, gv))
         return _vanishes_ae(space, tuple(1 if w == 0 else 0 for w in witness))
+    table = _AnnihilatorTable(space, k)
+    ann_f, ann_g = table.ann(fv), table.ann(gv)
     if kind is GraphKind.ANNIHILATOR:
-        product = _pointwise_product(fv, gv)
-        for h in itertools.product(range(k), repeat=n):
-            if (_annihilates(space, h, product)
-                    and not _annihilates(space, h, fv)
-                    and not _annihilates(space, h, gv)):
-                return True
-        return False
+        return bool(table.ann(tuple(a * b for a, b in zip(fv, gv))) & ~ann_f & ~ann_g)
     if kind is GraphKind.WEAKLY_ZD:
-        divisors = [h.values for h in enumerate_functions(space, k)]
-        ann_f = [h for h in divisors if _annihilates(space, h, fv)]
-        ann_g = [h for h in divisors if _annihilates(space, h, gv)]
-        for h1 in ann_f:
-            for h2 in ann_g:
-                if _vanishes_ae(space, _pointwise_product(h1, h2)):
-                    return True
-        return False
+        killers = ann_f & table.nonzero
+        return any(killers >> c & 1 and table.ann(h) & ann_g & table.nonzero
+                   for c, h in enumerate(table.candidates))
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
@@ -227,7 +229,7 @@ class Graph:
         return [j for j in range(self.n_vertices) if row >> j & 1]
 
     def degree(self, i: int) -> int:
-        return bin(self.adj[i]).count("1")
+        return self.adj[i].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n_vertices)

@@ -386,7 +386,7 @@ def _greedy_coloring(rows: tuple[int, ...], n: int) -> list[int]:
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
     for _ in range(n):
         u = max((i for i in range(n) if colors[i] == -1),
-                key=lambda i: (len(neighbor_colors[i]), bin(rows[i]).count("1"), -i))
+                key=lambda i: (len(neighbor_colors[i]), rows[i].bit_count(), -i))
         c = 0
         while c in neighbor_colors[u]:
             c += 1
@@ -419,7 +419,7 @@ def _try_color(rows: tuple[int, ...], n: int, k: int, preset: list[int]) -> list
         pending = [i for i in uncolored if colors[i] == -1]
         if not pending:
             return True
-        u = max(pending, key=lambda i: (saturation(i), bin(rows[i]).count("1"), -i))
+        u = max(pending, key=lambda i: (saturation(i), rows[i].bit_count(), -i))
         forbidden = set()
         row = rows[u]
         while row:
@@ -463,13 +463,12 @@ def _chromatic(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
 
 def _min_dominating(rows: tuple[int, ...], n: int, total: bool) -> tuple[float, list[int]]:
     """Iterative-deepening exact search; branches on the vertex with the
-    fewest available dominators."""
+    fewest available dominators, which by symmetry are its own cover."""
     full = (1 << n) - 1
     cover = [rows[i] | (0 if total else 1 << i) for i in range(n)]
-    dominators = [rows[i] | (0 if total else 1 << i) for i in range(n)]
-    if any(d == 0 for d in dominators):
+    if any(c == 0 for c in cover):
         return INF, []
-    max_cover = max(bin(c).count("1") for c in cover)
+    max_cover = max(c.bit_count() for c in cover)
 
     def dfs(chosen: list[int], covered: int, remaining: int) -> list[int] | None:
         if covered == full:
@@ -477,7 +476,7 @@ def _min_dominating(rows: tuple[int, ...], n: int, total: bool) -> tuple[float, 
         if remaining == 0:
             return None
         uncovered = full & ~covered
-        if bin(uncovered).count("1") > remaining * max_cover:
+        if uncovered.bit_count() > remaining * max_cover:
             return None
         u, u_dom = -1, 0
         probe = uncovered
@@ -486,9 +485,9 @@ def _min_dominating(rows: tuple[int, ...], n: int, total: bool) -> tuple[float, 
             bit = probe & -probe
             probe ^= bit
             i = bit.bit_length() - 1
-            cnt = bin(dominators[i]).count("1")
+            cnt = cover[i].bit_count()
             if cnt < best_count:
-                best_count, u, u_dom = cnt, i, dominators[i]
+                best_count, u, u_dom = cnt, i, cover[i]
         while u_dom:
             bit = u_dom & -u_dom
             u_dom ^= bit

@@ -1,12 +1,16 @@
 """Graph construction: closed-form adjacency vs definition-level oracles."""
 
 import itertools
+import random
 
 import pytest
 
 from mrfgraph.graph_build import (
+    ORACLE_MAX_ALPHABET,
+    ORACLE_MAX_ATOMS,
     BoundExceededError,
     GraphKind,
+    _AnnihilatorTable,
     _fill_adjacency,
     adjacent,
     build_graph,
@@ -21,6 +25,7 @@ from mrfgraph.measure_space import (
     atom_set,
     complement,
     interval_set,
+    is_null,
     null_equal,
     unit_space,
 )
@@ -100,14 +105,84 @@ def test_weakly_trichotomy_over_all_divisors(n, k):
             assert brute == want
 
 
+def slow_oracle_adjacent(kind, space, k, f, g):
+    """The per-pair oracle: ann(p) re-derived for every candidate on every
+    call, the annihilator candidates from ``itertools.product`` and the
+    weakly-zd ones from ``enumerate_functions``.  The slow reference for
+    the table-backed ``oracle_adjacent``."""
+    def vanishes(values):
+        return is_null(space, atom_set(i for i, v in enumerate(values) if v != 0))
+
+    def product(a, b):
+        return tuple(x * y for x, y in zip(a, b))
+
+    fv, gv = f.values, g.values
+    if kind is GraphKind.ZERO_DIVISOR:
+        return vanishes(product(fv, gv))
+    if kind is GraphKind.COMAXIMAL:
+        return vanishes(tuple(1 if a * a + b * b == 0 else 0 for a, b in zip(fv, gv)))
+    if kind is GraphKind.ANNIHILATOR:
+        fg = product(fv, gv)
+        return any(vanishes(product(h, fg)) and not vanishes(product(h, fv))
+                   and not vanishes(product(h, gv))
+                   for h in itertools.product(range(k), repeat=space.n_atoms))
+    divisors = [h.values for h in enumerate_functions(space, k)]
+    ann_f = [h for h in divisors if vanishes(product(h, fv))]
+    ann_g = [h for h in divisors if vanishes(product(h, gv))]
+    return any(vanishes(product(h1, h2)) for h1 in ann_f for h2 in ann_g)
+
+
+ORACLE_CASES = [(n, k) for n in (1, 2, 3) for k in (2, 3, 4)] + [(4, 3)]
+
+
+@pytest.mark.parametrize("weights", ["unit", "random-positive"])
+@pytest.mark.parametrize("n,k", ORACLE_CASES, ids=[f"n{n}k{k}" for n, k in ORACLE_CASES])
+def test_oracle_matches_slow_reference(n, k, weights):
+    """The annihilator table answers every ordered pair of zero-divisors,
+    self-pairs included, as the per-pair oracle does, for all four kinds."""
+    space = AtomicSpace(make_weights(n, weights, 5))
+    divisors = enumerate_functions(space, k)
+    for kind in KINDS:
+        for f, g in itertools.product(divisors, repeat=2):
+            assert oracle_adjacent(kind, space, k, f, g) == \
+                slow_oracle_adjacent(kind, space, k, f, g), (kind, f, g)
+
+
+def test_oracle_table_cache_is_isolated():
+    """Calls shuffled over three spaces and two alphabets answer as a fresh
+    table and the slow reference do, and the cache keeps at most 8 tables."""
+    calls = [(kind, space, k, f, g)
+             for kind in (GraphKind.ANNIHILATOR, GraphKind.WEAKLY_ZD)
+             for space in (unit_space(3), AtomicSpace((1, 2, 3)), unit_space(2))
+             for k in (3, 2)
+             for f in enumerate_functions(space, k)[::3]
+             for g in enumerate_functions(space, k)[::4]]
+    random.Random(0).shuffle(calls)
+    interleaved = [oracle_adjacent(*call) for call in calls]
+    fresh = []
+    for call in calls:
+        _AnnihilatorTable.cache_clear()
+        fresh.append(oracle_adjacent(*call))
+    assert interleaved == fresh == [slow_oracle_adjacent(*call) for call in calls]
+    for n in (1, 2, 3, 4):
+        for k in (2, 3, 4):
+            f = ExpandedFunction((0,) + (1,) * (n - 1))
+            oracle_adjacent(GraphKind.ANNIHILATOR, unit_space(n), k, f, f)
+    assert _AnnihilatorTable.cache_info().currsize == 8
+
+
 def test_oracle_bounds():
-    space = unit_space(6)
-    f = ExpandedFunction((0, 1, 1, 1, 1, 1))
-    with pytest.raises(BoundExceededError):
-        oracle_adjacent(GraphKind.COMAXIMAL, space, 3, f, f)
-    with pytest.raises(BoundExceededError):
-        oracle_adjacent(GraphKind.COMAXIMAL, unit_space(2), 5,
-                        ExpandedFunction((0, 1)), ExpandedFunction((1, 0)))
+    """Both bounds raise for every kind, before any annihilator table is built."""
+    _AnnihilatorTable.cache_clear()
+    space = unit_space(ORACLE_MAX_ATOMS + 1)
+    f = ExpandedFunction((0,) + (1,) * ORACLE_MAX_ATOMS)
+    for kind in KINDS:
+        with pytest.raises(BoundExceededError):
+            oracle_adjacent(kind, space, 3, f, f)
+        with pytest.raises(BoundExceededError):
+            oracle_adjacent(kind, unit_space(2), ORACLE_MAX_ALPHABET + 1,
+                            ExpandedFunction((0, 1)), ExpandedFunction((1, 0)))
+    assert _AnnihilatorTable.cache_info().currsize == 0
 
 
 def test_build_quotient_k2():

@@ -345,17 +345,29 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("cannot read config")
 
 
-def test_sample_cli_matches_default_suite_script(capsys):
-    """scripts/run_default_suite.py writes reports/interval.* with the same
-    bytes as the CLI command its docstring names."""
+def _default_suite_script():
     spec = importlib.util.spec_from_file_location(
         "run_default_suite", ROOT / "scripts" / "run_default_suite.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    expected = render_report(run_suite(script.CONFIGS["interval"]), "json")
+    return script
+
+
+def test_sample_cli_matches_default_suite_script(capsys):
+    """scripts/run_default_suite.py writes reports/interval.* with the same
+    bytes as the CLI command its docstring names."""
+    expected = render_report(run_suite(_default_suite_script().CONFIGS["interval"]), "json")
     assert main(["sample", "--samples", "100", "--seed", "7", "--format", "json"]) == 0
     assert capsys.readouterr().out == expected
     assert (ROOT / "reports" / "interval.json").read_text() == expected
+
+
+def test_default_atomic_report_is_pinned():
+    """The full default atomic run renders reports/atomic.json and
+    reports/atomic.txt byte for byte."""
+    report = run_suite(_default_suite_script().CONFIGS["atomic"])
+    assert render_report(report, "json") == (ROOT / "reports" / "atomic.json").read_text()
+    assert render_report(report, "text") == (ROOT / "reports" / "atomic.txt").read_text()
 
 
 def test_sample_1000_report_is_pinned(capsys):

@@ -1,5 +1,8 @@
 """Certified isomorphism verdicts and refutation certificates."""
 
+import itertools
+import random
+
 import pytest
 
 from mrfgraph.graph_build import Graph, GraphKind, build_graph
@@ -105,6 +108,49 @@ def test_relabeled_cycles_are_isomorphic():
     verdict = are_isomorphic(c6, scrambled)
     assert verdict.is_isomorphic
     assert verify_mapping(c6, scrambled, verdict.mapping)
+
+
+def pairwise_verify(g1, g2, mapping):
+    """Edge-by-edge reference for ``verify_mapping``."""
+    n = g1.n_vertices
+    return (n == g2.n_vertices and sorted(mapping) == list(range(n))
+            and all(g1.is_edge(i, j) == g2.is_edge(mapping[i], mapping[j])
+                    for i, j in itertools.combinations(range(n), 2)))
+
+
+def test_verify_mapping_rejects_one_wrong_edge():
+    path = raw_graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert verify_mapping(path, path, (0, 1, 2, 3))
+    assert verify_mapping(path, path, (3, 2, 1, 0))
+    # Swapping 0 and 1 sends the edge 1-2 to the non-edge 0-2 and keeps the rest.
+    assert not verify_mapping(path, path, (1, 0, 2, 3))
+    # Graphs that differ in a single edge: the identity fails on that edge only.
+    almost = raw_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert not verify_mapping(path, almost, (0, 1, 2, 3))
+    assert not verify_mapping(almost, path, (0, 1, 2, 3))
+
+
+def test_verify_mapping_rejects_non_bijections():
+    path = raw_graph(3, [(0, 1), (1, 2)])
+    empty = raw_graph(3, [])
+    assert not verify_mapping(path, path, (0, 1, 1))
+    assert not verify_mapping(empty, empty, (0, 0, 0))
+    assert not verify_mapping(path, path, (0, 1))
+    assert not verify_mapping(path, path, (0, 1, 2, 3))
+    assert not verify_mapping(path, raw_graph(4, [(0, 1), (1, 2)]), (0, 1, 2))
+
+
+def test_verify_mapping_matches_pairwise_check():
+    rng = random.Random(3)
+    c6 = raw_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    g1, g2 = zd_comaximal(3, "expanded", 2)
+    for a, b in ((c6, c6), (g1, g2), (g2, g1), (g1, g1)):
+        n = a.n_vertices
+        for _ in range(200):
+            mapping = tuple(rng.sample(range(n), n))
+            assert verify_mapping(a, b, mapping) == pairwise_verify(a, b, mapping)
+        for mapping in itertools.islice(itertools.permutations(range(n)), 500):
+            assert verify_mapping(a, b, mapping) == pairwise_verify(a, b, mapping)
 
 
 def test_exhausted_search_certificate():
