@@ -6,19 +6,28 @@ Two finitely representable backends share one set-algebra API:
   weights; a measurable set is a subset of atom indices, held as an int
   bitmask (bit i = atom i).  A set is null exactly when it is empty.
 * ``IntervalSpace`` -- the unit interval [0,1) with length measure; a
-  measurable set is a finite union of half-open rational intervals kept in
-  a unique canonical form (sorted, pairwise disjoint, adjacent pieces
-  merged).  The backend is non-atomic: no set is an atom.
+  measurable set is a finite union of half-open rational intervals, held
+  as integer cuts over one reduced denominator: the pieces are
+  ``[cuts[2i]/den, cuts[2i+1]/den)`` with the cuts strictly increasing, so
+  adjacent pieces are merged and the form is unique.  Union, intersection,
+  difference and symmetric difference are one merge sweep over two cut
+  lists (``_combine``).  The backend is non-atomic: no set is an atom.
 
-All values are ``fractions.Fraction``; nothing in this module ever rounds.
-All types are immutable and all operations are pure functions.  Each
-operation validates its arguments once, then branches once on the backend.
+Weights, measures and split targets are ``fractions.Fraction``; interval
+endpoints are ints over a common denominator, so the interval algebra is
+int arithmetic.  Nothing in this module ever rounds, and the entry points
+that take a value (``AtomicSpace``, ``interval_set``, ``split_at_measure``)
+refuse floats.  All types are immutable and all operations are pure
+functions.  Each operation validates its arguments once, then branches
+once on the backend.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import ClassVar, Iterable, Sequence
 
 ATOMIC = "atomic"
@@ -29,22 +38,38 @@ class BackendMismatchError(ValueError):
     """A set was used with a space of the other backend."""
 
 
+def _exact(value: Fraction | int | str) -> Fraction:
+    """``Fraction(value)``, refusing floats: a float is not an exact rational."""
+    if isinstance(value, float):
+        raise TypeError(f"exact rationals only (int, Fraction or str), got float {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class AtomicSpace:
-    """Purely atomic space: one strictly positive rational weight per atom."""
+    """Purely atomic space: one strictly positive rational weight per atom.
+
+    The hash is computed once, in ``__post_init__``: a space keys the
+    oracle's annihilator-table cache, which is looked up on every oracle
+    call."""
 
     weights: tuple[Fraction, ...]
     n_atoms: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
     backend: ClassVar[str] = ATOMIC
 
     def __post_init__(self):
         if len(self.weights) < 1:
             raise ValueError("an atomic space needs at least one atom")
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(_exact(w) for w in self.weights)
         if any(w <= 0 for w in ws):
             raise ValueError("atom weights must be strictly positive")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "n_atoms", len(ws))
+        object.__setattr__(self, "_hash", hash(ws))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -66,15 +91,24 @@ def unit_space(n_atoms: int) -> AtomicSpace:
 class MeasurableSet:
     """A set in one backend: atom bitmask, or canonical interval union.
 
-    Exactly one payload is populated, selected by ``backend``.  Interval
-    payloads are always canonical, so structural equality coincides with
-    null-equality (two canonical interval unions that differ must differ by
-    a set of positive length).
+    Exactly one payload is populated, selected by ``backend``: ``mask``, or
+    ``den`` and ``cuts``.  Interval payloads are always canonical -- cuts
+    strictly increasing in [0, den] and even in number, ``gcd(den, *cuts)
+    == 1``, the empty set ``den=1, cuts=()`` -- so structural equality
+    coincides with null-equality (two canonical interval unions that differ
+    must differ by a set of positive length).
     """
 
     backend: str
     mask: int = 0
-    intervals: tuple[tuple[Fraction, Fraction], ...] = ()
+    den: int = 1
+    cuts: tuple[int, ...] = ()
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The pieces as ``(lo, hi)`` Fraction pairs, left to right."""
+        c, d = self.cuts, self.den
+        return tuple((Fraction(c[i], d), Fraction(c[i + 1], d)) for i in range(0, len(c), 2))
 
     def __str__(self) -> str:
         return format_set(self)
@@ -91,27 +125,32 @@ def atom_set(indices: Iterable[int]) -> MeasurableSet:
     return MeasurableSet(ATOMIC, mask=mask)
 
 
+def _interval(den: int, cuts: Sequence[int]) -> MeasurableSet:
+    """Interval set from strictly increasing cuts over ``den``, in lowest terms."""
+    g = gcd(den, *cuts)
+    if g != 1:
+        den //= g
+        cuts = [c // g for c in cuts]
+    return MeasurableSet(INTERVAL, den=den, cuts=tuple(cuts))
+
+
 def interval_set(pairs: Iterable[tuple[Fraction | int | str, Fraction | int | str]]) -> MeasurableSet:
     """Interval-backend set from [lo, hi) pairs, canonicalized."""
-    cleaned = []
-    for lo, hi in pairs:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not (0 <= lo < hi <= 1):
+    exact = [(_exact(lo), _exact(hi)) for lo, hi in pairs]
+    den = lcm(*(x.denominator for pair in exact for x in pair))
+    scaled = []
+    for lo, hi in exact:
+        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        if not (0 <= a < b <= den):
             raise ValueError(f"intervals must satisfy 0 <= lo < hi <= 1, got [{lo},{hi})")
-        cleaned.append((lo, hi))
-    return MeasurableSet(INTERVAL, intervals=_canonical(cleaned))
-
-
-def _canonical(pairs: Sequence[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Sort, merge overlapping and adjacent pieces; unique per set."""
-    out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in sorted(pairs):
-        if out and lo <= out[-1][1]:
-            prev_lo, prev_hi = out[-1]
-            out[-1] = (prev_lo, max(prev_hi, hi))
+        scaled.append((a, b))
+    cuts: list[int] = []
+    for a, b in sorted(scaled):
+        if cuts and a <= cuts[-1]:
+            cuts[-1] = max(cuts[-1], b)
         else:
-            out.append((lo, hi))
-    return tuple(out)
+            cuts += (a, b)
+    return _interval(den, cuts)
 
 
 def _check(space: MeasureSpace, *sets: MeasurableSet) -> None:
@@ -124,75 +163,74 @@ def _check(space: MeasureSpace, *sets: MeasurableSet) -> None:
             raise ValueError(f"atom index out of range for a {space.n_atoms}-atom space")
 
 
-def _interval_union(a, b):
-    return _canonical(list(a) + list(b))
-
-
-def _interval_intersect(a, b):
-    out = []
+def _combine(a: MeasurableSet, b: MeasurableSet, op) -> MeasurableSet:
+    """The interval set where ``op(in_a, in_b)`` holds, for an ``op`` false
+    on (0, 0): both cut lists are rescaled to a common denominator, then one
+    merge sweep emits a cut wherever the value of ``op`` changes.  Just past
+    the i-th cut of a set, a point lies in that set exactly when i is odd;
+    just past the last emitted cut, in the result exactly when ``len(out)``
+    is odd."""
+    den = a.den
+    ca, cb = a.cuts, b.cuts
+    if b.den != den:
+        den = lcm(den, b.den)
+        fa, fb = den // a.den, den // b.den
+        ca = [c * fa for c in ca]
+        cb = [c * fb for c in cb]
+    na, nb = len(ca), len(cb)
+    out: list[int] = []
     i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
+    while i < na or j < nb:
+        x = ca[i] if j == nb or (i < na and ca[i] < cb[j]) else cb[j]
+        if i < na and ca[i] == x:
             i += 1
-        else:
+        if j < nb and cb[j] == x:
             j += 1
-    return tuple(out)
-
-
-def _interval_complement(a):
-    out = []
-    cursor = Fraction(0)
-    for lo, hi in a:
-        if cursor < lo:
-            out.append((cursor, lo))
-        cursor = hi
-    if cursor < 1:
-        out.append((cursor, Fraction(1)))
-    return tuple(out)
+        if op(i & 1, j & 1) != len(out) & 1:
+            out.append(x)
+    return _interval(den, out)
 
 
 def union(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
     _check(space, a, b)
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, mask=a.mask | b.mask)
-    return MeasurableSet(INTERVAL, intervals=_interval_union(a.intervals, b.intervals))
+    return _combine(a, b, operator.or_)
 
 
 def intersect(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
     _check(space, a, b)
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, mask=a.mask & b.mask)
-    return MeasurableSet(INTERVAL, intervals=_interval_intersect(a.intervals, b.intervals))
+    return _combine(a, b, operator.and_)
 
 
 def difference(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
     _check(space, a, b)
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, mask=a.mask & ~b.mask)
-    return MeasurableSet(INTERVAL, intervals=_interval_intersect(
-        a.intervals, _interval_complement(b.intervals)))
+    return _combine(a, b, operator.gt)
 
 
 def symdiff(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
     _check(space, a, b)
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, mask=a.mask ^ b.mask)
-    x, y = a.intervals, b.intervals
-    return MeasurableSet(INTERVAL, intervals=_interval_union(
-        _interval_intersect(x, _interval_complement(y)),
-        _interval_intersect(y, _interval_complement(x))))
+    return _combine(a, b, operator.xor)
 
 
 def complement(space: MeasureSpace, a: MeasurableSet) -> MeasurableSet:
-    """Complement relative to X (all atoms, or [0,1))."""
+    """Complement relative to X (all atoms, or [0,1)).
+
+    On intervals this toggles the cuts at 0 and at ``den``; neither one
+    changes ``gcd(den, *cuts)``, so the result is already in lowest terms."""
     _check(space, a)
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, mask=a.mask ^ ((1 << space.n_atoms) - 1))
-    return MeasurableSet(INTERVAL, intervals=_interval_complement(a.intervals))
+    c, den = a.cuts, a.den
+    c = c[1:] if c and c[0] == 0 else (0, *c)
+    c = c[:-1] if c and c[-1] == den else (*c, den)
+    return MeasurableSet(INTERVAL, den=den, cuts=c)
 
 
 def measure(space: MeasureSpace, a: MeasurableSet) -> Fraction:
@@ -200,7 +238,7 @@ def measure(space: MeasureSpace, a: MeasurableSet) -> Fraction:
     _check(space, a)
     if space.backend == ATOMIC:
         return sum((w for i, w in enumerate(space.weights) if a.mask >> i & 1), Fraction(0))
-    return sum((hi - lo for lo, hi in a.intervals), Fraction(0))
+    return Fraction(sum(a.cuts[1::2]) - sum(a.cuts[::2]), a.den)
 
 
 def is_null(space: MeasureSpace, a: MeasurableSet) -> bool:
@@ -212,7 +250,7 @@ def is_null(space: MeasureSpace, a: MeasurableSet) -> bool:
     _check(space, a)
     if space.backend == ATOMIC:
         return not a.mask
-    return not a.intervals
+    return not a.cuts
 
 
 def null_equal(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:
@@ -242,7 +280,7 @@ def split_nonatom(space: MeasureSpace, a: MeasurableSet) -> tuple[MeasurableSet,
         if lowest == a.mask:
             raise ValueError("cannot split a null set" if not lowest else "cannot split an atom")
         return MeasurableSet(ATOMIC, mask=lowest), MeasurableSet(ATOMIC, mask=a.mask ^ lowest)
-    if not a.intervals:
+    if not a.cuts:
         raise ValueError("cannot split a null set")
     half = measure(space, a) / 2
     left = split_at_measure(space, a, half)
@@ -253,28 +291,28 @@ def split_at_measure(space: MeasureSpace, a: MeasurableSet, r: Fraction | int | 
     """Subset of ``a`` of exact measure ``r`` by a left-to-right prefix scan.
 
     Interval backend only: exact subsets of a prescribed measure need not
-    exist among atom subsets.
+    exist among atom subsets.  The scan runs on ints over
+    ``lcm(den, r.denominator)``.
     """
     _check(space, a)
     if space.backend != INTERVAL:
         raise BackendMismatchError("split_at_measure is defined on the interval backend only")
-    r = Fraction(r)
-    total = measure(space, a)
-    if not (0 <= r <= total):
-        raise ValueError(f"target measure {r} outside [0, {total}]")
-    out: list[tuple[Fraction, Fraction]] = []
-    remaining = r
-    for lo, hi in a.intervals:
+    r = _exact(r)
+    den = lcm(a.den, r.denominator)
+    c = [x * (den // a.den) for x in a.cuts]
+    total = sum(c[1::2]) - sum(c[::2])
+    remaining = r.numerator * (den // r.denominator)
+    if not (0 <= remaining <= total):
+        raise ValueError(f"target measure {r} outside [0, {Fraction(total, den)}]")
+    out: list[int] = []
+    for k in range(0, len(c), 2):
         if remaining == 0:
             break
-        length = hi - lo
-        if length <= remaining:
-            out.append((lo, hi))
-            remaining -= length
-        else:
-            out.append((lo, lo + remaining))
-            remaining = Fraction(0)
-    return MeasurableSet(INTERVAL, intervals=tuple(out))
+        lo = c[k]
+        hi = min(c[k + 1], lo + remaining)
+        out += (lo, hi)
+        remaining -= hi - lo
+    return _interval(den, out)
 
 
 def cell_masks(space: MeasureSpace, sets: Sequence[MeasurableSet]) -> tuple[int, list[int]]:
@@ -285,10 +323,12 @@ def cell_masks(space: MeasureSpace, sets: Sequence[MeasurableSet]) -> tuple[int,
     _check(space, *sets)
     if space.backend == ATOMIC:
         return (1 << space.n_atoms) - 1, [s.mask for s in sets]
-    cuts = sorted({Fraction(0), Fraction(1), *(x for s in sets for p in s.intervals for x in p)})
+    den = lcm(*{s.den for s in sets})
+    scaled = [[x * (den // s.den) for x in s.cuts] for s in sets]
+    cuts = sorted({0, den, *(x for c in scaled for x in c)})
     cell = {x: i for i, x in enumerate(cuts)}
-    return (1 << len(cuts) - 1) - 1, [sum((1 << cell[hi]) - (1 << cell[lo])
-                                          for lo, hi in s.intervals) for s in sets]
+    return (1 << len(cuts) - 1) - 1, [sum((1 << cell[c[k + 1]]) - (1 << cell[c[k]])
+                                          for k in range(0, len(c), 2)) for c in scaled]
 
 
 def is_subset(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:

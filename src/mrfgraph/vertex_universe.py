@@ -124,8 +124,9 @@ def sample_interval_class(seed, depth: int) -> ZClass:
     cuts: set[int] = set()
     while len(cuts) < 2 * depth:
         cuts.add(rng.randrange(1, denom))
-    points = sorted(Fraction(c, denom) for c in cuts)
-    pieces = [(points[2 * i], points[2 * i + 1]) for i in range(depth)]
+    points = sorted(cuts)
+    pieces = [(Fraction(points[2 * i], denom), Fraction(points[2 * i + 1], denom))
+              for i in range(depth)]
     return zclass(UNIT_INTERVAL, interval_set(pieces))
 
 

@@ -1,6 +1,7 @@
 """Exact set algebra, measure evaluation, atoms, and constructive splitting."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,14 +63,80 @@ def space_and_sets(draw, count=2):
     return (space, *sets)
 
 
+# Denominators: powers of two, the sampler's 3^d * 64 (d = 1, 3), and two
+# coprime to them, so that rescaling to a common denominator, reduction to
+# lowest terms and split targets over a foreign denominator all occur.
+DENOMS = [8, 12, 16, 24, 64, 192, 1728, 7, 25]
+
+
 @st.composite
 def interval_sets(draw, max_pieces=3):
     pieces = draw(st.integers(0, max_pieces))
-    denom = draw(st.sampled_from([8, 12, 16, 24, 64]))
+    denom = draw(st.sampled_from(DENOMS))
     cuts = draw(st.lists(st.integers(0, denom), min_size=2 * pieces,
                          max_size=2 * pieces, unique=True))
     points = sorted(Fraction(c, denom) for c in cuts)
     return interval_set((points[2 * i], points[2 * i + 1]) for i in range(pieces))
+
+
+# -- slow reference: the interval algebra on sorted Fraction pairs -----------
+
+def _canonical(pairs):
+    """Sort, merge overlapping and adjacent pieces; unique per set."""
+    out = []
+    for lo, hi in sorted(pairs):
+        if out and lo <= out[-1][1]:
+            prev_lo, prev_hi = out[-1]
+            out[-1] = (prev_lo, max(prev_hi, hi))
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def _interval_intersect(a, b):
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def _interval_complement(a):
+    out = []
+    cursor = Fraction(0)
+    for lo, hi in a:
+        if cursor < lo:
+            out.append((cursor, lo))
+        cursor = hi
+    if cursor < 1:
+        out.append((cursor, Fraction(1)))
+    return tuple(out)
+
+
+def _interval_split(a, r):
+    """Prefix of the pieces ``a`` of total length ``r``."""
+    out = []
+    for lo, hi in a:
+        if r == 0:
+            break
+        take = min(hi - lo, r)
+        out.append((lo, lo + take))
+        r -= take
+    return tuple(out)
+
+
+def _interval_cells(sets):
+    cuts = sorted({Fraction(0), Fraction(1), *(x for s in sets for p in s for x in p)})
+    cell = {x: i for i, x in enumerate(cuts)}
+    return (1 << len(cuts) - 1) - 1, [sum((1 << cell[hi]) - (1 << cell[lo]) for lo, hi in s)
+                                      for s in sets]
 
 
 # -- construction and literals ----------------------------------------------
@@ -83,6 +150,41 @@ def test_atomic_space_rejects_nonpositive_weights():
 
 def test_interval_set_canonicalizes_adjacent_pieces():
     assert iv((0, "1/3"), ("1/3", "1/2")) == iv((0, "1/2"))
+
+
+def test_floats_are_rejected_at_exact_entry_points():
+    """A float is not an exact rational: 0.1 would silently become
+    3602879701896397/36028797018963968."""
+    with pytest.raises(TypeError):
+        interval_set([(0.1, Fraction(1, 2))])
+    with pytest.raises(TypeError):
+        interval_set([(0, 1.0)])
+    with pytest.raises(TypeError):
+        split_at_measure(INTERVAL_SPACE, iv((0, 1)), 0.1)
+    with pytest.raises(TypeError):
+        AtomicSpace((0.1, 1))
+    assert interval_set([(0, "1/2")]) == interval_set([(Fraction(0), Fraction(1, 2))])
+    assert split_at_measure(INTERVAL_SPACE, iv((0, 1)), "1/10") == iv((0, "1/10"))
+    assert AtomicSpace((1, "1/3")).weights == (Fraction(1), Fraction(1, 3))
+
+
+def test_atomic_space_hash_is_cached_and_equality_unchanged():
+    a = AtomicSpace((Fraction(1), Fraction(2, 3)))
+    b = AtomicSpace((1, "2/3"))
+    assert a == b and hash(a) == hash(b) and hash(a) == hash(a)
+    assert a != AtomicSpace((Fraction(1), Fraction(1, 3)))
+    assert a != unit_space(2)
+    assert {a: 0}[b] == 0
+    assert repr(a) == f"AtomicSpace(weights={a.weights!r})"
+
+
+def test_interval_payload_is_reduced_integer_cuts():
+    assert iv((0, "1/4"), ("1/2", "3/4")).den == 4
+    assert iv((0, "1/4"), ("1/2", "3/4")).cuts == (0, 1, 2, 3)
+    assert iv(("1/6", "1/2")) == MeasurableSet("interval", den=6, cuts=(1, 3))
+    assert iv((0, 1)) == MeasurableSet("interval", den=1, cuts=(0, 1))
+    assert iv() == MeasurableSet("interval") == complement(INTERVAL_SPACE, iv((0, 1)))
+    assert iv(("1/3", "2/3")).intervals == ((Fraction(1, 3), Fraction(2, 3)),)
 
 
 def test_interval_set_rejects_bad_bounds():
@@ -368,3 +470,84 @@ def test_atomic_cell_masks_are_the_atom_masks(args):
     full, masks = cell_masks(space, sets)
     assert full == complement(space, MeasurableSet("atomic")).mask
     assert masks == [s.mask for s in sets]
+
+
+# -- integer cuts against the Fraction-pair reference -------------------------
+
+def _assert_canonical(s):
+    """Cuts strictly increasing in [0, den], even in number, in lowest terms."""
+    c = s.cuts
+    assert s.backend == "interval" and s.mask == 0 and len(c) % 2 == 0
+    assert all(0 <= x <= s.den for x in c) and list(c) == sorted(set(c))
+    assert math.gcd(s.den, *c) == 1
+
+
+@st.composite
+def raw_pieces(draw):
+    """Unsorted, possibly overlapping or touching pieces over mixed denominators."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        denom = draw(st.sampled_from(DENOMS))
+        lo, hi = sorted(draw(st.lists(st.integers(0, denom), min_size=2, max_size=2,
+                                      unique=True)))
+        out.append((Fraction(lo, denom), Fraction(hi, denom)))
+    return out
+
+
+@given(raw_pieces())
+def test_interval_set_matches_reference_canonical_form(pieces):
+    s = interval_set(pieces)
+    _assert_canonical(s)
+    assert s.intervals == _canonical(pieces)
+
+
+@settings(max_examples=300)
+@given(interval_sets(), interval_sets(), st.integers(0, 100),
+       st.sampled_from([1, 2, 3, 7, 100]))
+def test_interval_algebra_matches_fraction_reference(a, b, numer, denom):
+    """Every interval operation on integer cuts equals the Fraction-pair
+    algebra it replaced, and every result is canonical."""
+    space = INTERVAL_SPACE
+    x, y = a.intervals, b.intervals
+    cx, cy = _interval_complement(x), _interval_complement(y)
+    expected = {
+        union: _canonical(x + y),
+        intersect: _interval_intersect(x, y),
+        difference: _interval_intersect(x, cy),
+        symdiff: _canonical(_interval_intersect(x, cy) + _interval_intersect(y, cx)),
+    }
+    for op, want in expected.items():
+        out = op(space, a, b)
+        _assert_canonical(out)
+        assert out.intervals == want
+    assert complement(space, a).intervals == cx
+    _assert_canonical(complement(space, a))
+    assert measure(space, a) == sum((hi - lo for lo, hi in x), Fraction(0))
+    assert (a == b) == (x == y)
+    assert null_equal(space, a, b) == (x == y)
+    text = format_set(a)
+    assert text == ("+".join(f"[{lo},{hi})" for lo, hi in x) or "[]")
+    assert parse_set(text) == a
+    r = measure(space, a) * Fraction(min(numer, denom), denom)
+    part = split_at_measure(space, a, r)
+    _assert_canonical(part)
+    assert part.intervals == _interval_split(x, r)
+    if x:
+        left, right = split_nonatom(space, a)
+        half = _interval_split(x, measure(space, a) / 2)
+        assert left.intervals == half
+        assert right.intervals == _interval_intersect(x, _interval_complement(half))
+    else:
+        with pytest.raises(ValueError):
+            split_nonatom(space, a)
+    sets = [a, b, complement(space, a)]
+    assert cell_masks(space, sets) == _interval_cells([s.intervals for s in sets])
+
+
+def test_split_at_measure_foreign_denominator():
+    """A target over a denominator coprime to the set's rescales both."""
+    part = split_at_measure(INTERVAL_SPACE, iv((0, "1/2")), Fraction(1, 7))
+    assert part == iv((0, "1/7")) and (part.den, part.cuts) == (7, (0, 1))
+    part = split_at_measure(INTERVAL_SPACE, iv((0, "1/8"), ("1/2", 1)), Fraction(2, 7))
+    assert part == iv((0, "1/8"), ("1/2", Fraction(1, 2) + Fraction(2, 7) - Fraction(1, 8)))
+    assert part.den == 56
