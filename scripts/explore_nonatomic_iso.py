@@ -20,16 +20,6 @@ from mrfgraph.measure_space import IntervalSpace, complement
 from mrfgraph.vertex_universe import ZClass, sample_interval_classes
 
 
-def complement_closed(classes, space):
-    seen, out = set(), []
-    for zc in classes:
-        for zs in (zc.zero_set, complement(space, zc.zero_set)):
-            if zs not in seen:
-                seen.add(zs)
-                out.append(ZClass(zs))
-    return out
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="10,25,50")
@@ -37,7 +27,9 @@ def main() -> int:
     args = parser.parse_args()
     space = IntervalSpace()
     for size in (int(s) for s in args.sizes.split(",")):
-        sample = complement_closed(sample_interval_classes(args.seed, size), space)
+        # build_graph drops repeated zero sets, keeping first appearances
+        sample = [ZClass(z) for zc in sample_interval_classes(args.seed, size)
+                  for z in (zc.zero_set, complement(space, zc.zero_set))]
         g1 = build_graph(space, GraphKind.ZERO_DIVISOR, sample=sample)
         g2 = build_graph(space, GraphKind.COMAXIMAL, sample=sample)
         verdict = complement_iso(g1, g2)

@@ -130,6 +130,13 @@ def _vertex_mismatches(g, want, got) -> int:
     return sum(1 for i, c in enumerate(g.classes.of) if got(i) != expected[c])
 
 
+def _solve(ctx: RunContext, g, *which: str) -> dict:
+    """Exact parameters of ``g`` within the run's solver bounds."""
+    c = ctx.config
+    return np_metrics(g, which, clique_bound=c.clique_bound,
+                      chromatic_bound=c.chromatic_bound, dominating_bound=c.dominating_bound)
+
+
 def _first_member(g, zero_set) -> int:
     """First vertex of the class with the given zero set."""
     return g.classes.members[g.classes.index[zero_set]][0]
@@ -213,14 +220,13 @@ def check_two_atom_partition(ctx: RunContext, n: int, k: int):
 def check_ann_preorder(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     zsets = [zc.zero_set for zc in enumerate_zclasses(space)]
-    ok = all(ann_leq(space, z, z) for z in zsets)
-    for x in zsets:
-        for y in zsets:
-            if null_equal(space, x, y) != (ann_leq(space, x, y) and ann_leq(space, y, x)):
-                ok = False
-            for z in zsets:
-                if ann_leq(space, x, y) and ann_leq(space, y, z) and not ann_leq(space, x, z):
-                    ok = False
+    # up[a]: bit b set when ann(zsets[a]) <= ann(zsets[b])
+    up = [sum(1 << b for b, y in enumerate(zsets) if ann_leq(space, x, y)) for x in zsets]
+    pairs = [(a, b) for a in range(len(zsets)) for b in range(len(zsets))]
+    ok = (all(row >> a & 1 for a, row in enumerate(up))
+          and all(null_equal(space, zsets[a], zsets[b]) == bool(up[a] >> b & up[b] >> a & 1)
+                  for a, b in pairs)
+          and all(not up[b] & ~up[a] for a, b in pairs if up[a] >> b & 1))
     return Outcome("reflexive + transitive containment; equality iff null-equal zero sets",
                    "laws hold" if ok else "law violated", ok)
 
@@ -567,8 +573,7 @@ def check_annihilator_eccentricity(ctx: RunContext, n: int, k: int):
 @register("annihilator.domination_two", "annihilator", kind="annihilator", needs_k3=NEEDS_K3)
 def check_annihilator_domination(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
-    values = np_metrics(g, ("dominating", "total_dominating"),
-                        dominating_bound=ctx.config.dominating_bound)
+    values = _solve(ctx, g, "dominating", "total_dominating")
     dt, dt_wit = values["dominating"]
     dtt, _ = values["total_dominating"]
     return Outcome("dominating number 2 and total dominating number 2",
@@ -678,10 +683,9 @@ def check_annihilator_edge_triangles(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
     profile = triangle_profile(g)
-    bad = sum(
-        1 for (i, j), flag in profile.edge_flags
-        if flag == orthogonal_annihilator(space, g.zero_sets[i], g.zero_sets[j])
-    )
+    zsets, of = g.classes.zero_sets, g.classes.of
+    orthogonal = [[orthogonal_annihilator(space, zu, zv) for zv in zsets] for zu in zsets]
+    bad = sum(1 for (i, j), flag in profile.edge_flags if flag == orthogonal[of[i]][of[j]])
     ok = bad == 0 and not profile.is_hypertriangulated
     return Outcome("edge on a triangle iff not orthogonal; not hypertriangulated over atoms",
                    f"{bad} mismatches, hypertriangulated={profile.is_hypertriangulated}", ok)
@@ -828,14 +832,8 @@ def check_weakly_three_atoms(ctx: RunContext, n: int, k: int):
 def check_weakly_parameters(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.WEAKLY_ZD, "expanded", alphabet=k)
     gq = ctx.graph(n, GraphKind.WEAKLY_ZD, "quotient")
-    values = np_metrics(g, ("clique", "chromatic", "dominating"),
-                        clique_bound=ctx.config.clique_bound,
-                        chromatic_bound=ctx.config.chromatic_bound,
-                        dominating_bound=ctx.config.dominating_bound)
-    values_q = np_metrics(gq, ("clique", "chromatic", "dominating"),
-                          clique_bound=ctx.config.clique_bound,
-                          chromatic_bound=ctx.config.chromatic_bound,
-                          dominating_bound=ctx.config.dominating_bound)
+    values = _solve(ctx, g, "clique", "chromatic", "dominating")
+    values_q = _solve(ctx, gq, "clique", "chromatic", "dominating")
     cl, _ = values["clique"]
     ch, _ = values["chromatic"]
     dt, _ = values["dominating"]
@@ -884,12 +882,8 @@ def check_quotient_k2(ctx: RunContext, n: int, k: int):
 def check_quotient_clique_chromatic(ctx: RunContext, n: int, k: int):
     gq = ctx.graph(n, GraphKind.COMAXIMAL, "quotient")
     ge = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    vq = np_metrics(gq, ("clique", "chromatic"),
-                    clique_bound=ctx.config.clique_bound,
-                    chromatic_bound=ctx.config.chromatic_bound)
-    ve = np_metrics(ge, ("clique", "chromatic"),
-                    clique_bound=ctx.config.clique_bound,
-                    chromatic_bound=ctx.config.chromatic_bound)
+    vq = _solve(ctx, gq, "clique", "chromatic")
+    ve = _solve(ctx, ge, "clique", "chromatic")
     ok = vq["clique"][0] == ve["clique"][0] and vq["chromatic"][0] == ve["chromatic"][0]
     return Outcome("clique and chromatic numbers transfer to the quotient",
                    f"quotient ({vq['clique'][0]}, {vq['chromatic'][0]}) vs "
@@ -901,10 +895,8 @@ def check_quotient_clique_chromatic(ctx: RunContext, n: int, k: int):
 def check_quotient_domination(ctx: RunContext, n: int, k: int):
     gq = ctx.graph(n, GraphKind.COMAXIMAL, "quotient")
     ge = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    vq = np_metrics(gq, ("dominating", "total_dominating"),
-                    dominating_bound=ctx.config.dominating_bound)
-    ve = np_metrics(ge, ("dominating", "total_dominating"),
-                    dominating_bound=ctx.config.dominating_bound)
+    vq = _solve(ctx, gq, "dominating", "total_dominating")
+    ve = _solve(ctx, ge, "dominating", "total_dominating")
     ok = vq["dominating"][0] <= ve["dominating"][0] \
         and vq["total_dominating"][0] == ve["total_dominating"][0]
     return Outcome("quotient dominating number bounded by expanded; total equal",
@@ -916,9 +908,7 @@ def check_quotient_domination(ctx: RunContext, n: int, k: int):
           skip_label="n={n}")
 def check_quotient_counting_parameters(ctx: RunContext, n: int, k: int):
     gq = ctx.graph(n, GraphKind.COMAXIMAL, "quotient")
-    values = np_metrics(gq, ("clique", "chromatic"),
-                        clique_bound=ctx.config.clique_bound,
-                        chromatic_bound=ctx.config.chromatic_bound)
+    values = _solve(ctx, gq, "clique", "chromatic")
     cl, ch = values["clique"][0], values["chromatic"][0]
     return Outcome(f"clique = chromatic = {n}", f"clique={cl} chromatic={ch}",
                    cl == n and ch == n)
@@ -930,9 +920,7 @@ def check_quotient_weak_perfectness(ctx: RunContext, n: int, k: int):
     ok = True
     for mode, alpha in (("quotient", None), ("expanded", k)):
         g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=alpha)
-        values = np_metrics(g, ("clique", "chromatic"),
-                            clique_bound=ctx.config.clique_bound,
-                            chromatic_bound=ctx.config.chromatic_bound)
+        values = _solve(ctx, g, "clique", "chromatic")
         if values["clique"][0] != values["chromatic"][0]:
             ok = False
     return Outcome("clique number equals chromatic number in both modes",

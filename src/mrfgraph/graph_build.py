@@ -224,10 +224,6 @@ class Graph:
     def is_edge(self, i: int, j: int) -> bool:
         return i != j and bool(self.adj[i] >> j & 1)
 
-    def neighbors(self, i: int) -> list[int]:
-        row = self.adj[i]
-        return [j for j in range(self.n_vertices) if row >> j & 1]
-
     def degree(self, i: int) -> int:
         return self.adj[i].bit_count()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from operator import or_
 
@@ -291,8 +291,8 @@ def partiteness(g: Graph) -> Partiteness:
     """Bipartiteness as 'no edge inside any BFS level' over every component;
     complete bipartiteness on a connected graph by joining its even levels
     to its odd levels; complete multipartiteness by checking that
-    non-adjacency is an equivalence relation with all cross pairs joined
-    (parts returned when detected)."""
+    non-adjacency is an equivalence relation: its classes are the parts
+    (returned when detected), and every cross pair is then joined."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("partiteness of an empty graph is undefined")
@@ -325,16 +325,13 @@ def _complete_multipartite_parts(g: Graph):
             continue
         non_adj = full & ~g.adj[s]
         part = [i for i in range(n) if non_adj >> i & 1]
-        # all members must share the same non-neighborhood (transitivity)
+        # all members must share the same non-neighborhood (transitivity);
+        # a vertex outside it is then adjacent to every member
         for i in part:
             if (full & ~g.adj[i]) != non_adj:
                 return None
         parts.append(tuple(part))
         seen |= non_adj
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            if not all(g.is_edge(i, j) for i in parts[a] for j in parts[b]):
-                return None
     return tuple(parts)
 
 
@@ -380,65 +377,64 @@ def _max_clique(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
     return len(best), sorted(best)
 
 
-def _greedy_coloring(rows: tuple[int, ...], n: int) -> list[int]:
-    """DSATUR-style greedy proper coloring (upper bound)."""
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        u = max((i for i in range(n) if colors[i] == -1),
-                key=lambda i: (len(neighbor_colors[i]), rows[i].bit_count(), -i))
-        c = 0
-        while c in neighbor_colors[u]:
-            c += 1
-        colors[u] = c
-        row = rows[u]
-        while row:
-            bit = row & -row
-            row ^= bit
-            neighbor_colors[bit.bit_length() - 1].add(c)
-    return colors
+def _dsatur(rows: tuple[int, ...], n: int, k: int, preset: list[int]) -> list[int] | None:
+    """Backtracking DSATUR (Brélaz 1979): colour next the uncoloured vertex of
+    most distinct neighbour colours, then highest degree, then lowest index;
+    try its allowed colours smallest first, never opening more than one new
+    colour.  The preset colours are fixed (a clique, as symmetry breaking).
+    With k = n the first descent never backtracks and is the greedy DSATUR
+    colouring.  Returns a proper colouring with colours below k, or ``None``.
 
-
-def _try_color(rows: tuple[int, ...], n: int, k: int, preset: list[int]) -> list[int] | None:
-    """Backtracking k-coloring with the clique preset as symmetry breaking."""
+    Saturation counts are kept incrementally from one member mask per colour,
+    and the search runs on an explicit stack of (vertex, colour, colours in
+    use before it), so its depth is not limited by recursion."""
     colors = preset[:]
-    uncolored = [i for i in range(n) if colors[i] == -1]
-
-    def saturation(i: int) -> int:
-        row = rows[i]
-        used = set()
-        while row:
-            bit = row & -row
-            row ^= bit
-            c = colors[bit.bit_length() - 1]
-            if c != -1:
-                used.add(c)
-        return len(used)
-
-    def dfs() -> bool:
-        pending = [i for i in uncolored if colors[i] == -1]
-        if not pending:
-            return True
-        u = max(pending, key=lambda i: (saturation(i), rows[i].bit_count(), -i))
-        forbidden = set()
-        row = rows[u]
-        while row:
-            bit = row & -row
-            row ^= bit
-            c = colors[bit.bit_length() - 1]
-            if c != -1:
-                forbidden.add(c)
-        used_max = max((c for c in colors if c != -1), default=-1)
-        for c in range(min(k, used_max + 2)):
-            if c in forbidden:
-                continue
+    members = [0] * k
+    for v, c in enumerate(colors):
+        if c >= 0:
+            members[c] |= 1 << v
+    used = max(colors, default=-1) + 1
+    # score = saturation * n + rank of (degree, -index): one int per vertex
+    rank = sorted(range(n), key=lambda v: (rows[v].bit_count(), -v))
+    score = [0] * n
+    for r, v in enumerate(rank):
+        score[v] = r + n * sum(1 for m in members[:used] if rows[v] & m)
+    pending = [v for v in range(n) if colors[v] < 0]
+    pending_mask = sum(1 << v for v in pending)
+    stack: list[tuple[int, int, int]] = []
+    u, c = -1, 0
+    while True:
+        if u < 0:
+            if not pending:
+                return colors
+            u, c = max(pending, key=score.__getitem__), 0
+            pending.remove(u)
+            pending_mask ^= 1 << u
+            limit = min(k, used + 1)
+        while c < limit and rows[u] & members[c]:
+            c += 1
+        if c < limit:
+            stack.append((u, c, used))
             colors[u] = c
-            if dfs():
-                return True
-            colors[u] = -1
-        return False
-
-    return colors if dfs() else None
+            members[c] |= 1 << u
+            used = max(used, c + 1)
+            for w in _members(rows[u] & pending_mask):
+                if rows[w] & members[c] == 1 << u:  # c is new around w
+                    score[w] += n
+            u = -1
+            continue
+        pending.append(u)
+        pending_mask |= 1 << u
+        if not stack:
+            return None
+        u, c, used = stack.pop()
+        colors[u] = -1
+        members[c] ^= 1 << u
+        for w in _members(rows[u] & pending_mask):
+            if not rows[w] & members[c]:  # c is gone around w
+                score[w] -= n
+        c += 1
+        limit = min(k, used + 1)
 
 
 def _chromatic(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
@@ -447,15 +443,15 @@ def _chromatic(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
     if not any(rows):
         return 1, [0] * n
     clique_size, clique = _max_clique(rows, n)
-    greedy = _greedy_coloring(rows, n)
+    greedy = _dsatur(rows, n, n, [-1] * n)
     ub = max(greedy) + 1
     if clique_size == ub:
         return ub, greedy
+    preset = [-1] * n
+    for c, v in enumerate(clique):
+        preset[v] = c
     for k in range(clique_size, ub):
-        preset = [-1] * n
-        for c, v in enumerate(clique):
-            preset[v] = c
-        result = _try_color(rows, n, k, preset)
+        result = _dsatur(rows, n, k, preset)
         if result is not None:
             return k, result
     return ub, greedy
@@ -514,24 +510,18 @@ def np_metrics(g: Graph, which: tuple[str, ...] = ("clique",),
     n = g.n_vertices
     if n == 0:
         raise ValueError("parameters of an empty graph are undefined")
+    solvers = {
+        "clique": ("clique", clique_bound, _max_clique),
+        "chromatic": ("chromatic", chromatic_bound, _chromatic),
+        "dominating": ("dominating", dominating_bound, partial(_min_dominating, total=False)),
+        "total_dominating": ("dominating", dominating_bound, partial(_min_dominating, total=True)),
+    }
     out: dict[str, tuple[float, list[int]]] = {}
     for name in which:
-        if name == "clique":
-            if n > clique_bound:
-                raise BoundExceededError(f"{n} vertices exceed clique bound {clique_bound}")
-            out[name] = _max_clique(g.adj, n)
-        elif name == "chromatic":
-            if n > chromatic_bound:
-                raise BoundExceededError(f"{n} vertices exceed chromatic bound {chromatic_bound}")
-            out[name] = _chromatic(g.adj, n)
-        elif name == "dominating":
-            if n > dominating_bound:
-                raise BoundExceededError(f"{n} vertices exceed dominating bound {dominating_bound}")
-            out[name] = _min_dominating(g.adj, n, total=False)
-        elif name == "total_dominating":
-            if n > dominating_bound:
-                raise BoundExceededError(f"{n} vertices exceed dominating bound {dominating_bound}")
-            out[name] = _min_dominating(g.adj, n, total=True)
-        else:
+        if name not in solvers:
             raise ValueError(f"unknown parameter {name!r}")
+        label, bound, solve = solvers[name]
+        if n > bound:
+            raise BoundExceededError(f"{n} vertices exceed {label} bound {bound}")
+        out[name] = solve(g.adj, n)
     return out

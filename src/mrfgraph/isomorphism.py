@@ -50,9 +50,9 @@ def complement_iso(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
 
     When every class meets a complement class of the same size and the
     assembled map verifies row by row, it is returned with
-    ``nodes_explored == 0``.  Otherwise the eccentricity class counts are
-    compared (the natural discriminator between the zero-divisor and
-    comaximal graphs); only if those agree does the generic search run."""
+    ``nodes_explored == 0``.  Otherwise the verdict is that of
+    :func:`are_isomorphic`, whose eccentricity certificate is the natural
+    discriminator between the zero-divisor and comaximal graphs."""
     if g1.n_vertices == 0:
         raise ValueError("complement isomorphism needs vertices; a one-atom space has none")
     space, targets = g1.space, g2.classes
@@ -66,16 +66,7 @@ def complement_iso(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
     else:
         if verify_mapping(g1, g2, tuple(mapping)):
             return IsoVerdict(ISOMORPHIC, mapping=tuple(mapping))
-    left = metrics(g1).eccentricity_histogram()
-    right = metrics(g2).eccentricity_histogram()
-    if left != right:
-        return IsoVerdict(NOT_ISOMORPHIC, certificate=_ecc_certificate(left, right))
     return are_isomorphic(g1, g2, budget=budget)
-
-
-def _ecc_certificate(left: dict, right: dict) -> dict:
-    fmt = lambda h: {str(key): value for key, value in sorted(h.items())}
-    return {"kind": "eccentricity-class-count", "left": fmt(left), "right": fmt(right)}
 
 
 def _wl_colors(g1: Graph, g2: Graph, ecc1, ecc2) -> tuple[list[int], list[int]]:
@@ -89,7 +80,7 @@ def _wl_colors(g1: Graph, g2: Graph, ecc1, ecc2) -> tuple[list[int], list[int]]:
         def recolor(g, colors):
             out = []
             for i in range(g.n_vertices):
-                signature = (colors[i], tuple(sorted(colors[j] for j in g.neighbors(i))))
+                signature = (colors[i], tuple(sorted(colors[j] for j in _members(g.adj[i]))))
                 out.append(palette.setdefault(signature, len(palette)))
             return out
 
@@ -113,7 +104,9 @@ def are_isomorphic(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
     m1, m2 = metrics(g1), metrics(g2)
     ecc_left, ecc_right = m1.eccentricity_histogram(), m2.eccentricity_histogram()
     if ecc_left != ecc_right:
-        return IsoVerdict(NOT_ISOMORPHIC, certificate=_ecc_certificate(ecc_left, ecc_right))
+        fmt = lambda h: {str(key): value for key, value in sorted(h.items())}
+        return IsoVerdict(NOT_ISOMORPHIC, certificate={
+            "kind": "eccentricity-class-count", "left": fmt(ecc_left), "right": fmt(ecc_right)})
     if g1.n_edges() != g2.n_edges():
         return IsoVerdict(NOT_ISOMORPHIC, certificate={
             "kind": "edge-count", "left": g1.n_edges(), "right": g2.n_edges()})

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .measure_space import (
     ATOMIC,
@@ -28,10 +27,10 @@ from .measure_space import (
     IntervalSpace,
     MeasurableSet,
     MeasureSpace,
+    _interval,
     complement,
     difference,
     format_set,
-    interval_set,
     is_null,
     parse_set,
 )
@@ -124,10 +123,7 @@ def sample_interval_class(seed, depth: int) -> ZClass:
     cuts: set[int] = set()
     while len(cuts) < 2 * depth:
         cuts.add(rng.randrange(1, denom))
-    points = sorted(cuts)
-    pieces = [(Fraction(points[2 * i], denom), Fraction(points[2 * i + 1], denom))
-              for i in range(depth)]
-    return zclass(UNIT_INTERVAL, interval_set(pieces))
+    return zclass(UNIT_INTERVAL, _interval(denom, sorted(cuts)))
 
 
 def sample_interval_classes(seed, count: int, max_depth: int = 3) -> list[ZClass]:

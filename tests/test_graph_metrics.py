@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from mrfgraph.graph_build import Graph, GraphKind, build_graph
 from mrfgraph.graph_metrics import (
     BoundExceededError,
+    _dsatur,
+    _max_clique,
     annihilator_common_neighbor_zero_set,
     comaximal_triangle_zero_sets,
     complementation_profile,
@@ -407,3 +410,181 @@ def test_np_metrics_bound_guard():
         np_metrics(g, ("dominating",), dominating_bound=24)
     with pytest.raises(ValueError):
         np_metrics(g, ("spectral_radius",))
+
+
+def test_np_metrics_bound_messages():
+    g = build_graph(unit_space(3), GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    n = g.n_vertices
+    for name, label, key in (("clique", "clique", "clique_bound"),
+                             ("chromatic", "chromatic", "chromatic_bound"),
+                             ("dominating", "dominating", "dominating_bound"),
+                             ("total_dominating", "dominating", "dominating_bound")):
+        with pytest.raises(BoundExceededError) as exc:
+            np_metrics(g, (name,), **{key: n - 1})
+        assert str(exc.value) == f"{n} vertices exceed {label} bound {n - 1}"
+        assert name in np_metrics(g, (name,), **{key: n})
+    with pytest.raises(BoundExceededError, match="exceed clique bound"):
+        np_metrics(g, ("clique", "chromatic"), clique_bound=n - 1, chromatic_bound=n - 1)
+    with pytest.raises(BoundExceededError, match="exceed chromatic bound"):
+        np_metrics(g, ("chromatic", "clique"), clique_bound=n - 1, chromatic_bound=n - 1)
+
+
+def test_chromatic_needs_no_recursion_depth():
+    n = 3000
+    path = raw_graph(n, [(i, i + 1) for i in range(n - 1)])
+    chi, coloring = np_metrics(path, ("chromatic",), chromatic_bound=n)["chromatic"]
+    assert chi == 2
+    assert all(coloring[i] != coloring[i + 1] for i in range(n - 1))
+
+
+# -- the two DSATUR colourers the single search replaced (slow reference) --------
+
+def reference_greedy_coloring(rows, n):
+    """DSATUR-style greedy proper coloring (upper bound)."""
+    colors = [-1] * n
+    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    for _ in range(n):
+        u = max((i for i in range(n) if colors[i] == -1),
+                key=lambda i: (len(neighbor_colors[i]), rows[i].bit_count(), -i))
+        c = 0
+        while c in neighbor_colors[u]:
+            c += 1
+        colors[u] = c
+        row = rows[u]
+        while row:
+            bit = row & -row
+            row ^= bit
+            neighbor_colors[bit.bit_length() - 1].add(c)
+    return colors
+
+
+def reference_try_color(rows, n, k, preset):
+    """Backtracking k-coloring with the clique preset as symmetry breaking."""
+    colors = preset[:]
+    uncolored = [i for i in range(n) if colors[i] == -1]
+
+    def saturation(i: int) -> int:
+        row = rows[i]
+        used = set()
+        while row:
+            bit = row & -row
+            row ^= bit
+            c = colors[bit.bit_length() - 1]
+            if c != -1:
+                used.add(c)
+        return len(used)
+
+    def dfs() -> bool:
+        pending = [i for i in uncolored if colors[i] == -1]
+        if not pending:
+            return True
+        u = max(pending, key=lambda i: (saturation(i), rows[i].bit_count(), -i))
+        forbidden = set()
+        row = rows[u]
+        while row:
+            bit = row & -row
+            row ^= bit
+            c = colors[bit.bit_length() - 1]
+            if c != -1:
+                forbidden.add(c)
+        used_max = max((c for c in colors if c != -1), default=-1)
+        for c in range(min(k, used_max + 2)):
+            if c in forbidden:
+                continue
+            colors[u] = c
+            if dfs():
+                return True
+            colors[u] = -1
+        return False
+
+    return colors if dfs() else None
+
+
+def random_rows(rng, n, p):
+    rows = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def coloring_cases():
+    for n in range(2, 6):
+        space = unit_space(n)
+        for kind in GraphKind:
+            yield build_graph(space, kind, "quotient").adj
+            for k in (2, 3):
+                yield build_graph(space, kind, "expanded", alphabet=k).adj
+    rng = random.Random(20261018)
+    for _ in range(320):
+        yield random_rows(rng, rng.randint(1, 24), rng.random())
+
+
+def test_dsatur_matches_both_reference_colourers():
+    refuted = 0
+    for rows in coloring_cases():
+        n = len(rows)
+        greedy = _dsatur(rows, n, n, [-1] * n)
+        assert greedy == reference_greedy_coloring(rows, n)
+        size, clique = _max_clique(rows, n)
+        preset = [-1] * n
+        for c, v in enumerate(clique):
+            preset[v] = c
+        for k in range(size, max(greedy) + 2):
+            result = _dsatur(rows, n, k, preset)
+            assert result == reference_try_color(rows, n, k, preset)
+            refuted += result is None
+    assert refuted >= 20  # searches that backtracked to exhaustion
+
+
+# -- complete multipartiteness against the definition --------------------------
+
+def brute_multipartite_parts(g: Graph):
+    """Parts when 'equal or non-adjacent' is an equivalence relation whose
+    classes are independent and pairwise fully joined, else None."""
+    n = g.n_vertices
+    same = [[i == j or not g.is_edge(i, j) for j in range(n)] for i in range(n)]
+    if any(same[i][j] and same[j][l] and not same[i][l]
+           for i in range(n) for j in range(n) for l in range(n)):
+        return None
+    parts = []
+    for i in range(n):
+        if not any(i in p for p in parts):
+            parts.append(tuple(j for j in range(n) if same[i][j]))
+    for a, b in itertools.combinations(parts, 2):
+        assert all(g.is_edge(i, j) for i in a for j in b)
+    return tuple(parts)
+
+
+def planted_multipartite(rng, sizes):
+    n = sum(sizes)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    part_of = {}
+    start = 0
+    for p, size in enumerate(sizes):
+        for v in labels[start:start + size]:
+            part_of[v] = p
+        start += size
+    edges = [(i, j) for i, j in itertools.combinations(range(n), 2) if part_of[i] != part_of[j]]
+    return edges, n
+
+
+def test_multipartite_parts_match_brute_force():
+    rng = random.Random(7)
+    for trial in range(240):
+        if trial % 2:
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+            edges, n = planted_multipartite(rng, sizes)
+            if trial % 4 == 3 and edges:
+                edges.remove(rng.choice(edges))  # one missing cross edge breaks it
+            g = raw_graph(n, edges)
+        else:
+            n = rng.randint(1, 9)
+            g = raw_graph(n, [(i, j) for i, j in itertools.combinations(range(n), 2)
+                              if rng.random() < 0.7])
+        want = brute_multipartite_parts(g)
+        assert partiteness(g).multipartite_parts == want
+        if trial % 4 == 1:
+            assert want is not None and len(want) == len(sizes)

@@ -45,6 +45,19 @@ def test_complement_iso_verified(n):
     assert all(mapping[mapping[i]] == i for i in range(len(mapping)))  # involution
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_complement_iso_defers_to_are_isomorphic(n):
+    g1, g2 = zd_comaximal(n, "expanded", 3)
+    verdict = complement_iso(g1, g2)
+    assert verdict.outcome == NOT_ISOMORPHIC
+    assert verdict == are_isomorphic(g1, g2)
+
+
+def test_complement_iso_vertex_count_certificate():
+    verdict = complement_iso(raw_graph(2, [(0, 1)]), raw_graph(3, [(0, 1)]))
+    assert verdict.certificate == {"kind": "vertex-count", "left": 2, "right": 3}
+
+
 def test_complement_iso_needs_two_atoms():
     with pytest.raises(ValueError):
         complement_iso(*zd_comaximal(1))
