@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .graph_build import GraphKind, adjacent, build_graph, oracle_adjacent, weakly_adjacent_all
 from .graph_metrics import (
@@ -128,6 +128,22 @@ def _vertex_mismatches(g, want, got) -> int:
     set, evaluating ``want`` once per zero-set class."""
     expected = [want(z) for z in g.classes.zero_sets]
     return sum(1 for i, c in enumerate(g.classes.of) if got(i) != expected[c])
+
+
+def _twin_cycle_rank(g, max_len: int):
+    """``cycle_rank`` of a vertex pair, searched once per ordered pair of
+    twin classes (``g.twins``): swapping false twins is an automorphism, so
+    the classes' first members (first two within one class) serve the pair."""
+    of, members = g.twins.of, g.twins.members
+    ranks: dict[tuple[int, int], float] = {}
+
+    def got(i: int, j: int) -> float:
+        a, b = of[i], of[j]
+        if (a, b) not in ranks:
+            ranks[a, b] = cycle_rank(g, members[a][0], members[b][a == b], max_len)
+        return ranks[a, b]
+
+    return got
 
 
 def _solve(ctx: RunContext, g, *which: str) -> dict:
@@ -315,9 +331,8 @@ def check_comaximal_unit_witness(ctx: RunContext, n: int, k: int):
 def check_comaximal_distance(ctx: RunContext, n: int, mode: str, k: int | None):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
-    row = lru_cache(maxsize=1)(ctx.graph_metrics(g).distances_from)
     bad = _pair_mismatches(g, partial(expected_comaximal_distance, space),
-                           lambda i, j: row(i)[j])
+                           ctx.graph_metrics(g).distance)
     total = g.n_vertices * (g.n_vertices - 1) // 2
     return Outcome(f"{total} pairwise distances follow the three-case rule",
                    f"{bad} mismatches", bad == 0)
@@ -416,7 +431,7 @@ def check_comaximal_cycle_rank(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
     bad = _pair_mismatches(g, partial(expected_comaximal_cycle, space),
-                           lambda i, j: cycle_rank(g, i, j, ctx.config.max_cycle_len))
+                           _twin_cycle_rank(g, ctx.config.max_cycle_len))
     total = g.n_vertices * (g.n_vertices - 1) // 2
     return Outcome(f"{total} smallest-cycle ranks in {{3,4,6}} per the four-case rule",
                    f"{bad} mismatches", bad == 0)
@@ -665,7 +680,7 @@ def check_annihilator_cycle_rank(ctx: RunContext, n: int, k: int):
         edge = adjacent(GraphKind.ANNIHILATOR, space, zu, zv)
         return 3 if edge and not orthogonal_annihilator(space, zu, zv) else 4
 
-    bad = _pair_mismatches(g, want, lambda i, j: cycle_rank(g, i, j, ctx.config.max_cycle_len))
+    bad = _pair_mismatches(g, want, _twin_cycle_rank(g, ctx.config.max_cycle_len))
     total = g.n_vertices * (g.n_vertices - 1) // 2
     return Outcome(f"{total} ranks: 3 on non-orthogonal edges, else 4",
                    f"{bad} mismatches", bad == 0)

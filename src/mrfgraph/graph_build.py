@@ -170,11 +170,20 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
+def _members(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class ZeroSetClasses:
     """Vertices grouped by zero set, classes numbered by first appearance
     (never by hash order).  Adjacency depends only on the zero set, so the
-    members of one class are false twins."""
+    members of one class are false twins.  Fed adjacency rows in place of
+    zero sets, the same grouping gives the false-twin classes themselves."""
 
     zero_sets: tuple[MeasurableSet, ...]     # zero set of each class
     index: dict[MeasurableSet, int]          # class of each zero set
@@ -221,6 +230,12 @@ class Graph:
         """The vertices grouped by zero set."""
         return zero_set_classes(self.zero_sets)
 
+    @cached_property
+    def twins(self) -> ZeroSetClasses:
+        """The false-twin classes: vertices grouped by adjacency row, read
+        from ``adj`` alone and never from the zero sets."""
+        return zero_set_classes(self.adj)
+
     def is_edge(self, i: int, j: int) -> bool:
         return i != j and bool(self.adj[i] >> j & 1)
 
@@ -228,8 +243,9 @@ class Graph:
         return self.adj[i].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n_vertices)
-                for j in range(i + 1, self.n_vertices) if self.adj[i] >> j & 1]
+        """Edges (i, j), i < j, in row order: the bits of each row above i."""
+        return [(i, j) for i, row in enumerate(self.adj)
+                for j in _members(row >> i + 1 << i + 1)]
 
     def n_edges(self) -> int:
         return sum(self.degree(i) for i in range(self.n_vertices)) // 2

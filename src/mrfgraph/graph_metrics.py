@@ -10,12 +10,13 @@ cycle) are first-class and reported as ``inf``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate
 from operator import or_
 
 from .graph_build import BoundExceededError, Graph, GraphKind  # noqa: F401  (re-exported)
+from .graph_build import ZeroSetClasses, _members
 from .measure_space import (
     ATOMIC,
     MeasurableSet,
@@ -33,36 +34,41 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class MetricsSummary:
-    """All-pairs exact metrics of one graph.  Distances are not stored: a
-    row is recomputed from the graph's adjacency on demand."""
+    """All-pairs exact metrics of one graph.  Distances are not stored: the
+    BFS levels from each twin class's first member are, and a class's
+    distance row is built from them when a check first asks for it."""
 
     adj: tuple[int, ...]
     eccentricity: tuple[float, ...]
     diameter: float
     girth: float
     connected: bool
+    twins: ZeroSetClasses = field(compare=False, repr=False)
+    levels: tuple[list[int], ...] = field(compare=False, repr=False)
+    rows: dict[int, list[float]] = field(default_factory=dict, compare=False, repr=False)
+
+    def distance(self, source: int, target: int) -> float:
+        """Shortest-path distance, ``inf`` when unreachable.  Swapping
+        ``source`` with its class's first member is an automorphism, so this
+        is that member's distance to the swapped ``target``."""
+        c = self.twins.of[source]
+        rep = self.twins.members[c][0]
+        if c not in self.rows:
+            self.rows[c] = [INF] * len(self.adj)
+            for d, level in enumerate(self.levels[c]):
+                for x in _members(level):
+                    self.rows[c][x] = d
+        return self.rows[c][rep if target == source else source if target == rep else target]
 
     def distances_from(self, source: int) -> list[float]:
         """Shortest-path distances from ``source``; ``inf`` when unreachable."""
-        dist: list[float] = [INF] * len(self.adj)
-        for d, level in enumerate(_levels(self.adj, source)[0]):
-            for x in _members(level):
-                dist[x] = d
-        return dist
+        return [self.distance(source, x) for x in range(len(self.adj))]
 
     def eccentricity_histogram(self) -> dict[float, int]:
         hist: dict[float, int] = {}
         for e in self.eccentricity:
             hist[e] = hist.get(e, 0) + 1
         return hist
-
-
-def _members(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1
 
 
 def _levels(adj: tuple[int, ...], source: int) -> tuple[list[int], int, float]:
@@ -103,19 +109,20 @@ def _levels(adj: tuple[int, ...], source: int) -> tuple[list[int], int, float]:
 
 
 def metrics(g: Graph) -> MetricsSummary:
-    """Eccentricities, diameter and girth from one level-set BFS per source."""
+    """Eccentricities, diameter and girth from one level-set BFS per twin
+    class: every member takes its class's eccentricity, and the girth is the
+    minimum cycle bound over the classes' first members."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("metrics of an empty graph are undefined")
     full = (1 << n) - 1
-    ecc: list[float] = []
-    girth = INF
-    for s in range(n):
-        levels, reached, cycle = _levels(g.adj, s)
-        ecc.append(len(levels) - 1 if reached == full else INF)
-        girth = min(girth, cycle)
+    searches = [_levels(g.adj, members[0]) for members in g.twins.members]
+    ecc = [len(levels) - 1 if reached == full else INF for levels, reached, _ in searches]
+    eccentricity = tuple(ecc[c] for c in g.twins.of)
     diameter = max(ecc)
-    return MetricsSummary(g.adj, tuple(ecc), diameter, girth, diameter < INF)
+    girth = min(cycle for _, _, cycle in searches)
+    return MetricsSummary(g.adj, eccentricity, diameter, girth, diameter < INF,
+                          g.twins, tuple(levels for levels, _, _ in searches))
 
 
 def _paths(g: Graph, u: int, v: int, length: int, banned: int, ball: list[int],
@@ -214,7 +221,9 @@ def triangle_profile(g: Graph) -> TriangleProfile:
     if n == 0:
         raise ValueError("triangle profile of an empty graph is undefined")
     if g.space.backend == ATOMIC:
-        vertex_flags = [any(g.adj[j] & g.adj[i] for j in _members(g.adj[i])) for i in range(n)]
+        rows = [g.adj[members[0]] for members in g.twins.members]
+        on_triangle = [any(g.adj[j] & row for j in _members(row)) for row in rows]
+        vertex_flags = [on_triangle[c] for c in g.twins.of]
         edge_flags = [((i, j), bool(g.adj[i] & g.adj[j])) for i, j in g.edges()]
         return TriangleProfile(all(vertex_flags), bool(edge_flags) and all(f for _, f in edge_flags),
                                tuple(vertex_flags), tuple(edge_flags))
@@ -336,7 +345,8 @@ def _complete_multipartite_parts(g: Graph):
 
 
 def _max_clique(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
-    """Branch and bound with a greedy-coloring bound."""
+    """Branch and bound with a greedy-coloring bound, on an explicit stack so
+    that its depth is not limited by recursion."""
     best: list[int] = []
 
     def color_order(p_mask: int) -> tuple[list[int], list[int]]:
@@ -355,26 +365,29 @@ def _max_clique(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
                 bounds.append(color)
         return order, bounds
 
-    def expand(r: list[int], p_mask: int) -> None:
-        nonlocal best
-        order, bounds = color_order(p_mask)
-        for idx in range(len(order) - 1, -1, -1):
-            if len(r) + bounds[idx] <= len(best):
-                return
-            v = order[idx]
-            r.append(v)
-            new_p = p_mask & rows[v]
-            if new_p:
-                expand(r, new_p)
-            elif len(r) > len(best):
-                best = r[:]
-            r.pop()
-            p_mask &= ~(1 << v)
-
     if n == 0:
         return 0, []
-    expand([], (1 << n) - 1)
-    return len(best), sorted(best)
+    full = (1 << n) - 1
+    r: list[int] = []
+    frames = [[*color_order(full), n - 1, full]]  # colour order, bounds, next index, candidates
+    while True:
+        frame = frames[-1]
+        order, bounds, idx, p_mask = frame
+        if idx >= 0 and len(r) + bounds[idx] > len(best):
+            r.append(order[idx])
+            new_p = p_mask & rows[order[idx]]
+            if new_p:
+                frames.append([*color_order(new_p), new_p.bit_count() - 1, new_p])
+                continue
+            if len(r) > len(best):
+                best = r[:]
+        else:  # this level is done: back to its parent's next candidate
+            frames.pop()
+            if not frames:
+                return len(best), sorted(best)
+            frame = frames[-1]
+        frame[2] -= 1
+        frame[3] &= ~(1 << r.pop())
 
 
 def _dsatur(rows: tuple[int, ...], n: int, k: int, preset: list[int]) -> list[int] | None:

@@ -123,46 +123,38 @@ def are_isomorphic(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
         color_count[c] = color_count.get(c, 0) + 1
     order = sorted(range(n), key=lambda i: (color_count[colors1[i]], -g1.degree(i), i))
 
+    # depth-first over the positions of ``order`` on an explicit stack:
+    # cursor[pos] is the next candidate index to try at that position
     mapping = [-1] * n
     used = [False] * n
+    cursor = [0] * (n + 1)
     nodes = 0
-
-    def backtrack(pos: int) -> bool | None:
-        nonlocal nodes
-        if pos == n:
-            return True
+    pos = 0
+    while 0 <= pos < n:
         i = order[pos]
-        for j in candidates[i]:
+        for c in range(cursor[pos], len(candidates[i])):
+            j = candidates[i][c]
             if used[j]:
                 continue
             nodes += 1
             if nodes > budget:
-                return None
-            ok = True
-            for prev_pos in range(pos):
-                p = order[prev_pos]
-                if g1.is_edge(i, p) != g2.is_edge(j, mapping[p]):
-                    ok = False
-                    break
-            if ok:
+                return IsoVerdict(INCONCLUSIVE, nodes_explored=nodes)
+            if all(g1.is_edge(i, p) == g2.is_edge(j, mapping[p]) for p in order[:pos]):
+                cursor[pos] = c + 1
                 mapping[i] = j
                 used[j] = True
-                result = backtrack(pos + 1)
-                if result:
-                    return True
-                used[j] = False
-                mapping[i] = -1
-                if result is None:
-                    return None
-        return False
-
-    result = backtrack(0)
-    if result is None:
-        return IsoVerdict(INCONCLUSIVE, nodes_explored=nodes)
-    if result:
-        final = tuple(mapping)
-        if not verify_mapping(g1, g2, final):
-            raise AssertionError("search produced a map that failed verification")
-        return IsoVerdict(ISOMORPHIC, mapping=final, nodes_explored=nodes)
-    return IsoVerdict(NOT_ISOMORPHIC, nodes_explored=nodes, certificate={
-        "kind": "exhausted-search", "nodes_explored": nodes, "budget": budget})
+                pos += 1
+                cursor[pos] = 0
+                break
+        else:
+            pos -= 1  # candidates exhausted: undo the previous position
+            if pos >= 0:
+                used[mapping[order[pos]]] = False
+                mapping[order[pos]] = -1
+    if pos < 0:
+        return IsoVerdict(NOT_ISOMORPHIC, nodes_explored=nodes, certificate={
+            "kind": "exhausted-search", "nodes_explored": nodes, "budget": budget})
+    final = tuple(mapping)
+    if not verify_mapping(g1, g2, final):
+        raise AssertionError("search produced a map that failed verification")
+    return IsoVerdict(ISOMORPHIC, mapping=final, nodes_explored=nodes)

@@ -32,7 +32,6 @@ from .measure_space import (
     difference,
     format_set,
     is_null,
-    parse_set,
 )
 
 UNIT_INTERVAL = IntervalSpace()
@@ -138,23 +137,6 @@ def format_zclass(zc: ZClass) -> str:
     return "Z=" + format_set(zc.zero_set)
 
 
-def parse_zclass(text: str) -> ZClass:
-    text = text.strip()
-    if not text.startswith("Z="):
-        raise ValueError(f"malformed class literal: {text!r}")
-    return ZClass(parse_set(text[2:]))
-
-
 def format_function(f: ExpandedFunction) -> str:
     return "f=[" + ",".join(str(v) for v in f.values) + "]"
 
-
-def parse_function(text: str) -> ExpandedFunction:
-    text = text.strip()
-    if not (text.startswith("f=[") and text.endswith("]")):
-        raise ValueError(f"malformed function literal: {text!r}")
-    body = text[3:-1]
-    values = tuple(int(tok) for tok in body.split(",")) if body else ()
-    if any(v < 0 for v in values):
-        raise ValueError("function values must be non-negative alphabet symbols")
-    return ExpandedFunction(values)

@@ -437,6 +437,59 @@ def test_chromatic_needs_no_recursion_depth():
     assert all(coloring[i] != coloring[i + 1] for i in range(n - 1))
 
 
+def recursive_max_clique(rows, n):
+    """The recursive branch and bound the explicit stack replaced (slow
+    reference): the same greedy-colouring order and bound."""
+    best: list[int] = []
+
+    def color_order(p_mask):
+        order, bounds, color, uncolored = [], [], 0, p_mask
+        while uncolored:
+            color += 1
+            q = uncolored
+            while q:
+                bit = q & -q
+                v = bit.bit_length() - 1
+                q &= ~(rows[v] | bit)
+                uncolored ^= bit
+                order.append(v)
+                bounds.append(color)
+        return order, bounds
+
+    def expand(r, p_mask):
+        nonlocal best
+        order, bounds = color_order(p_mask)
+        for idx in range(len(order) - 1, -1, -1):
+            if len(r) + bounds[idx] <= len(best):
+                return
+            v = order[idx]
+            r.append(v)
+            if p_mask & rows[v]:
+                expand(r, p_mask & rows[v])
+            elif len(r) > len(best):
+                best = r[:]
+            r.pop()
+            p_mask &= ~(1 << v)
+
+    expand([], (1 << n) - 1)
+    return len(best), sorted(best)
+
+
+def test_max_clique_matches_recursive_reference():
+    rng = random.Random("clique-stack")
+    for _ in range(80):
+        n = rng.randint(1, 24)
+        rows = random_rows(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        assert _max_clique(rows, n) == recursive_max_clique(rows, n)
+
+
+def test_max_clique_needs_no_recursion_depth():
+    n = 1100
+    full = (1 << n) - 1
+    rows = tuple(full ^ (1 << v) for v in range(n))
+    assert _max_clique(rows, n) == (n, list(range(n)))
+
+
 # -- the two DSATUR colourers the single search replaced (slow reference) --------
 
 def reference_greedy_coloring(rows, n):

@@ -257,11 +257,14 @@ def _flip_orthogonal_edge(ctx, n, kind, k):
     ("comaximal.distance_formula", GraphKind.COMAXIMAL, (3, "expanded", 3)),
     ("comaximal.neighborhood_rule", GraphKind.COMAXIMAL, (3, 3)),
     ("annihilator.orthogonality_rule", GraphKind.ANNIHILATOR, (3, 3)),
+    ("comaximal.cycle_rank_cases", GraphKind.COMAXIMAL, (3, 3)),
+    ("annihilator.cycle_rank_cases", GraphKind.ANNIHILATOR, (3, 3)),
 ])
 def test_rule_checks_read_the_computed_side_per_vertex_pair(check_id, kind, args):
-    """The expected side is evaluated per class pair, but the computed side
-    must still come from each vertex pair: one flipped edge between two
-    members of a class pair is a mismatch."""
+    """The expected side is evaluated per zero-set class pair, but the
+    computed side is shared at most within a class of identical adjacency
+    rows: one flipped edge between two members of a class pair moves them
+    to row classes of their own and is a mismatch."""
     fn = REGISTRY[check_id].fn
     ctx = RunContext(SuiteConfig())
     assert fn(ctx, *args).ok

@@ -189,3 +189,87 @@ def test_budget_exhaustion_is_inconclusive():
 def test_empty_graphs_isomorphic():
     verdict = are_isomorphic(raw_graph(0, []), raw_graph(0, []))
     assert verdict.is_isomorphic
+
+
+def recursive_backtrack(g1, g2, budget):
+    """The recursive search the explicit stack replaced (slow reference):
+    same candidates and order, one Python frame per position."""
+    from mrfgraph.graph_metrics import metrics
+    from mrfgraph.isomorphism import _wl_colors
+
+    n = g1.n_vertices
+    colors1, colors2 = _wl_colors(g1, g2, metrics(g1).eccentricity, metrics(g2).eccentricity)
+    candidates = [[j for j in range(n) if colors2[j] == colors1[i]] for i in range(n)]
+    count = {c: colors1.count(c) for c in colors1}
+    order = sorted(range(n), key=lambda i: (count[colors1[i]], -g1.degree(i), i))
+    mapping, used, nodes = [-1] * n, [False] * n, 0
+
+    def backtrack(pos):
+        nonlocal nodes
+        if pos == n:
+            return True
+        i = order[pos]
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return None
+            if all(g1.is_edge(i, p) == g2.is_edge(j, mapping[p]) for p in order[:pos]):
+                mapping[i], used[j] = j, True
+                result = backtrack(pos + 1)
+                if result:
+                    return True
+                mapping[i], used[j] = -1, False
+                if result is None:
+                    return None
+        return False
+
+    result = backtrack(0)
+    outcome = {True: ISOMORPHIC, False: NOT_ISOMORPHIC, None: INCONCLUSIVE}[result]
+    return outcome, tuple(mapping) if result else None, nodes
+
+
+def edge_switched(n, edges):
+    """``edges`` after one degree-preserving switch ab, cd -> ad, cb."""
+    edges = set(edges)
+    for (a, b), (c, d) in itertools.permutations(sorted(edges), 2):
+        new = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            return raw_graph(n, (edges - {(a, b), (c, d)}) | new)
+    return raw_graph(n, edges)
+
+
+def test_explicit_stack_search_matches_recursive_reference():
+    rng = random.Random("iso-stack")
+    k33 = raw_graph(6, [(i, j) for i in (0, 1, 2) for j in (3, 4, 5)])
+    prism = raw_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                          (0, 3), (1, 4), (2, 5)])
+    pairs = [(k33, prism, budget) for budget in (5, 200_000)]
+    for trial in range(60):
+        n = rng.randint(4, 9)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g2 = (raw_graph(n, [(perm[i], perm[j]) for i, j in edges]) if trial % 2
+              else edge_switched(n, edges))
+        pairs.append((raw_graph(n, edges), g2, rng.choice([3, 20, 200_000])))
+    searched = set()
+    for g1, g2, budget in pairs:
+        verdict = are_isomorphic(g1, g2, budget=budget)
+        if verdict.certificate and verdict.certificate["kind"] != "exhausted-search":
+            continue  # refuted by an invariant before any search
+        searched.add(verdict.outcome)
+        want = recursive_backtrack(g1, g2, budget)
+        assert (verdict.outcome, verdict.mapping, verdict.nodes_explored) == want
+    assert searched == {ISOMORPHIC, NOT_ISOMORPHIC, INCONCLUSIVE}
+
+
+def test_isomorphism_search_needs_no_recursion_depth():
+    # K_{560,560}: two twin classes, 1,120 vertices, one search position each
+    n = 1120
+    g = raw_graph(n, [(i, j) for i in range(0, n, 2) for j in range(1, n, 2)])
+    verdict = are_isomorphic(g, g)
+    assert verdict.is_isomorphic
+    assert verdict.mapping == tuple(range(n))
+    assert verdict.nodes_explored == n

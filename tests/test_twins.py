@@ -1,0 +1,159 @@
+"""Twin-class sourcing against the full per-source and per-pair reference.
+
+Vertices with identical adjacency rows are false twins, and swapping two of
+them is an automorphism.  ``metrics``, ``MetricsSummary.distances_from`` and
+the two cycle-rank checks therefore search once per twin class
+(``Graph.twins``).  The slow reference here searches from every vertex and
+for every vertex pair, as the library did before."""
+
+import dataclasses
+import math
+import random
+from functools import partial
+
+import pytest
+
+from mrfgraph import checks, graph_metrics
+from mrfgraph.checks import _pair_mismatches, _twin_cycle_rank, expected_comaximal_distance
+from mrfgraph.graph_build import Graph, GraphKind, build_graph
+from mrfgraph.graph_metrics import _levels, _members, cycle_rank, metrics, triangle_profile
+from mrfgraph.harness import RunContext, SuiteConfig
+from mrfgraph.measure_space import atom_set, unit_space
+from mrfgraph.vertex_universe import ZClass
+
+INF = math.inf
+MAX_LEN = 8
+
+
+def reference_metrics(g: Graph):
+    """One BFS per vertex: eccentricities, girth and every distance row."""
+    n = g.n_vertices
+    full = (1 << n) - 1
+    ecc, rows, girth = [], [], INF
+    for s in range(n):
+        levels, reached, cycle = _levels(g.adj, s)
+        ecc.append(len(levels) - 1 if reached == full else INF)
+        girth = min(girth, cycle)
+        row = [INF] * n
+        for d, level in enumerate(levels):
+            for x in _members(level):
+                row[x] = d
+        rows.append(row)
+    return tuple(ecc), girth, rows
+
+
+def assert_matches_reference(g: Graph, ranks: bool = True) -> None:
+    summary = metrics(g)
+    ecc, girth, rows = reference_metrics(g)
+    assert summary.eccentricity == ecc
+    assert summary.diameter == max(ecc)
+    assert summary.girth == girth
+    for s, row in enumerate(rows):
+        assert summary.distances_from(s) == row, s
+        assert [summary.distance(s, x) for x in range(g.n_vertices)] == row, s
+    flags = tuple(any(g.adj[j] & g.adj[i] for j in _members(g.adj[i]))
+                  for i in range(g.n_vertices))
+    assert triangle_profile(g).vertex_flags == flags
+    if ranks:
+        got = _twin_cycle_rank(g, MAX_LEN)
+        for i in range(g.n_vertices):
+            for j in range(i + 1, g.n_vertices):
+                assert got(i, j) == cycle_rank(g, i, j, MAX_LEN), (i, j)
+
+
+def atomic_graphs(n: int):
+    space = unit_space(n)
+    for kind in GraphKind:
+        yield build_graph(space, kind, "quotient")
+        for k in (2, 3):
+            yield build_graph(space, kind, "expanded", alphabet=k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_atomic_graphs_match_per_source_and_per_pair_reference(n):
+    for g in atomic_graphs(n):
+        assert_matches_reference(g)
+
+
+def test_metrics_at_five_atoms_match_per_source_reference():
+    for g in atomic_graphs(5):
+        assert_matches_reference(g, ranks=False)
+
+
+def raw_graph(rows) -> Graph:
+    """Bare graph on the given rows; every vertex has the same placeholder
+    zero set, so ``classes`` is one class whatever the rows are."""
+    payload = tuple(ZClass(atom_set([0])) for _ in rows)
+    return Graph(GraphKind.COMAXIMAL, "quotient", None, unit_space(2), payload,
+                 tuple(z.zero_set for z in payload), tuple(rows))
+
+
+def planted_twins(rng: random.Random, m: int, p: float):
+    """A random graph on m vertices with each vertex blown up into 1-3 false
+    twins, the vertex order shuffled; also the base vertex of each vertex."""
+    base = [[i != j and rng.random() < p for j in range(m)] for i in range(m)]
+    owner = [b for b in range(m) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(owner)
+    n = len(owner)
+    rows = [sum(1 << j for j in range(n)
+                if base[min(owner[i], owner[j])][max(owner[i], owner[j])])
+            for i in range(n)]
+    return raw_graph(rows), owner
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_planted_twins_match_reference(seed):
+    rng = random.Random(f"twins:{seed}")
+    g, owner = planted_twins(rng, rng.randint(4, 8), rng.choice([0.3, 0.5, 0.7]))
+    of = g.twins.of
+    assert all(of[i] == of[j] for i in range(g.n_vertices) for j in range(g.n_vertices)
+               if owner[i] == owner[j])
+    assert_matches_reference(g)
+
+
+def test_twins_come_from_rows_not_zero_sets():
+    # one shared zero set, but a path's rows: the zero-set partition has one
+    # class, the row partition one class per vertex
+    path = raw_graph((0b0010, 0b0101, 0b1010, 0b0100))
+    assert path.classes.members == ((0, 1, 2, 3),)
+    assert path.twins.members == ((0,), (1,), (2,), (3,))
+    assert_matches_reference(path)
+
+
+def test_graph_breaking_twinness_shows_as_mismatch():
+    space = unit_space(3)
+    g = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    assert g.twins.members == g.classes.members
+    u, w = g.edges()[0]
+    adj = list(g.adj)
+    adj[u] ^= 1 << w
+    adj[w] ^= 1 << u
+    broken = dataclasses.replace(g, adj=tuple(adj))
+    # u and w leave their zero-set classes' row classes
+    assert len(broken.twins.members) > len(broken.classes.members)
+    assert_matches_reference(broken)
+    bad = _pair_mismatches(broken, partial(expected_comaximal_distance, space),
+                           metrics(broken).distance)
+    assert bad > 0
+
+
+def test_searches_run_once_per_twin_class(monkeypatch):
+    ctx = RunContext(SuiteConfig(atoms_min=4, atoms_max=4))
+    g = ctx.graph(4, GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    classes = len(g.twins.members)
+    assert classes < g.n_vertices
+    calls = {"cycle_rank": 0, "_levels": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(graph_metrics, "_levels", counted("_levels", graph_metrics._levels))
+    monkeypatch.setattr(checks, "cycle_rank", counted("cycle_rank", checks.cycle_rank))
+    metrics(g)
+    assert 0 < calls["_levels"] <= classes
+    outcome = checks.check_comaximal_cycle_rank(ctx, 4, 3)
+    assert outcome.ok
+    assert 0 < calls["cycle_rank"] <= classes * classes

@@ -16,8 +16,6 @@ from mrfgraph.vertex_universe import (
     enumerate_zclasses,
     format_function,
     format_zclass,
-    parse_function,
-    parse_zclass,
     sample_interval_class,
     sample_interval_classes,
     zclass,
@@ -141,11 +139,5 @@ def test_sample_interval_class_invariants():
 def test_function_and_class_literals():
     f = ExpandedFunction((0, 2, 1))
     assert format_function(f) == "f=[0,2,1]"
-    assert parse_function("f=[0,2,1]") == f
     zc = ZClass(atom_set([0, 2]))
     assert format_zclass(zc) == "Z={0,2}"
-    assert parse_zclass("Z={0,2}") == zc
-    with pytest.raises(ValueError):
-        parse_function("g=[0,1]")
-    with pytest.raises(ValueError):
-        parse_zclass("{0,2}")
