@@ -700,7 +700,7 @@ def check_annihilator_edge_triangles(ctx: RunContext, n: int, k: int):
     profile = triangle_profile(g)
     zsets, of = g.classes.zero_sets, g.classes.of
     orthogonal = [[orthogonal_annihilator(space, zu, zv) for zv in zsets] for zu in zsets]
-    bad = sum(1 for (i, j), flag in profile.edge_flags if flag == orthogonal[of[i]][of[j]])
+    bad = sum(1 for i, j in g.edges() if profile.edge_flag(i, j) == orthogonal[of[i]][of[j]])
     ok = bad == 0 and not profile.is_hypertriangulated
     return Outcome("edge on a triangle iff not orthogonal; not hypertriangulated over atoms",
                    f"{bad} mismatches, hypertriangulated={profile.is_hypertriangulated}", ok)

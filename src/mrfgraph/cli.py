@@ -18,7 +18,7 @@ import math
 import sys
 
 from .graph_build import KIND_BY_NAME, GraphKind, GraphTooLargeError, build_graph, export_graph
-from .graph_metrics import BoundExceededError, metrics, np_metrics, partiteness, triangle_profile
+from .graph_metrics import SOLVERS, BoundExceededError, metrics, np_metrics, partiteness, triangle_profile
 from .harness import SUITES, SuiteConfig, render_report, run_suite
 from .isomorphism import are_isomorphic
 from .measure_space import ATOMIC, INTERVAL, AtomicSpace, IntervalSpace
@@ -43,6 +43,15 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
         return value
     return parse
+
+
+def _parameter_names(text: str) -> str:
+    """argparse type: comma-separated names of exact parameters."""
+    for name in filter(None, (w.strip() for w in text.split(","))):
+        if name not in SOLVERS:
+            raise argparse.ArgumentTypeError(
+                f"unknown parameter {name!r} (known: {','.join(SOLVERS)})")
+    return text
 
 
 def _space(args):
@@ -209,9 +218,8 @@ def _add_graph_selectors(p: argparse.ArgumentParser) -> None:
 
 
 def _add_bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--clique-bound", type=int, default=128, dest="clique_bound")
-    p.add_argument("--chromatic-bound", type=int, default=128, dest="chromatic_bound")
-    p.add_argument("--dominating-bound", type=int, default=128, dest="dominating_bound")
+    for name in ("clique", "chromatic", "dominating"):
+        p.add_argument(f"--{name}-bound", type=_int_at_least(0), default=128, dest=f"{name}_bound")
 
 
 def _add_suite_flags(p: argparse.ArgumentParser) -> None:
@@ -251,15 +259,15 @@ def make_parser() -> argparse.ArgumentParser:
     _add_graph_selectors(p_metrics)
     _add_bounds(p_metrics)
     p_metrics.add_argument("--kind", required=True, choices=sorted(KIND_BY_NAME))
-    p_metrics.add_argument("--which", default=None,
-                           help="comma-separated: clique,chromatic,dominating,total_dominating")
+    p_metrics.add_argument("--which", type=_parameter_names, default=None,
+                           help=f"comma-separated: {','.join(SOLVERS)}")
     p_metrics.set_defaults(fn=cmd_metrics)
 
     p_iso = sub.add_parser("iso", help="isomorphism verdict between two graphs")
     _add_graph_selectors(p_iso)
     p_iso.add_argument("--left", required=True, choices=sorted(KIND_BY_NAME))
     p_iso.add_argument("--right", required=True, choices=sorted(KIND_BY_NAME))
-    p_iso.add_argument("--budget", type=int, default=200_000)
+    p_iso.add_argument("--budget", type=_int_at_least(0), default=200_000)
     p_iso.set_defaults(fn=cmd_iso, mode="expanded")
 
     p_verify = sub.add_parser("verify", help="run the verification suites (atomic backend)")

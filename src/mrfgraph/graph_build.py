@@ -14,8 +14,9 @@ A build tests them on cell masks, where a set is null exactly when its mask
 is 0, so both backends share one int kernel; ``adjacent`` is the exact
 reference.  ``oracle_adjacent`` recomputes the same relations from the
 ring-theoretic definitions alone (pointwise products; annihilator ideals as
-bitsets over the k^n candidate functions, one cached table per space and
-alphabet) so that the closed forms can be cross-validated exhaustively.
+bitsets over the k^n candidate functions; one cached table per space and
+alphabet, which also memoises the a.e. test per value tuple) so that the
+closed forms can be cross-validated exhaustively.
 """
 
 from __future__ import annotations
@@ -106,29 +107,46 @@ def weakly_adjacent_all(space: MeasureSpace, zu: MeasurableSet, zv: MeasurableSe
     return not is_atom(space, zu)
 
 
-def _vanishes_ae(space: AtomicSpace, values: Sequence[int]) -> bool:
-    return is_null(space, atom_set(i for i, v in enumerate(values) if v != 0))
-
-
 @lru_cache(maxsize=8)
 class _AnnihilatorTable:
-    """ann(p) as a bitset over the k^n candidate functions, computed on first
-    use per value tuple p: bit c is set when candidates[c] * p vanishes a.e.
-    ``nonzero`` marks the candidates that do not vanish a.e."""
+    """The oracle's memo for one space and alphabet.  ``vanishes(p)`` is the
+    a.e. test, kept per value tuple p.  ``ann(p)`` is ann(p) as a bitset over
+    the k^n candidate functions: bit c is set when candidates[c] * p vanishes
+    a.e.  ``reach(p)`` is the union of ann(h) over the candidates h in ann(p)
+    that do not vanish a.e.; ``nonzero`` marks those candidates.  Each is
+    computed on first use per value tuple."""
 
     def __init__(self, space: AtomicSpace, k: int):
         self.space = space
         self.candidates = list(itertools.product(range(k), repeat=space.n_atoms))
-        self.nonzero = sum(1 << c for c, h in enumerate(self.candidates)
-                           if not _vanishes_ae(space, h))
+        self._vanishes: dict[tuple[int, ...], bool] = {}
         self._ann: dict[tuple[int, ...], int] = {}
+        self._reach: dict[tuple[int, ...], int] = {}
+        self.nonzero = sum(1 << c for c, h in enumerate(self.candidates)
+                           if not self.vanishes(h))
+
+    def vanishes(self, p: tuple[int, ...]) -> bool:
+        hit = self._vanishes.get(p)
+        if hit is None:
+            hit = self._vanishes[p] = is_null(
+                self.space, atom_set(i for i, v in enumerate(p) if v != 0))
+        return hit
 
     def ann(self, p: tuple[int, ...]) -> int:
         mask = self._ann.get(p)
         if mask is None:
             mask = self._ann[p] = sum(
                 1 << c for c, h in enumerate(self.candidates)
-                if _vanishes_ae(self.space, tuple(a * b for a, b in zip(h, p))))
+                if self.vanishes(tuple(a * b for a, b in zip(h, p))))
+        return mask
+
+    def reach(self, p: tuple[int, ...]) -> int:
+        mask = self._reach.get(p)
+        if mask is None:
+            mask = 0
+            for c in _members(self.ann(p) & self.nonzero):
+                mask |= self.ann(self.candidates[c])
+            self._reach[p] = mask
         return mask
 
 
@@ -144,6 +162,8 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
     weakly-zd:    some zero-divisors h1 in ann(f), h2 in ann(g) have a
                   product vanishing a.e., over all candidate pairs; nonzero
                   h1, h2 with h1.h2 = 0 are zero-divisors by definition.
+                  h2 ranges over the union of ann(h1) for the nonzero h1 in
+                  ann(f), so the test is one intersection with ann(g).
 
     Raises :class:`BoundExceededError` beyond ``ORACLE_MAX_ATOMS`` atoms or
     ``ORACLE_MAX_ALPHABET`` symbols, before any table is built.
@@ -153,20 +173,18 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
         raise BoundExceededError(f"oracle bound exceeded: {n} atoms > {ORACLE_MAX_ATOMS}")
     if k > ORACLE_MAX_ALPHABET:
         raise BoundExceededError(f"oracle bound exceeded: alphabet {k} > {ORACLE_MAX_ALPHABET}")
+    table = _AnnihilatorTable(space, k)
     fv, gv = f.values, g.values
     if kind is GraphKind.ZERO_DIVISOR:
-        return _vanishes_ae(space, tuple(a * b for a, b in zip(fv, gv)))
+        return table.vanishes(tuple(a * b for a, b in zip(fv, gv)))
     if kind is GraphKind.COMAXIMAL:
         witness = tuple(a * a + b * b for a, b in zip(fv, gv))
-        return _vanishes_ae(space, tuple(1 if w == 0 else 0 for w in witness))
-    table = _AnnihilatorTable(space, k)
-    ann_f, ann_g = table.ann(fv), table.ann(gv)
+        return table.vanishes(tuple(1 if w == 0 else 0 for w in witness))
+    ann_g = table.ann(gv)
     if kind is GraphKind.ANNIHILATOR:
-        return bool(table.ann(tuple(a * b for a, b in zip(fv, gv))) & ~ann_f & ~ann_g)
+        return bool(table.ann(tuple(a * b for a, b in zip(fv, gv))) & ~table.ann(fv) & ~ann_g)
     if kind is GraphKind.WEAKLY_ZD:
-        killers = ann_f & table.nonzero
-        return any(killers >> c & 1 and table.ann(h) & ann_g & table.nonzero
-                   for c, h in enumerate(table.candidates))
+        return bool(table.reach(fv) & ann_g & table.nonzero)
     raise ValueError(f"unknown graph kind {kind!r}")
 
 

@@ -181,10 +181,41 @@ def cycle_rank(g: Graph, u: int, v: int, max_len: int = 8) -> float:
 
 @dataclass(frozen=True)
 class TriangleProfile:
+    """Triangle coverage of every vertex and every edge.  Edge flags are kept
+    per ordered pair of vertex classes: ``flagged[a]`` masks the classes
+    whose edges to class ``a`` lie on a triangle, and ``of`` gives each
+    vertex's class."""
+
     is_triangulated: bool
     is_hypertriangulated: bool
     vertex_flags: tuple[bool, ...]
-    edge_flags: tuple[tuple[tuple[int, int], bool], ...]
+    of: tuple[int, ...] = field(repr=False)
+    flagged: tuple[int, ...] = field(repr=False)
+
+    def edge_flag(self, i: int, j: int) -> bool:
+        """Whether the edge i-j lies on a triangle."""
+        return bool(self.flagged[self.of[i]] >> self.of[j] & 1)
+
+
+def _class_edges(g: Graph) -> tuple[list[int], list[int]]:
+    """Per twin class (``g.twins``), the mask of twin classes it is adjacent
+    to and, within it, of those whose rows meet its own row.  Members of a
+    class share their row, so an edge lies on a triangle exactly when the
+    rows of its two classes meet, and each ordered class pair is tested
+    once."""
+    firsts = [members[0] for members in g.twins.members]
+    rows = [g.adj[v] for v in firsts]
+    adjacent, meeting = [], []
+    for row in rows:
+        near = meet = 0
+        for b, v in enumerate(firsts):
+            if row >> v & 1:
+                near |= 1 << b
+                if row & rows[b]:
+                    meet |= 1 << b
+        adjacent.append(near)
+        meeting.append(meet)
+    return adjacent, meeting
 
 
 def comaximal_triangle_zero_sets(space: MeasureSpace, zs: MeasurableSet):
@@ -213,20 +244,21 @@ def annihilator_common_neighbor_zero_set(space: MeasureSpace, zu: MeasurableSet,
 def triangle_profile(g: Graph) -> TriangleProfile:
     """Triangle coverage of every vertex and every edge.
 
-    Atomic-backend graphs are searched directly.  Sampled interval-backend
-    graphs get their flags from the defining measure predicates, so the flags
-    describe the full graph and not just the sample.
+    Atomic-backend graphs are searched directly, once per ordered pair of
+    twin classes: a vertex lies on a triangle when one of its edges does.
+    Sampled interval-backend graphs get their flags from the defining measure
+    predicates, so the flags describe the full graph and not just the sample;
+    those depend on the zero sets, not the rows, so every vertex keeps a
+    class of its own there.
     """
     n = g.n_vertices
     if n == 0:
         raise ValueError("triangle profile of an empty graph is undefined")
     if g.space.backend == ATOMIC:
-        rows = [g.adj[members[0]] for members in g.twins.members]
-        on_triangle = [any(g.adj[j] & row for j in _members(row)) for row in rows]
-        vertex_flags = [on_triangle[c] for c in g.twins.of]
-        edge_flags = [((i, j), bool(g.adj[i] & g.adj[j])) for i, j in g.edges()]
-        return TriangleProfile(all(vertex_flags), bool(edge_flags) and all(f for _, f in edge_flags),
-                               tuple(vertex_flags), tuple(edge_flags))
+        adjacent, flagged = _class_edges(g)
+        vertex_flags = tuple(bool(flagged[c]) for c in g.twins.of)
+        return TriangleProfile(all(vertex_flags), any(adjacent) and adjacent == flagged,
+                               vertex_flags, g.twins.of, tuple(flagged))
 
     space = g.space
     vertex_flags = []
@@ -241,20 +273,24 @@ def triangle_profile(g: Graph) -> TriangleProfile:
         else:
             ok = n >= 3  # complete multipartite on distinct atomic classes
         vertex_flags.append(ok)
-    edge_flags = []
-    for i, j in g.edges():
-        zu, zv = g.zero_sets[i], g.zero_sets[j]
-        if g.kind is GraphKind.COMAXIMAL:
-            flag = not is_null(space, intersect(space, complement(space, zu), complement(space, zv)))
-        elif g.kind is GraphKind.ZERO_DIVISOR:
-            flag = not is_null(space, intersect(space, zu, zv))
-        elif g.kind is GraphKind.ANNIHILATOR:
-            flag = annihilator_common_neighbor_zero_set(space, zu, zv) is not None
-        else:
-            flag = n >= 3
-        edge_flags.append(((i, j), flag))
-    return TriangleProfile(all(vertex_flags), bool(edge_flags) and all(f for _, f in edge_flags),
-                           tuple(vertex_flags), tuple(edge_flags))
+    flagged = [0] * n
+    for i, row in enumerate(g.adj):
+        for j in _members(row >> i + 1 << i + 1):
+            zu, zv = g.zero_sets[i], g.zero_sets[j]
+            if g.kind is GraphKind.COMAXIMAL:
+                flag = not is_null(space, intersect(space, complement(space, zu),
+                                                    complement(space, zv)))
+            elif g.kind is GraphKind.ZERO_DIVISOR:
+                flag = not is_null(space, intersect(space, zu, zv))
+            elif g.kind is GraphKind.ANNIHILATOR:
+                flag = annihilator_common_neighbor_zero_set(space, zu, zv) is not None
+            else:
+                flag = n >= 3
+            if flag:
+                flagged[i] |= 1 << j
+                flagged[j] |= 1 << i
+    return TriangleProfile(all(vertex_flags), any(g.adj) and list(g.adj) == flagged,
+                           tuple(vertex_flags), tuple(range(n)), tuple(flagged))
 
 
 @dataclass(frozen=True)
@@ -268,25 +304,24 @@ class ComplementationProfile:
 def complementation_profile(g: Graph) -> ComplementationProfile:
     """Orthogonality as 'adjacent with no common neighbor' (equivalently the
     smallest common cycle is longer than a triangle); unique complementation
-    by literal neighborhood equality across each vertex's partners."""
+    by literal neighborhood equality across each vertex's partners.
+
+    Both are decided per twin class (``g.twins``): two classes are
+    orthogonal when they are adjacent and their rows do not meet, and the
+    partners of a vertex all have one neighborhood exactly when they lie in
+    one twin class, since distinct twin classes have distinct rows."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("complementation profile of an empty graph is undefined")
-    pairs = [(i, j) for i, j in g.edges() if not g.adj[i] & g.adj[j]]
-    partners: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs:
-        partners[i].append(j)
-        partners[j].append(i)
-    has = tuple(bool(p) for p in partners)
+    of, members = g.twins.of, g.twins.members
+    partners = [near & ~meet for near, meet in zip(*_class_edges(g))]
+    member_masks = [sum(1 << v for v in vs) for vs in members]
+    reach = [sum(member_masks[b] for b in _members(p)) for p in partners]
+    pairs = tuple((i, j) for i, c in enumerate(of) for j in _members(reach[c] >> i + 1 << i + 1))
+    has = tuple(bool(partners[c]) for c in of)
     complemented = all(has)
-    unique = complemented
-    if complemented:
-        for plist in partners:
-            first = plist[0]
-            if any(g.adj[q] != g.adj[first] for q in plist[1:]):
-                unique = False
-                break
-    return ComplementationProfile(tuple(pairs), has, complemented, unique)
+    unique = complemented and all(p.bit_count() == 1 for p in partners)
+    return ComplementationProfile(pairs, has, complemented, unique)
 
 
 @dataclass(frozen=True)
@@ -515,6 +550,15 @@ def _min_dominating(rows: tuple[int, ...], n: int, total: bool) -> tuple[float, 
     return INF, []
 
 
+# The exact solvers by parameter name: the bound each one obeys, and the search.
+SOLVERS = {
+    "clique": ("clique", _max_clique),
+    "chromatic": ("chromatic", _chromatic),
+    "dominating": ("dominating", partial(_min_dominating, total=False)),
+    "total_dominating": ("dominating", partial(_min_dominating, total=True)),
+}
+
+
 def np_metrics(g: Graph, which: tuple[str, ...] = ("clique",),
                clique_bound: int = 64, chromatic_bound: int = 64,
                dominating_bound: int = 24) -> dict[str, tuple[float, list[int]]]:
@@ -523,18 +567,14 @@ def np_metrics(g: Graph, which: tuple[str, ...] = ("clique",),
     n = g.n_vertices
     if n == 0:
         raise ValueError("parameters of an empty graph are undefined")
-    solvers = {
-        "clique": ("clique", clique_bound, _max_clique),
-        "chromatic": ("chromatic", chromatic_bound, _chromatic),
-        "dominating": ("dominating", dominating_bound, partial(_min_dominating, total=False)),
-        "total_dominating": ("dominating", dominating_bound, partial(_min_dominating, total=True)),
-    }
+    bounds = {"clique": clique_bound, "chromatic": chromatic_bound,
+              "dominating": dominating_bound}
     out: dict[str, tuple[float, list[int]]] = {}
     for name in which:
-        if name not in solvers:
+        if name not in SOLVERS:
             raise ValueError(f"unknown parameter {name!r}")
-        label, bound, solve = solvers[name]
-        if n > bound:
-            raise BoundExceededError(f"{n} vertices exceed {label} bound {bound}")
+        label, solve = SOLVERS[name]
+        if n > bounds[label]:
+            raise BoundExceededError(f"{n} vertices exceed {label} bound {bounds[label]}")
         out[name] = solve(g.adj, n)
     return out

@@ -64,6 +64,9 @@ class SuiteConfig:
             raise ValueError("sample_count must be at least 1")
         if self.max_cycle_len < 3:
             raise ValueError("max_cycle_len must be at least 3")
+        for name in ("clique_bound", "chromatic_bound", "dominating_bound", "iso_budget"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
         bad = [s for s in self.suites if s not in SUITES]
         if bad:
             raise ValueError(f"unknown suites {bad}")

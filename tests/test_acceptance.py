@@ -119,7 +119,7 @@ def test_criterion_2_comaximal_suite():
             assert profile.vertex_flags[i] == (not coz_atom)
 
         assert not profile.is_hypertriangulated
-        edge_flags = dict(profile.edge_flags)
+        edge_flags = {(i, j): profile.edge_flag(i, j) for i, j in g.edges()}
         for i in range(g.n_vertices):
             j = g.zero_sets.index(complement(space, g.zero_sets[i]))
             assert g.is_edge(i, j)

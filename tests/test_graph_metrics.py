@@ -132,9 +132,10 @@ def test_triangle_flags_match_brute_force(g):
     triangles = [set(t) for t in nx.enumerate_all_cliques(h) if len(t) == 3]
     for i in range(g.n_vertices):
         assert profile.vertex_flags[i] == any(i in t for t in triangles)
-    assert [e for e, _ in profile.edge_flags] == list(g.edges())
-    for (i, j), flag in profile.edge_flags:
-        assert flag == any(i in t and j in t for t in triangles)
+    for i in range(g.n_vertices):
+        for j in range(i + 1, g.n_vertices):
+            want = g.is_edge(i, j) and any(i in t and j in t for t in triangles)
+            assert profile.edge_flag(i, j) == want
 
 
 # -- cycle rank ---------------------------------------------------------------
@@ -215,7 +216,8 @@ def test_triangle_profile_atomic_rules():
 def test_triangle_profile_edge_to_complement_class():
     space = unit_space(4)
     g = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=2)
-    flags = dict(triangle_profile(g).edge_flags)
+    profile = triangle_profile(g)
+    flags = {(i, j): profile.edge_flag(i, j) for i, j in g.edges()}
     for i in range(g.n_vertices):
         partner = complement(space, g.zero_sets[i])
         j = g.zero_sets.index(partner)
@@ -261,6 +263,9 @@ def test_sampled_profile_flags_full_graph():
     g = build_graph(space, GraphKind.COMAXIMAL, sample=sample_interval_classes(5, 15))
     profile = triangle_profile(g)
     assert profile.is_triangulated  # non-atomic measure
+    for i, j in g.edges():  # each sampled edge keeps its own predicate flag
+        cozs = intersect(space, complement(space, g.zero_sets[i]), complement(space, g.zero_sets[j]))
+        assert profile.edge_flag(i, j) == profile.edge_flag(j, i) == (not is_null(space, cozs))
     ga = build_graph(space, GraphKind.ANNIHILATOR, sample=sample_interval_classes(5, 15))
     pa = triangle_profile(ga)
     assert pa.is_triangulated and pa.is_hypertriangulated

@@ -119,6 +119,10 @@ def test_config_validation():
         SuiteConfig(sample_count=0)
     with pytest.raises(ValueError):
         SuiteConfig(max_cycle_len=2)
+    for name in ("clique_bound", "chromatic_bound", "dominating_bound", "iso_budget"):
+        with pytest.raises(ValueError, match=f"{name} must be at least 0"):
+            SuiteConfig(**{name: -1})
+        SuiteConfig(**{name: 0})
     with pytest.raises(ValueError):
         SuiteConfig.from_dict({"no_such_key": 1})
 
@@ -243,9 +247,15 @@ def test_failing_entry_repro_line_runs(argv, check_id, force, monkeypatch, capsy
 def _flip_orthogonal_edge(ctx, n, kind, k):
     """Replace the cached expanded graph with one whose edge between the first
     members of the classes Z={0} and its complement is toggled."""
+    _toggle_edge(ctx, n, kind, k, atom_set([0]), complement(ctx.space(n), atom_set([0])))
+
+
+def _toggle_edge(ctx, n, kind, k, zu, zv):
+    """Replace the cached expanded graph with one whose edge between the first
+    members of the classes with zero sets ``zu`` and ``zv`` is toggled."""
     g = ctx.graph(n, kind, "expanded", alphabet=k)
-    i = g.classes.members[g.classes.index[atom_set([0])]][0]
-    j = g.classes.members[g.classes.index[complement(g.space, atom_set([0]))]][0]
+    i = g.classes.members[g.classes.index[zu]][0]
+    j = g.classes.members[g.classes.index[zv]][0]
     adj = list(g.adj)
     adj[i] ^= 1 << j
     adj[j] ^= 1 << i
@@ -259,6 +269,8 @@ def _flip_orthogonal_edge(ctx, n, kind, k):
     ("annihilator.orthogonality_rule", GraphKind.ANNIHILATOR, (3, 3)),
     ("comaximal.cycle_rank_cases", GraphKind.COMAXIMAL, (3, 3)),
     ("annihilator.cycle_rank_cases", GraphKind.ANNIHILATOR, (3, 3)),
+    ("comaximal.orthogonality_rule", GraphKind.COMAXIMAL, (3, 3)),
+    ("comaximal.complemented_unique", GraphKind.COMAXIMAL, (3, "expanded", 3)),
 ])
 def test_rule_checks_read_the_computed_side_per_vertex_pair(check_id, kind, args):
     """The expected side is evaluated per zero-set class pair, but the
@@ -272,7 +284,30 @@ def test_rule_checks_read_the_computed_side_per_vertex_pair(check_id, kind, args
     _flip_orthogonal_edge(ctx, 3, kind, 3)
     outcome = fn(ctx, *args)
     assert not outcome.ok
-    assert int(outcome.computed.split()[0]) >= 1
+    assert outcome.computed == "violated" or int(outcome.computed.split()[0]) >= 1
+
+
+def test_edge_triangle_rule_reads_each_edge():
+    """At n=3 the annihilator graph joins Z={0} to Z={1,2} and Z={2}, and
+    Z={0,1} to the same two classes, but not Z={0} to Z={0,1}; the edges to
+    Z={1,2} from Z={0}, and to Z={2} from Z={0,1}, are orthogonal.  An added
+    edge u-w between the first members of Z={0} and Z={0,1} gives each
+    orthogonal edge at u or w a common neighbour (w or u): one mismatch per
+    member of Z={1,2} and of Z={2}, read edge by edge."""
+    fn = REGISTRY["annihilator.edge_triangle_rule"].fn
+    ctx = RunContext(SuiteConfig())
+    assert fn(ctx, 3, 3).ok
+    g = ctx.graph(3, GraphKind.ANNIHILATOR, "expanded", alphabet=3)
+    u, v, w, y = (g.classes.members[g.classes.index[atom_set(z)]][0]
+                  for z in ([0], [1, 2], [0, 1], [2]))
+    assert g.is_edge(u, v) and g.is_edge(v, w) and not g.is_edge(u, w)
+    assert g.is_edge(u, y) and g.is_edge(w, y)
+    assert not g.adj[u] & g.adj[v] and not g.adj[w] & g.adj[y]
+    _toggle_edge(ctx, 3, GraphKind.ANNIHILATOR, 3, atom_set([0]), atom_set([0, 1]))
+    outcome = fn(ctx, 3, 3)
+    assert not outcome.ok
+    flipped = len(g.classes.members[g.classes.of[v]]) + len(g.classes.members[g.classes.of[y]])
+    assert int(outcome.computed.split()[0]) == flipped
 
 
 def test_cli_sample(capsys):
@@ -331,9 +366,31 @@ def _exit_code(argv) -> int:
      "invalid configuration: only='nosuch.check' names no atomic-backend check"),
     (["verify", "--only", "measure_core.sampled_no_atoms"],
      "invalid configuration: only='measure_core.sampled_no_atoms' names no atomic-backend check"),
+    (["metrics", "--kind", "comaximal", "--atoms", "3", "--which", "foo"],
+     "--which: unknown parameter 'foo'"),
+    (["verify", "--atoms", "3", "--budget", "-5"],
+     "invalid configuration: iso_budget must be at least 0"),
+    (["verify", "--atoms", "3", "--clique-bound", "-1"],
+     "invalid configuration: clique_bound must be at least 0"),
+    (["verify", "--atoms", "3", "--chromatic-bound", "-1"],
+     "invalid configuration: chromatic_bound must be at least 0"),
+    (["verify", "--atoms", "3", "--dominating-bound", "-1"],
+     "invalid configuration: dominating_bound must be at least 0"),
+    (["metrics", "--kind", "comaximal", "--atoms", "3", "--which", "clique",
+      "--clique-bound", "-1"], "--clique-bound: must be at least 0, got -1"),
+    (["metrics", "--kind", "comaximal", "--atoms", "3", "--which", "chromatic",
+      "--chromatic-bound", "-1"], "--chromatic-bound: must be at least 0, got -1"),
+    (["metrics", "--kind", "comaximal", "--atoms", "3", "--which", "dominating",
+      "--dominating-bound", "-1"], "--dominating-bound: must be at least 0, got -1"),
+    (["iso", "--left", "comaximal", "--right", "zero_divisor", "--atoms", "2",
+      "--budget", "-1"], "--budget: must be at least 0, got -1"),
 ], ids=["atoms-0", "alphabet-1", "missing-config", "bound-exceeded", "graph-too-large",
         "atoms-malformed", "max-cycle-len-0", "samples-0", "out-unwritable", "only-unknown",
-        "only-other-backend"])
+        "only-other-backend", "which-unknown", "verify-budget-negative",
+        "verify-clique-bound-negative", "verify-chromatic-bound-negative",
+        "verify-dominating-bound-negative", "metrics-clique-bound-negative",
+        "metrics-chromatic-bound-negative", "metrics-dominating-bound-negative",
+        "iso-budget-negative"])
 def test_cli_input_errors_exit_2(argv, message, capsys):
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
@@ -348,12 +405,25 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("cannot read config")
 
 
-def _default_suite_script():
-    spec = importlib.util.spec_from_file_location(
-        "run_default_suite", ROOT / "scripts" / "run_default_suite.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def _default_suite_script():
+    return _script("run_default_suite")
+
+
+def test_check_times_prints_one_line_per_selected_check(capsys):
+    assert _script("check_times").main(["--atoms", "2..2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ids = [check.id for check in applicable_checks(SuiteConfig(atoms_min=2, atoms_max=2))]
+    assert [line.split()[2] for line in lines[:-1]] == ids
+    assert lines[-1].endswith(f"total over {len(ids)} checks")
+    assert _script("check_times").main(["--atoms", "2..2", "--top", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def test_sample_cli_matches_default_suite_script(capsys):

@@ -1,12 +1,17 @@
-"""Twin-class sourcing against the full per-source and per-pair reference.
+"""Twin-class sourcing against the full per-source, per-pair and per-edge
+reference, and the memoised oracle against the un-memoised one.
 
 Vertices with identical adjacency rows are false twins, and swapping two of
-them is an automorphism.  ``metrics``, ``MetricsSummary.distances_from`` and
-the two cycle-rank checks therefore search once per twin class
-(``Graph.twins``).  The slow reference here searches from every vertex and
-for every vertex pair, as the library did before."""
+them is an automorphism.  ``metrics``, ``MetricsSummary.distances_from``,
+the two cycle-rank checks, ``triangle_profile`` and
+``complementation_profile`` therefore work once per twin class or ordered
+pair of twin classes (``Graph.twins``).  The slow reference here searches
+from every vertex, for every vertex pair and over every edge, as the library
+did before.  ``oracle_adjacent`` memoises the a.e. test and the weakly-zd
+reach per value tuple; the reference re-derives both on every call."""
 
 import dataclasses
+import itertools
 import math
 import random
 from functools import partial
@@ -15,11 +20,18 @@ import pytest
 
 from mrfgraph import checks, graph_metrics
 from mrfgraph.checks import _pair_mismatches, _twin_cycle_rank, expected_comaximal_distance
-from mrfgraph.graph_build import Graph, GraphKind, build_graph
-from mrfgraph.graph_metrics import _levels, _members, cycle_rank, metrics, triangle_profile
+from mrfgraph.graph_build import Graph, GraphKind, build_graph, oracle_adjacent
+from mrfgraph.graph_metrics import (
+    _levels,
+    _members,
+    complementation_profile,
+    cycle_rank,
+    metrics,
+    triangle_profile,
+)
 from mrfgraph.harness import RunContext, SuiteConfig
-from mrfgraph.measure_space import atom_set, unit_space
-from mrfgraph.vertex_universe import ZClass
+from mrfgraph.measure_space import IntervalSpace, atom_set, is_null, unit_space
+from mrfgraph.vertex_universe import ZClass, enumerate_functions, sample_interval_classes
 
 INF = math.inf
 MAX_LEN = 8
@@ -42,6 +54,43 @@ def reference_metrics(g: Graph):
     return tuple(ecc), girth, rows
 
 
+def reference_triangle_profile(g: Graph):
+    """Triangle flags per vertex and per edge: (triangulated,
+    hypertriangulated, vertex flags, {edge: flag})."""
+    vertex_flags = tuple(any(g.adj[j] & g.adj[i] for j in _members(g.adj[i]))
+                         for i in range(g.n_vertices))
+    edge_flags = {(i, j): bool(g.adj[i] & g.adj[j]) for i, j in g.edges()}
+    return (all(vertex_flags), bool(edge_flags) and all(edge_flags.values()),
+            vertex_flags, edge_flags)
+
+
+def reference_complementation_profile(g: Graph):
+    """Orthogonal pairs over every edge, and uniqueness by comparing the rows
+    of each vertex's partners: (pairs, has_complement, complemented,
+    uniquely complemented)."""
+    pairs = [(i, j) for i, j in g.edges() if not g.adj[i] & g.adj[j]]
+    partners: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for i, j in pairs:
+        partners[i].append(j)
+        partners[j].append(i)
+    has = tuple(bool(p) for p in partners)
+    complemented = all(has)
+    unique = complemented and all(g.adj[q] == g.adj[p[0]] for p in partners for q in p)
+    return tuple(pairs), has, complemented, unique
+
+
+def assert_profiles_match_reference(g: Graph) -> None:
+    tri = triangle_profile(g)
+    triangulated, hyper, vertex_flags, edge_flags = reference_triangle_profile(g)
+    assert (tri.is_triangulated, tri.is_hypertriangulated) == (triangulated, hyper)
+    assert tri.vertex_flags == vertex_flags
+    for (i, j), flag in edge_flags.items():
+        assert tri.edge_flag(i, j) == tri.edge_flag(j, i) == flag, (i, j)
+    comp = complementation_profile(g)
+    assert (comp.orthogonal_pairs, comp.has_complement, comp.is_complemented,
+            comp.is_uniquely_complemented) == reference_complementation_profile(g)
+
+
 def assert_matches_reference(g: Graph, ranks: bool = True) -> None:
     summary = metrics(g)
     ecc, girth, rows = reference_metrics(g)
@@ -51,9 +100,7 @@ def assert_matches_reference(g: Graph, ranks: bool = True) -> None:
     for s, row in enumerate(rows):
         assert summary.distances_from(s) == row, s
         assert [summary.distance(s, x) for x in range(g.n_vertices)] == row, s
-    flags = tuple(any(g.adj[j] & g.adj[i] for j in _members(g.adj[i]))
-                  for i in range(g.n_vertices))
-    assert triangle_profile(g).vertex_flags == flags
+    assert_profiles_match_reference(g)
     if ranks:
         got = _twin_cycle_rank(g, MAX_LEN)
         for i in range(g.n_vertices):
@@ -111,6 +158,29 @@ def test_planted_twins_match_reference(seed):
     assert_matches_reference(g)
 
 
+def test_edgeless_graph_profiles():
+    g = raw_graph((0, 0, 0))
+    assert_profiles_match_reference(g)
+    tri = triangle_profile(g)
+    assert not tri.is_triangulated and not tri.is_hypertriangulated
+    comp = complementation_profile(g)
+    assert comp.orthogonal_pairs == () and not comp.is_complemented
+    assert not comp.is_uniquely_complemented
+
+
+def test_profiles_never_list_the_edges(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Graph.edges() called")
+
+    sample = sample_interval_classes(5, 15)
+    graphs = [*atomic_graphs(3), *(build_graph(IntervalSpace(), kind, sample=sample)
+                                   for kind in GraphKind if kind is not GraphKind.WEAKLY_ZD)]
+    monkeypatch.setattr(Graph, "edges", refuse)
+    for g in graphs:
+        triangle_profile(g)
+        complementation_profile(g)
+
+
 def test_twins_come_from_rows_not_zero_sets():
     # one shared zero set, but a path's rows: the zero-set partition has one
     # class, the row partition one class per vertex
@@ -157,3 +227,45 @@ def test_searches_run_once_per_twin_class(monkeypatch):
     outcome = checks.check_comaximal_cycle_rank(ctx, 4, 3)
     assert outcome.ok
     assert 0 < calls["cycle_rank"] <= classes * classes
+
+
+def reference_oracle_adjacent(kind, space, k, f, g):
+    """The un-memoised table oracle: every a.e. test through ``atom_set`` and
+    ``is_null``, ann(p) over the k^n candidates, and the weakly-zd pair
+    scanning every candidate h1 in ann(f) for an h2 in ann(g)."""
+    def vanishes(values):
+        return is_null(space, atom_set(i for i, v in enumerate(values) if v != 0))
+
+    candidates = list(itertools.product(range(k), repeat=space.n_atoms))
+    nonzero = sum(1 << c for c, h in enumerate(candidates) if not vanishes(h))
+
+    def ann(p):
+        return sum(1 << c for c, h in enumerate(candidates)
+                   if vanishes(tuple(a * b for a, b in zip(h, p))))
+
+    fv, gv = f.values, g.values
+    if kind is GraphKind.ZERO_DIVISOR:
+        return vanishes(tuple(a * b for a, b in zip(fv, gv)))
+    if kind is GraphKind.COMAXIMAL:
+        return vanishes(tuple(1 if a * a + b * b == 0 else 0 for a, b in zip(fv, gv)))
+    ann_f, ann_g = ann(fv), ann(gv)
+    if kind is GraphKind.ANNIHILATOR:
+        return bool(ann(tuple(a * b for a, b in zip(fv, gv))) & ~ann_f & ~ann_g)
+    killers = ann_f & nonzero
+    return any(killers >> c & 1 and ann(h) & ann_g & nonzero
+               for c, h in enumerate(candidates))
+
+
+ORACLE_CASES = [(n, k) for n in (1, 2, 3) for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("n,k", ORACLE_CASES, ids=[f"n{n}k{k}" for n, k in ORACLE_CASES])
+def test_memoised_oracle_matches_unmemoised(n, k):
+    """Every ordered pair, self-pairs included, at n <= 3.  The n=4, k=3
+    case is in test_graph_build's comparison with the per-pair oracle."""
+    space = unit_space(n)
+    divisors = enumerate_functions(space, k)
+    for kind in GraphKind:
+        for f, g in itertools.product(divisors, repeat=2):
+            assert oracle_adjacent(kind, space, k, f, g) == \
+                reference_oracle_adjacent(kind, space, k, f, g), (kind, f, g)
