@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-check in-process wall time of the atomic suites over an atom range.
 
-    PYTHONPATH=src python scripts/check_times.py --atoms 7..7 [--top 10]
+    PYTHONPATH=src python scripts/check_times.py --atoms 7..7
 
 Runs the checks that ``mrfgraph verify --atoms LO..HI`` selects, in the same
 order, through the harness's own instance loop on one ``RunContext``, and
@@ -23,26 +23,20 @@ from mrfgraph.harness import RunContext, SuiteConfig, _check_entries, applicable
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--atoms", type=_atom_range, default=(2, 5), help="atom range, e.g. 7..7")
-    parser.add_argument("--top", type=int, default=None, help="print only the N slowest checks")
     args = parser.parse_args(argv)
     config = SuiteConfig(atoms_min=args.atoms[0], atoms_max=args.atoms[1])
     ctx = RunContext(config)
-    rows = []
+    checks = applicable_checks(config)
     start = time.perf_counter()
-    for check in applicable_checks(config):
-        if check.kind is not None and check.kind not in config.kinds:
-            continue
+    for check in checks:
         t0 = time.perf_counter()
         entries = _check_entries(check, ctx)
         elapsed = time.perf_counter() - t0
         statuses = [e.status for e in entries]
         counts = "/".join(str(statuses.count(s)) for s in ("pass", "fail", "skipped"))
-        rows.append((elapsed, check.id, counts))
+        print(f"{elapsed:8.3f} s  {check.id:45s} pass/fail/skipped {counts}")
     total = time.perf_counter() - start
-    shown = sorted(rows, reverse=True)[:args.top] if args.top else rows
-    for elapsed, check_id, counts in shown:
-        print(f"{elapsed:8.3f} s  {check_id:45s} pass/fail/skipped {counts}")
-    print(f"{total:8.3f} s  total over {len(rows)} checks")
+    print(f"{total:8.3f} s  total over {len(checks)} checks")
     return 0
 
 

@@ -284,7 +284,10 @@ def test_rule_checks_read_the_computed_side_per_vertex_pair(check_id, kind, args
     _flip_orthogonal_edge(ctx, 3, kind, 3)
     outcome = fn(ctx, *args)
     assert not outcome.ok
-    assert outcome.computed == "violated" or int(outcome.computed.split()[0]) >= 1
+    if check_id == "comaximal.complemented_unique":
+        assert outcome.computed == "violated"
+    else:
+        assert int(outcome.computed.split()[0]) >= 1
 
 
 def test_edge_triangle_rule_reads_each_edge():
@@ -422,8 +425,6 @@ def test_check_times_prints_one_line_per_selected_check(capsys):
     ids = [check.id for check in applicable_checks(SuiteConfig(atoms_min=2, atoms_max=2))]
     assert [line.split()[2] for line in lines[:-1]] == ids
     assert lines[-1].endswith(f"total over {len(ids)} checks")
-    assert _script("check_times").main(["--atoms", "2..2", "--top", "3"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def test_sample_cli_matches_default_suite_script(capsys):
