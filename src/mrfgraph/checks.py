@@ -46,6 +46,7 @@ from .measure_space import (
     union,
 )
 from .vertex_universe import (
+    SAMPLE_MAX_DEPTH,
     ZClass,
     ann_leq,
     class_size,
@@ -270,7 +271,7 @@ def check_split_prefix_exact(ctx: RunContext):
     rng = random.Random(f"split:{ctx.config.seed}")
     bad = 0
     for i in range(cases):
-        zc = sample_interval_class(f"{ctx.config.seed}:split:{i}", i % 3 + 1)
+        zc = sample_interval_class(f"{ctx.config.seed}:split:{i}", i % SAMPLE_MAX_DEPTH + 1)
         candidate = zc.zero_set if i % 2 == 0 else complement(space, zc.zero_set)
         total = measure(space, candidate)
         r = total * Fraction(rng.randrange(0, 101), 100)

@@ -161,6 +161,10 @@ def _config_from_args(args, backend: str) -> SuiteConfig:
         except (OSError, json.JSONDecodeError) as exc:
             sys.stderr.write(f"cannot read config {args.config}: {exc}\n")
             raise SystemExit(2)
+        if not isinstance(base, dict):
+            sys.stderr.write(f"invalid configuration: {args.config} holds "
+                             f"{type(base).__name__}, not a JSON object\n")
+            raise SystemExit(2)
     atoms_min, atoms_max = args.atoms or (None, None)
     overrides = {
         "backend": backend,

@@ -201,16 +201,22 @@ class ZeroSetClasses:
     """Vertices grouped by zero set, classes numbered by first appearance
     (never by hash order).  Adjacency depends only on the zero set, so the
     members of one class are false twins.  Fed adjacency rows in place of
-    zero sets, the same grouping gives the false-twin classes themselves."""
+    zero sets, the same grouping gives the false-twin classes themselves;
+    fed any hashable keys, it groups their positions."""
 
     zero_sets: tuple[MeasurableSet, ...]     # zero set of each class
     index: dict[MeasurableSet, int]          # class of each zero set
     of: tuple[int, ...]                      # class of each vertex
     members: tuple[tuple[int, ...], ...]     # vertices of each class, ascending
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The member bitmask of each class."""
+        return tuple(sum(1 << v for v in vs) for vs in self.members)
+
 
 def zero_set_classes(zero_sets: Sequence[MeasurableSet]) -> ZeroSetClasses:
-    """Partition vertex positions by their zero sets."""
+    """Partition positions by key, numbering the classes by first appearance."""
     index: dict[MeasurableSet, int] = {}
     members: list[list[int]] = []
     of = []
@@ -293,7 +299,7 @@ def _fill_adjacency(kind, space, zero_sets) -> tuple[int, ...]:
             GraphKind.ZERO_DIVISOR: lambda a, b: a | b == full,
             GraphKind.ANNIHILATOR: lambda a, b: bool(a & ~b and b & ~a),
             GraphKind.WEAKLY_ZD: lambda a, b: a != b}[kind]
-    members = [sum(1 << v for v in vs) for vs in classes.members]
+    members = classes.masks
     reach = [members[c] if edge(m, m) else 0 for c, m in enumerate(masks)]
     for a, ma in enumerate(masks):
         for b in range(a + 1, len(masks)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate
 from operator import or_
 
@@ -313,9 +313,8 @@ def complementation_profile(g: Graph) -> ComplementationProfile:
     n = g.n_vertices
     if n == 0:
         raise ValueError("complementation profile of an empty graph is undefined")
-    of, members = g.twins.of, g.twins.members
+    of, member_masks = g.twins.of, g.twins.masks
     partners = [near & ~meet for near, meet in zip(*_class_edges(g))]
-    member_masks = [sum(1 << v for v in vs) for vs in members]
     reach = [sum(member_masks[b] for b in _members(p)) for p in partners]
     pairs = tuple((i, j) for i, c in enumerate(of) for j in _members(reach[c] >> i + 1 << i + 1))
     has = tuple(bool(partners[c]) for c in of)
@@ -332,51 +331,25 @@ class Partiteness:
 
 
 def partiteness(g: Graph) -> Partiteness:
-    """Bipartiteness as 'no edge inside any BFS level' over every component;
-    complete bipartiteness on a connected graph by joining its even levels
-    to its odd levels; complete multipartiteness by checking that
-    non-adjacency is an equivalence relation: its classes are the parts
-    (returned when detected), and every cross pair is then joined."""
+    """Bipartiteness as 'no edge inside any BFS level' over every component.
+    A graph is complete multipartite exactly when each twin class
+    (``g.twins``) is joined to every vertex outside it; its parts are then
+    the twin classes, and it is complete bipartite when there are two."""
     n = g.n_vertices
     if n == 0:
         raise ValueError("partiteness of an empty graph is undefined")
-    components = []
-    seen = 0
+    levels, seen = [], 0
     for s in range(n):
         if not seen >> s & 1:
-            levels, reached, _ = _levels(g.adj, s)
+            found, reached, _ = _levels(g.adj, s)
             seen |= reached
-            components.append(levels)
-    bipartite = not any(g.adj[x] & level for levels in components
-                        for level in levels for x in _members(level))
-    complete_bipartite = False
-    if bipartite and len(components) == 1 and n >= 2:
-        levels = components[0]
-        right = reduce(or_, levels[1::2])
-        complete_bipartite = all(g.adj[x] == right for level in levels[0::2]
-                                 for x in _members(level))
-    parts = _complete_multipartite_parts(g)
-    return Partiteness(bipartite, complete_bipartite, parts)
-
-
-def _complete_multipartite_parts(g: Graph):
-    n = g.n_vertices
+            levels += found
+    bipartite = not any(g.adj[x] & level for level in levels for x in _members(level))
     full = (1 << n) - 1
-    seen = 0
-    parts = []
-    for s in range(n):
-        if seen >> s & 1:
-            continue
-        non_adj = full & ~g.adj[s]
-        part = [i for i in range(n) if non_adj >> i & 1]
-        # all members must share the same non-neighborhood (transitivity);
-        # a vertex outside it is then adjacent to every member
-        for i in part:
-            if (full & ~g.adj[i]) != non_adj:
-                return None
-        parts.append(tuple(part))
-        seen |= non_adj
-    return tuple(parts)
+    twins = g.twins
+    joined = all(g.adj[vs[0]] == full ^ mask for vs, mask in zip(twins.members, twins.masks))
+    parts = twins.members if joined else None
+    return Partiteness(bipartite, joined and len(parts) == 2, parts)
 
 
 def _max_clique(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:

@@ -52,10 +52,16 @@ class SuiteConfig:
     only: str | None = None                  # run a single check id
 
     def __post_init__(self):
+        for f in fields(self):  # the int fields, known by their defaults
+            value = getattr(self, f.name)
+            if type(f.default) is int and type(value) is not int:
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
         if self.backend not in (ATOMIC, INTERVAL):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.weights not in ("unit", "random-positive"):
             raise ValueError(f"unknown weights policy {self.weights!r}")
+        if self.output not in ("json", "text"):
+            raise ValueError(f"unknown output format {self.output!r}")
         if not 1 <= self.atoms_min <= self.atoms_max:
             raise ValueError("need 1 <= atoms_min <= atoms_max")
         if self.alphabet < 2:
@@ -268,7 +274,7 @@ class RunContext:
         self.config = config
         self._spaces: dict[tuple, AtomicSpace] = {}
         self._graphs: dict[tuple, Graph] = {}
-        self._metrics: dict[tuple, MetricsSummary] = {}
+        self._metrics: dict[tuple[int, ...], MetricsSummary] = {}
         self._interval_space = IntervalSpace()
         self._interval_classes: list[ZClass] | None = None
 
@@ -298,12 +304,11 @@ class RunContext:
         return self._graphs[key]
 
     def graph_metrics(self, g: Graph) -> MetricsSummary:
-        key = (g.kind, g.mode, g.alphabet,
-               g.space.n_atoms if isinstance(g.space, AtomicSpace) else None,
-               g.space)
-        if key not in self._metrics:
-            self._metrics[key] = metrics(g)
-        return self._metrics[key]
+        """Metrics depend on the adjacency rows alone, so they are cached by
+        them: two sampled graphs share a kind, mode and space but not rows."""
+        if g.adj not in self._metrics:
+            self._metrics[g.adj] = metrics(g)
+        return self._metrics[g.adj]
 
 
 def applicable_checks(config: SuiteConfig) -> list[CheckDef]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_build import Graph
+from .graph_build import Graph, zero_set_classes
 from .graph_metrics import _members, metrics
 from .measure_space import complement
 
@@ -70,26 +70,21 @@ def complement_iso(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
 
 
 def _wl_colors(g1: Graph, g2: Graph, ecc1, ecc2) -> tuple[list[int], list[int]]:
-    """Joint 1-dimensional Weisfeiler-Leman refinement over both graphs."""
-    n1, n2 = g1.n_vertices, g2.n_vertices
-    colors1 = [(g1.degree(i), ecc1[i]) for i in range(n1)]
-    colors2 = [(g2.degree(i), ecc2[i]) for i in range(n2)]
+    """Joint 1-dimensional Weisfeiler-Leman refinement over both graphs, run
+    on their disjoint union: g1's vertices, then g2's with rows shifted past
+    them.  Each round groups the vertices' signatures with
+    :func:`zero_set_classes`, so colours are numbered by first appearance."""
+    n1 = g1.n_vertices
+    adj = g1.adj + tuple(row << n1 for row in g2.adj)
+    colors = [(g1.degree(i), ecc1[i]) for i in range(n1)]
+    colors += [(g2.degree(i), ecc2[i]) for i in range(g2.n_vertices)]
     while True:
-        palette: dict = {}
-
-        def recolor(g, colors):
-            out = []
-            for i in range(g.n_vertices):
-                signature = (colors[i], tuple(sorted(colors[j] for j in _members(g.adj[i]))))
-                out.append(palette.setdefault(signature, len(palette)))
-            return out
-
-        new1 = recolor(g1, colors1)
-        new2 = recolor(g2, colors2)
-        stable = len(set(new1) | set(new2)) == len(set(colors1) | set(colors2))
-        colors1, colors2 = new1, new2
+        refined = zero_set_classes([(c, tuple(sorted(colors[j] for j in _members(row))))
+                                    for c, row in zip(colors, adj)])
+        stable = len(refined.members) == len(set(colors))
+        colors = list(refined.of)
         if stable:
-            return colors1, colors2
+            return colors[:n1], colors[n1:]
 
 
 def are_isomorphic(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:

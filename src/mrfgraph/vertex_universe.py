@@ -35,6 +35,8 @@ from .measure_space import (
 )
 
 UNIT_INTERVAL = IntervalSpace()
+# Sampled zero sets are unions of 1..SAMPLE_MAX_DEPTH disjoint intervals.
+SAMPLE_MAX_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,11 @@ def sample_interval_class(seed, depth: int) -> ZClass:
     return zclass(UNIT_INTERVAL, _interval(denom, sorted(cuts)))
 
 
-def sample_interval_classes(seed, count: int, max_depth: int = 3) -> list[ZClass]:
-    """``count`` deterministic samples with depths cycling through 1..max_depth."""
+def sample_interval_classes(seed, count: int) -> list[ZClass]:
+    """``count`` deterministic samples with depths cycling through
+    1..SAMPLE_MAX_DEPTH."""
     return [
-        sample_interval_class(f"{seed}:{i}", i % max_depth + 1)
+        sample_interval_class(f"{seed}:{i}", i % SAMPLE_MAX_DEPTH + 1)
         for i in range(count)
     ]
 

@@ -615,6 +615,16 @@ def brute_multipartite_parts(g: Graph):
     return tuple(parts)
 
 
+def brute_complete_bipartite(g: Graph) -> bool:
+    """Whether the vertices split into two nonempty independent sets with
+    every cross pair joined.  Vertex 0's side is forced: the other side is
+    its neighbourhood."""
+    n = g.n_vertices
+    right = [g.is_edge(0, j) for j in range(n)]
+    return any(right) and all(g.is_edge(i, j) == (right[i] != right[j])
+                              for i in range(n) for j in range(n) if i != j)
+
+
 def planted_multipartite(rng, sizes):
     n = sum(sizes)
     labels = list(range(n))
@@ -631,6 +641,7 @@ def planted_multipartite(rng, sizes):
 
 def test_multipartite_parts_match_brute_force():
     rng = random.Random(7)
+    complete_bipartite = 0
     for trial in range(240):
         if trial % 2:
             sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
@@ -643,6 +654,10 @@ def test_multipartite_parts_match_brute_force():
             g = raw_graph(n, [(i, j) for i, j in itertools.combinations(range(n), 2)
                               if rng.random() < 0.7])
         want = brute_multipartite_parts(g)
-        assert partiteness(g).multipartite_parts == want
+        shape = partiteness(g)
+        assert shape.multipartite_parts == want
+        assert shape.is_complete_bipartite == brute_complete_bipartite(g)
+        complete_bipartite += shape.is_complete_bipartite
         if trial % 4 == 1:
             assert want is not None and len(want) == len(sizes)
+    assert complete_bipartite >= 5

@@ -14,7 +14,7 @@ import pytest
 
 import mrfgraph.checks  # noqa: F401  (populates REGISTRY)
 from mrfgraph.cli import main
-from mrfgraph.graph_build import GraphKind
+from mrfgraph.graph_build import GraphKind, build_graph
 from mrfgraph.harness import (
     REGISTRY,
     Outcome,
@@ -26,6 +26,7 @@ from mrfgraph.harness import (
     run_suite,
 )
 from mrfgraph.measure_space import atom_set, complement
+from mrfgraph.vertex_universe import sample_interval_classes
 
 SMALL = SuiteConfig(atoms_min=2, atoms_max=3)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -125,6 +126,22 @@ def test_config_validation():
         SuiteConfig(**{name: 0})
     with pytest.raises(ValueError):
         SuiteConfig.from_dict({"no_such_key": 1})
+    for name, value in (("seed", True), ("iso_budget", "9"), ("alphabet", 3.0)):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+            SuiteConfig(**{name: value})
+
+
+def test_metrics_cache_keys_on_rows():
+    """Every sampled graph has the same kind, mode and (equal) interval
+    space, so only the rows tell two of them apart."""
+    ctx = RunContext(SuiteConfig(backend="interval"))
+    small, large = (build_graph(ctx.interval_space, GraphKind.COMAXIMAL,
+                                sample=sample_interval_classes(7, count))
+                    for count in (10, 30))
+    assert small.n_vertices < large.n_vertices
+    m_small, m_large = ctx.graph_metrics(small), ctx.graph_metrics(large)
+    assert m_small.adj == small.adj and m_large.adj == large.adj
+    assert ctx.graph_metrics(large) is m_large
 
 
 def test_config_round_trip():
@@ -406,6 +423,20 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
     cfg.write_text("{not json")
     assert _exit_code(["verify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("cannot read config")
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", "null", '"x"', '{"alphabet": 3.0}', '{"max_cycle_len": 8.5}',
+    '{"oracle_atoms_max": 2.5}', '{"atoms_max": 3.0}', '{"sample_count": true}',
+    '{"seed": {"a": 1}}', '{"output": "xml"}',
+])
+def test_cli_ill_typed_config_exits_2(text, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert _exit_code(["verify", "--suite", "measure_core", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration: ")
 
 
 def _script(name):

@@ -265,6 +265,48 @@ def test_explicit_stack_search_matches_recursive_reference():
     assert searched == {ISOMORPHIC, NOT_ISOMORPHIC, INCONCLUSIVE}
 
 
+def palette_wl_colors(g1, g2, ecc1, ecc2):
+    """Joint 1-dimensional Weisfeiler-Leman refinement with one palette dict
+    per round, filled over g1's vertices and then g2's (slow reference)."""
+    colors1 = [(g1.degree(i), ecc1[i]) for i in range(g1.n_vertices)]
+    colors2 = [(g2.degree(i), ecc2[i]) for i in range(g2.n_vertices)]
+    while True:
+        palette: dict = {}
+
+        def recolor(g, colors):
+            out = []
+            for i in range(g.n_vertices):
+                signature = (colors[i], tuple(sorted(colors[j] for j in range(g.n_vertices)
+                                                     if g.is_edge(i, j))))
+                out.append(palette.setdefault(signature, len(palette)))
+            return out
+
+        new1, new2 = recolor(g1, colors1), recolor(g2, colors2)
+        stable = len(set(new1) | set(new2)) == len(set(colors1) | set(colors2))
+        colors1, colors2 = new1, new2
+        if stable:
+            return colors1, colors2
+
+
+def test_wl_colors_match_palette_reference():
+    from mrfgraph.graph_metrics import metrics
+    from mrfgraph.isomorphism import _wl_colors
+
+    pairs = [zd_comaximal(n, "expanded", k) for n in (2, 3, 4) for k in (2, 3)]
+    rng = random.Random("wl-colors")
+    for trial in range(40):
+        n = rng.randint(1, 10)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g2 = (raw_graph(n, [(perm[i], perm[j]) for i, j in edges]) if trial % 2
+              else edge_switched(n, edges))
+        pairs.append((raw_graph(n, edges), g2))
+    for g1, g2 in pairs:
+        ecc1, ecc2 = metrics(g1).eccentricity, metrics(g2).eccentricity
+        assert _wl_colors(g1, g2, ecc1, ecc2) == palette_wl_colors(g1, g2, ecc1, ecc2)
+
+
 def test_isomorphism_search_needs_no_recursion_depth():
     # K_{560,560}: two twin classes, 1,120 vertices, one search position each
     n = 1120

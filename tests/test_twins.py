@@ -181,6 +181,14 @@ def test_profiles_never_list_the_edges(monkeypatch):
         complementation_profile(g)
 
 
+def test_class_masks_are_member_masks():
+    rng = random.Random("masks")
+    planted = [planted_twins(rng, rng.randint(4, 8), 0.5)[0] for _ in range(4)]
+    for g in (*planted, *atomic_graphs(3)):
+        for classes in (g.twins, g.classes):
+            assert classes.masks == tuple(sum(1 << v for v in vs) for vs in classes.members)
+
+
 def test_twins_come_from_rows_not_zero_sets():
     # one shared zero set, but a path's rows: the zero-set partition has one
     # class, the row partition one class per vertex
