@@ -15,10 +15,9 @@ from functools import partial
 from itertools import accumulate
 from operator import or_
 
-from .graph_build import BoundExceededError, Graph, GraphKind  # noqa: F401  (re-exported)
+from .graph_build import BoundExceededError, Graph  # noqa: F401  (re-exported)
 from .graph_build import ZeroSetClasses, _members
 from .measure_space import (
-    ATOMIC,
     MeasurableSet,
     MeasureSpace,
     complement,
@@ -242,55 +241,17 @@ def annihilator_common_neighbor_zero_set(space: MeasureSpace, zu: MeasurableSet,
 
 
 def triangle_profile(g: Graph) -> TriangleProfile:
-    """Triangle coverage of every vertex and every edge.
-
-    Atomic-backend graphs are searched directly, once per ordered pair of
-    twin classes: a vertex lies on a triangle when one of its edges does.
-    Sampled interval-backend graphs get their flags from the defining measure
-    predicates, so the flags describe the full graph and not just the sample;
-    those depend on the zero sets, not the rows, so every vertex keeps a
-    class of its own there.
-    """
-    n = g.n_vertices
-    if n == 0:
+    """Triangle coverage of every vertex and every edge, searched once per
+    ordered pair of twin classes (``g.twins``): an edge lies on a triangle
+    when the rows of its two classes meet, and a vertex when one of its
+    edges does.  Like every function here it reads the rows alone, so a
+    sampled graph's flags describe the sample, not the full graph."""
+    if g.n_vertices == 0:
         raise ValueError("triangle profile of an empty graph is undefined")
-    if g.space.backend == ATOMIC:
-        adjacent, flagged = _class_edges(g)
-        vertex_flags = tuple(bool(flagged[c]) for c in g.twins.of)
-        return TriangleProfile(all(vertex_flags), any(adjacent) and adjacent == flagged,
-                               vertex_flags, g.twins.of, tuple(flagged))
-
-    space = g.space
-    vertex_flags = []
-    for i in range(n):
-        zs = g.zero_sets[i]
-        if g.kind is GraphKind.COMAXIMAL:
-            ok = not is_atom(space, complement(space, zs))
-        elif g.kind is GraphKind.ZERO_DIVISOR:
-            ok = not is_atom(space, zs)
-        elif g.kind is GraphKind.ANNIHILATOR:
-            ok = not is_atom(space, complement(space, zs)) or not is_atom(space, zs)
-        else:
-            ok = n >= 3  # complete multipartite on distinct atomic classes
-        vertex_flags.append(ok)
-    flagged = [0] * n
-    for i, row in enumerate(g.adj):
-        for j in _members(row >> i + 1 << i + 1):
-            zu, zv = g.zero_sets[i], g.zero_sets[j]
-            if g.kind is GraphKind.COMAXIMAL:
-                flag = not is_null(space, intersect(space, complement(space, zu),
-                                                    complement(space, zv)))
-            elif g.kind is GraphKind.ZERO_DIVISOR:
-                flag = not is_null(space, intersect(space, zu, zv))
-            elif g.kind is GraphKind.ANNIHILATOR:
-                flag = annihilator_common_neighbor_zero_set(space, zu, zv) is not None
-            else:
-                flag = n >= 3
-            if flag:
-                flagged[i] |= 1 << j
-                flagged[j] |= 1 << i
-    return TriangleProfile(all(vertex_flags), any(g.adj) and list(g.adj) == flagged,
-                           tuple(vertex_flags), tuple(range(n)), tuple(flagged))
+    adjacent, flagged = _class_edges(g)
+    vertex_flags = tuple(bool(flagged[c]) for c in g.twins.of)
+    return TriangleProfile(all(vertex_flags), any(adjacent) and adjacent == flagged,
+                           vertex_flags, g.twins.of, tuple(flagged))
 
 
 @dataclass(frozen=True)
@@ -533,8 +494,8 @@ SOLVERS = {
 
 
 def np_metrics(g: Graph, which: tuple[str, ...] = ("clique",),
-               clique_bound: int = 64, chromatic_bound: int = 64,
-               dominating_bound: int = 24) -> dict[str, tuple[float, list[int]]]:
+               clique_bound: int = 128, chromatic_bound: int = 128,
+               dominating_bound: int = 128) -> dict[str, tuple[float, list[int]]]:
     """Exact optima with witnesses; raises BoundExceededError instead of
     running heuristics past the configured sizes."""
     n = g.n_vertices

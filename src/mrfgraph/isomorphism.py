@@ -10,6 +10,7 @@ that runs out of budget returns ``inconclusive`` rather than guessing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph_build import Graph, zero_set_classes
@@ -112,10 +113,10 @@ def are_isomorphic(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
             "kind": "degree-multiset", "left": deg1, "right": deg2})
 
     colors1, colors2 = _wl_colors(g1, g2, m1.eccentricity, m2.eccentricity)
-    candidates = [[j for j in range(n) if colors2[j] == colors1[i]] for i in range(n)]
-    color_count: dict[int, int] = {}
-    for c in colors1:
-        color_count[c] = color_count.get(c, 0) + 1
+    by_color = zero_set_classes(colors2)
+    of_color = dict(zip(by_color.zero_sets, by_color.members))
+    candidates = [of_color.get(c, ()) for c in colors1]
+    color_count = Counter(colors1)
     order = sorted(range(n), key=lambda i: (color_count[colors1[i]], -g1.degree(i), i))
 
     # depth-first over the positions of ``order`` on an explicit stack:

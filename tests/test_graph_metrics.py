@@ -256,21 +256,6 @@ def test_interval_annihilator_common_neighbor():
     assert found > 10
 
 
-def test_sampled_profile_flags_full_graph():
-    from mrfgraph.measure_space import IntervalSpace
-
-    space = IntervalSpace()
-    g = build_graph(space, GraphKind.COMAXIMAL, sample=sample_interval_classes(5, 15))
-    profile = triangle_profile(g)
-    assert profile.is_triangulated  # non-atomic measure
-    for i, j in g.edges():  # each sampled edge keeps its own predicate flag
-        cozs = intersect(space, complement(space, g.zero_sets[i]), complement(space, g.zero_sets[j]))
-        assert profile.edge_flag(i, j) == profile.edge_flag(j, i) == (not is_null(space, cozs))
-    ga = build_graph(space, GraphKind.ANNIHILATOR, sample=sample_interval_classes(5, 15))
-    pa = triangle_profile(ga)
-    assert pa.is_triangulated and pa.is_hypertriangulated
-
-
 # -- complementation ----------------------------------------------------------
 
 def test_comaximal_expanded_complemented():

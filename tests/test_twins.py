@@ -12,6 +12,7 @@ reach per value tuple; the reference re-derives both on every call."""
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 from functools import partial
@@ -20,13 +21,17 @@ import pytest
 
 from mrfgraph import checks, graph_metrics
 from mrfgraph.checks import _pair_mismatches, _twin_cycle_rank, expected_comaximal_distance
+from mrfgraph.cli import main
 from mrfgraph.graph_build import Graph, GraphKind, build_graph, oracle_adjacent
 from mrfgraph.graph_metrics import (
+    SOLVERS,
     _levels,
     _members,
     complementation_profile,
     cycle_rank,
     metrics,
+    np_metrics,
+    partiteness,
     triangle_profile,
 )
 from mrfgraph.harness import RunContext, SuiteConfig
@@ -125,6 +130,51 @@ def test_atomic_graphs_match_per_source_and_per_pair_reference(n):
 def test_metrics_at_five_atoms_match_per_source_reference():
     for g in atomic_graphs(5):
         assert_matches_reference(g, ranks=False)
+
+
+SAMPLED_KINDS = (GraphKind.COMAXIMAL, GraphKind.ZERO_DIVISOR, GraphKind.ANNIHILATOR)
+
+
+def sampled_graphs(seed: int, size: int):
+    sample = sample_interval_classes(seed, size)
+    return [build_graph(IntervalSpace(), kind, sample=sample) for kind in SAMPLED_KINDS]
+
+
+def test_sampled_profiles_match_reference():
+    """Sampled graphs are profiled from their rows like any other graph; the
+    full-graph statements are the interval checks'
+    (``comaximal.sampled_triangulated``,
+    ``comaximal.sampled_not_hypertriangulated``,
+    ``annihilator.sampled_hypertriangulated``)."""
+    for seed, size in ((7, 100), (7, 20), (1, 10)):
+        for g in sampled_graphs(seed, size):
+            assert_profiles_match_reference(g)
+
+
+def test_cli_sampled_metrics_print_row_flags(capsys):
+    assert main(["metrics", "--backend", "interval", "--kind", "comaximal"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    g = build_graph(IntervalSpace(), GraphKind.COMAXIMAL, sample=sample_interval_classes(7, 100))
+    triangulated, hyper, _, _ = reference_triangle_profile(g)
+    assert (doc["vertices"], doc["edges"]) == (g.n_vertices, g.n_edges())
+    assert (doc["triangulated"], doc["hypertriangulated"]) == (triangulated, hyper)
+    assert not hyper
+
+
+def test_metrics_read_rows_only():
+    """Every function of ``graph_metrics`` that takes a graph answers the
+    same with its zero sets and space taken away."""
+    for g in (*atomic_graphs(3), *sampled_graphs(7, 20)):
+        bare = dataclasses.replace(g, zero_sets=None, space=None)
+        last = g.n_vertices - 1
+        for fn in (triangle_profile, complementation_profile, partiteness,
+                   partial(np_metrics, which=tuple(SOLVERS)),
+                   partial(cycle_rank, u=0, v=1), partial(cycle_rank, u=0, v=last)):
+            assert fn(bare) == fn(g), (g.name(), fn)
+        summary, bare_summary = metrics(g), metrics(bare)
+        assert bare_summary == summary, g.name()
+        assert all(bare_summary.distances_from(s) == summary.distances_from(s)
+                   for s in range(g.n_vertices)), g.name()
 
 
 def raw_graph(rows) -> Graph:
