@@ -11,7 +11,6 @@ domain and labels the report entries.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -57,18 +56,10 @@ from .vertex_universe import (
     zclass,
 )
 
-INF = math.inf
-
 KINDS = (GraphKind.ZERO_DIVISOR, GraphKind.COMAXIMAL,
          GraphKind.ANNIHILATOR, GraphKind.WEAKLY_ZD)
 
 NEEDS_K3 = "needs alphabet >= 3"
-
-
-def _fmt(x) -> str:
-    if x is INF:
-        return "inf"
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +180,7 @@ def _oracle_check(ctx: RunContext, n: int, k: int, kind: GraphKind) -> Outcome:
 # measure_core suite
 # ---------------------------------------------------------------------------
 
-@register("measure_core.zero_divisor_existence", "measure_core", n_min=1, label="n={n}")
+@register("measure_core.zero_divisor_existence", n_min=1, label="n={n}")
 def check_zero_divisor_existence(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     classes = enumerate_zclasses(space)
@@ -204,7 +195,7 @@ def check_zero_divisor_existence(ctx: RunContext, n: int, k: int):
                    len(classes) == expected and valid, note=note)
 
 
-@register("measure_core.atom_dichotomy", "measure_core", n_min=1, label="n={n}")
+@register("measure_core.atom_dichotomy", n_min=1, label="n={n}")
 def check_atom_dichotomy(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     bad = 0
@@ -221,7 +212,7 @@ def check_atom_dichotomy(ctx: RunContext, n: int, k: int):
                    bad == 0)
 
 
-@register("measure_core.two_atom_partition", "measure_core", n_max=2, label="n={n}")
+@register("measure_core.two_atom_partition", n_max=2, label="n={n}")
 def check_two_atom_partition(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     first, second = atom_set([0]), atom_set([1])
@@ -233,7 +224,7 @@ def check_two_atom_partition(ctx: RunContext, n: int, k: int):
                    "all classes matched" if ok else "stray class found", ok)
 
 
-@register("measure_core.ann_preorder", "measure_core", label="n={n}")
+@register("measure_core.ann_preorder", label="n={n}")
 def check_ann_preorder(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     zsets = [zc.zero_set for zc in enumerate_zclasses(space)]
@@ -248,7 +239,7 @@ def check_ann_preorder(ctx: RunContext, n: int, k: int):
                    "laws hold" if ok else "law violated", ok)
 
 
-@register("measure_core.weight_independence", "measure_core", label="n={n}")
+@register("measure_core.weight_independence", label="n={n}")
 def check_weight_independence(ctx: RunContext, n: int, k: int):
     ok = True
     modes = [("quotient", None)]
@@ -264,7 +255,7 @@ def check_weight_independence(ctx: RunContext, n: int, k: int):
                    "identical" if ok else "graphs differ", ok)
 
 
-@register("measure_core.split_prefix_exact", "measure_core", backend=INTERVAL)
+@register("measure_core.split_prefix_exact", backend=INTERVAL)
 def check_split_prefix_exact(ctx: RunContext):
     space = ctx.interval_space
     cases = 2 * ctx.config.sample_count
@@ -282,7 +273,7 @@ def check_split_prefix_exact(ctx: RunContext):
                    bad == 0, instance=f"{cases} random (set, target) cases")
 
 
-@register("measure_core.sampled_no_atoms", "measure_core", backend=INTERVAL)
+@register("measure_core.sampled_no_atoms", backend=INTERVAL)
 def check_sampled_no_atoms(ctx: RunContext):
     space = ctx.interval_space
     bad = 0
@@ -307,12 +298,12 @@ def check_sampled_no_atoms(ctx: RunContext):
 # comaximal suite
 # ---------------------------------------------------------------------------
 
-@register("comaximal.adjacency_oracle", "comaximal", kind="comaximal", n_min=1)
+@register("comaximal.adjacency_oracle", n_min=1)
 def check_comaximal_oracle(ctx: RunContext, n: int, k: int):
     return _oracle_check(ctx, n, k, GraphKind.COMAXIMAL)
 
 
-@register("comaximal.unit_witness", "comaximal", kind="comaximal", oracle_capped=True)
+@register("comaximal.unit_witness", oracle_capped=True)
 def check_comaximal_unit_witness(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
@@ -328,7 +319,7 @@ def check_comaximal_unit_witness(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("comaximal.distance_formula", "comaximal", kind="comaximal", per_mode=True)
+@register("comaximal.distance_formula", per_mode=True)
 def check_comaximal_distance(ctx: RunContext, n: int, mode: str, k: int | None):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
@@ -339,7 +330,7 @@ def check_comaximal_distance(ctx: RunContext, n: int, mode: str, k: int | None):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("comaximal.eccentricity_formula", "comaximal", kind="comaximal",
+@register("comaximal.eccentricity_formula",
           needs_k3="eccentricity formula needs classes of size >= 2 (alphabet >= 3)")
 def check_comaximal_eccentricity(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
@@ -351,17 +342,16 @@ def check_comaximal_eccentricity(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("comaximal.diameter_girth", "comaximal", kind="comaximal", needs_k3=NEEDS_K3)
+@register("comaximal.diameter_girth", needs_k3=NEEDS_K3)
 def check_comaximal_diameter_girth(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
     summary = ctx.graph_metrics(g)
     want = (2, 4) if n == 2 else (3, 3)
     got = (summary.diameter, summary.girth)
-    return Outcome(f"(diameter, girth) = {want}", f"({_fmt(got[0])}, {_fmt(got[1])})",
-                   got == want)
+    return Outcome(f"(diameter, girth) = {want}", got, got == want)
 
 
-@register("comaximal.triangle_vertex_rule", "comaximal", kind="comaximal", per_mode=True)
+@register("comaximal.triangle_vertex_rule", per_mode=True)
 def check_comaximal_triangle_vertices(ctx: RunContext, n: int, mode: str, k: int | None):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
@@ -372,7 +362,7 @@ def check_comaximal_triangle_vertices(ctx: RunContext, n: int, mode: str, k: int
                    f"{bad} mismatches", bad == 0)
 
 
-@register("comaximal.hypertriangulated_never", "comaximal", kind="comaximal", per_mode=True)
+@register("comaximal.hypertriangulated_never", per_mode=True)
 def check_comaximal_never_hypertriangulated(ctx: RunContext, n: int, mode: str,
                                             k: int | None):
     space = ctx.space(n)
@@ -391,7 +381,7 @@ def check_comaximal_never_hypertriangulated(ctx: RunContext, n: int, mode: str,
                    "confirmed" if ok else "violated", ok, witness=witness)
 
 
-@register("comaximal.not_triangulated_atomic", "comaximal", kind="comaximal")
+@register("comaximal.not_triangulated_atomic")
 def check_comaximal_not_triangulated(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
     profile = triangle_profile(g)
@@ -400,7 +390,7 @@ def check_comaximal_not_triangulated(ctx: RunContext, n: int, k: int):
                    not profile.is_triangulated)
 
 
-@register("comaximal.complemented_unique", "comaximal", kind="comaximal", per_mode=True)
+@register("comaximal.complemented_unique", per_mode=True)
 def check_comaximal_complemented(ctx: RunContext, n: int, mode: str, k: int | None):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
@@ -415,7 +405,7 @@ def check_comaximal_complemented(ctx: RunContext, n: int, mode: str, k: int | No
                    "confirmed" if ok else "violated", ok)
 
 
-@register("comaximal.orthogonality_rule", "comaximal", kind="comaximal")
+@register("comaximal.orthogonality_rule")
 def check_comaximal_orthogonality(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
@@ -426,8 +416,7 @@ def check_comaximal_orthogonality(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("comaximal.cycle_rank_cases", "comaximal", kind="comaximal", n_min=3, n_max=4,
-          needs_k3=NEEDS_K3)
+@register("comaximal.cycle_rank_cases", n_min=3, n_max=4, needs_k3=NEEDS_K3)
 def check_comaximal_cycle_rank(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
@@ -438,7 +427,7 @@ def check_comaximal_cycle_rank(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("comaximal.class_stability", "comaximal", kind="comaximal")
+@register("comaximal.class_stability")
 def check_comaximal_class_stability(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
     classes = g.classes.members
@@ -453,7 +442,7 @@ def check_comaximal_class_stability(ctx: RunContext, n: int, k: int):
                    "confirmed" if ok else "violated", ok)
 
 
-@register("comaximal.complete_bipartite_rule", "comaximal", kind="comaximal", per_mode=True)
+@register("comaximal.complete_bipartite_rule", per_mode=True)
 def check_comaximal_complete_bipartite(ctx: RunContext, n: int, mode: str, k: int | None):
     g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
     shape = partiteness(g)
@@ -462,7 +451,7 @@ def check_comaximal_complete_bipartite(ctx: RunContext, n: int, mode: str, k: in
                    shape.is_complete_bipartite == want)
 
 
-@register("comaximal.neighborhood_rule", "comaximal", kind="comaximal")
+@register("comaximal.neighborhood_rule")
 def check_comaximal_neighborhoods(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
@@ -472,7 +461,7 @@ def check_comaximal_neighborhoods(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("comaximal.sampled_triangulated", "comaximal", backend=INTERVAL, kind="comaximal")
+@register("comaximal.sampled_triangulated", backend=INTERVAL)
 def check_comaximal_sampled_triangulated(ctx: RunContext):
     space = ctx.interval_space
     bad = 0
@@ -496,7 +485,7 @@ def check_comaximal_sampled_triangulated(ctx: RunContext):
                    instance=f"{len(classes)} sampled vertices")
 
 
-@register("comaximal.sampled_not_hypertriangulated", "comaximal", backend=INTERVAL, kind="comaximal")
+@register("comaximal.sampled_not_hypertriangulated", backend=INTERVAL)
 def check_comaximal_sampled_not_hyper(ctx: RunContext):
     space = ctx.interval_space
     bad = 0
@@ -517,13 +506,12 @@ def check_comaximal_sampled_not_hyper(ctx: RunContext):
 # zero_divisor suite
 # ---------------------------------------------------------------------------
 
-@register("zero_divisor.adjacency_oracle", "zero_divisor", kind="zero_divisor", n_min=1)
+@register("zero_divisor.adjacency_oracle", n_min=1)
 def check_zero_divisor_oracle(ctx: RunContext, n: int, k: int):
     return _oracle_check(ctx, n, k, GraphKind.ZERO_DIVISOR)
 
 
-@register("zero_divisor.complete_bipartite_rule", "zero_divisor", kind="zero_divisor",
-          per_mode=True)
+@register("zero_divisor.complete_bipartite_rule", per_mode=True)
 def check_zero_divisor_complete_bipartite(ctx: RunContext, n: int, mode: str, k: int | None):
     g = ctx.graph(n, GraphKind.ZERO_DIVISOR, mode, alphabet=k)
     shape = partiteness(g)
@@ -532,7 +520,7 @@ def check_zero_divisor_complete_bipartite(ctx: RunContext, n: int, mode: str, k:
                    shape.is_complete_bipartite == want)
 
 
-@register("zero_divisor.triangle_vertex_rule", "zero_divisor", kind="zero_divisor")
+@register("zero_divisor.triangle_vertex_rule")
 def check_zero_divisor_triangles(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.ZERO_DIVISOR, "expanded", alphabet=k)
@@ -543,8 +531,7 @@ def check_zero_divisor_triangles(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("zero_divisor.eccentricity_formula", "zero_divisor", kind="zero_divisor",
-          needs_k3=NEEDS_K3)
+@register("zero_divisor.eccentricity_formula", needs_k3=NEEDS_K3)
 def check_zero_divisor_eccentricity(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.ZERO_DIVISOR, "expanded", alphabet=k)
@@ -555,7 +542,7 @@ def check_zero_divisor_eccentricity(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("zero_divisor.equality_rule_two_atoms", "zero_divisor", kind="zero_divisor")
+@register("zero_divisor.equality_rule_two_atoms")
 def check_zero_divisor_equality(ctx: RunContext, n: int, k: int):
     gz = ctx.graph(n, GraphKind.ZERO_DIVISOR, "expanded", alphabet=k)
     gc = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
@@ -569,35 +556,34 @@ def check_zero_divisor_equality(ctx: RunContext, n: int, k: int):
 # annihilator suite
 # ---------------------------------------------------------------------------
 
-@register("annihilator.adjacency_oracle", "annihilator", kind="annihilator", n_min=1)
+@register("annihilator.adjacency_oracle", n_min=1)
 def check_annihilator_oracle(ctx: RunContext, n: int, k: int):
     return _oracle_check(ctx, n, k, GraphKind.ANNIHILATOR)
 
 
-@register("annihilator.eccentricity_two", "annihilator", kind="annihilator",
-          needs_k3=NEEDS_K3)
+@register("annihilator.eccentricity_two", needs_k3=NEEDS_K3)
 def check_annihilator_eccentricity(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
     summary = ctx.graph_metrics(g)
     ok = all(e == 2 for e in summary.eccentricity) and summary.diameter == 2
     return Outcome(
         "every eccentricity 2; diameter 2",
-        f"ecc histogram {summary.eccentricity_histogram()}, diameter {_fmt(summary.diameter)}",
+        f"ecc histogram {summary.eccentricity_histogram()}, diameter {summary.diameter}",
         ok)
 
 
-@register("annihilator.domination_two", "annihilator", kind="annihilator", needs_k3=NEEDS_K3)
+@register("annihilator.domination_two", needs_k3=NEEDS_K3)
 def check_annihilator_domination(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
     values = _solve(ctx, g, "dominating", "total_dominating")
     dt, dt_wit = values["dominating"]
     dtt, _ = values["total_dominating"]
     return Outcome("dominating number 2 and total dominating number 2",
-                   f"dt={_fmt(dt)} dt_t={_fmt(dtt)}", dt == 2 and dtt == 2,
+                   f"dt={dt} dt_t={dtt}", dt == 2 and dtt == 2,
                    witness=[g.vertex_label(i) for i in dt_wit])
 
 
-@register("annihilator.subgraph_rule", "annihilator", kind="annihilator")
+@register("annihilator.subgraph_rule")
 def check_annihilator_subgraphs(ctx: RunContext, n: int, k: int):
     gz = ctx.graph(n, GraphKind.ZERO_DIVISOR, "expanded", alphabet=k)
     gc = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
@@ -626,7 +612,7 @@ def check_annihilator_subgraphs(ctx: RunContext, n: int, k: int):
                    "confirmed" if ok else "violated", ok, witness=witness)
 
 
-@register("annihilator.complete_bipartite_rule", "annihilator", kind="annihilator")
+@register("annihilator.complete_bipartite_rule")
 def check_annihilator_complete_bipartite(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
     shape = partiteness(g)
@@ -635,7 +621,7 @@ def check_annihilator_complete_bipartite(ctx: RunContext, n: int, k: int):
                    shape.is_complete_bipartite == want)
 
 
-@register("annihilator.complemented_rule", "annihilator", kind="annihilator", per_mode=True)
+@register("annihilator.complemented_rule", per_mode=True)
 def check_annihilator_complemented(ctx: RunContext, n: int, mode: str, k: int | None):
     g = ctx.graph(n, GraphKind.ANNIHILATOR, mode, alphabet=k)
     profile = complementation_profile(g)
@@ -649,7 +635,7 @@ def check_annihilator_complemented(ctx: RunContext, n: int, mode: str, k: int | 
         ok)
 
 
-@register("annihilator.orthogonal_complement_rule", "annihilator", kind="annihilator")
+@register("annihilator.orthogonal_complement_rule")
 def check_annihilator_orthogonal_complements(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
@@ -660,7 +646,7 @@ def check_annihilator_orthogonal_complements(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("annihilator.orthogonality_rule", "annihilator", kind="annihilator")
+@register("annihilator.orthogonality_rule")
 def check_annihilator_orthogonality(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
@@ -671,8 +657,7 @@ def check_annihilator_orthogonality(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("annihilator.cycle_rank_cases", "annihilator", kind="annihilator",
-          oracle_capped=True, needs_k3=NEEDS_K3)
+@register("annihilator.cycle_rank_cases", oracle_capped=True, needs_k3=NEEDS_K3)
 def check_annihilator_cycle_rank(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
@@ -687,14 +672,14 @@ def check_annihilator_cycle_rank(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("annihilator.girth_rule", "annihilator", kind="annihilator", needs_k3=NEEDS_K3)
+@register("annihilator.girth_rule", needs_k3=NEEDS_K3)
 def check_annihilator_girth(ctx: RunContext, n: int, k: int):
     summary = ctx.graph_metrics(ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k))
     want = 4 if n == 2 else 3
-    return Outcome(f"girth {want}", _fmt(summary.girth), summary.girth == want)
+    return Outcome(f"girth {want}", summary.girth, summary.girth == want)
 
 
-@register("annihilator.edge_triangle_rule", "annihilator", kind="annihilator")
+@register("annihilator.edge_triangle_rule")
 def check_annihilator_edge_triangles(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
@@ -707,8 +692,7 @@ def check_annihilator_edge_triangles(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches, hypertriangulated={profile.is_hypertriangulated}", ok)
 
 
-@register("annihilator.iso_comaximal_rule", "annihilator", kind="annihilator",
-          oracle_capped=True, needs_k3=NEEDS_K3)
+@register("annihilator.iso_comaximal_rule", oracle_capped=True, needs_k3=NEEDS_K3)
 def check_annihilator_iso(ctx: RunContext, n: int, k: int):
     ga = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
     gc = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
@@ -723,7 +707,7 @@ def check_annihilator_iso(ctx: RunContext, n: int, k: int):
         ok, witness=verdict.certificate)
 
 
-@register("annihilator.sampled_hypertriangulated", "annihilator", backend=INTERVAL, kind="annihilator")
+@register("annihilator.sampled_hypertriangulated", backend=INTERVAL)
 def check_annihilator_sampled_hyper(ctx: RunContext):
     space = ctx.interval_space
     classes = ctx.interval_classes()
@@ -765,12 +749,12 @@ def check_annihilator_sampled_hyper(ctx: RunContext):
 # weakly_zd suite
 # ---------------------------------------------------------------------------
 
-@register("weakly_zd.adjacency_oracle", "weakly_zd", kind="weakly_zd", n_min=1)
+@register("weakly_zd.adjacency_oracle", n_min=1)
 def check_weakly_oracle(ctx: RunContext, n: int, k: int):
     return _oracle_check(ctx, n, k, GraphKind.WEAKLY_ZD)
 
 
-@register("weakly_zd.trichotomy_oracle", "weakly_zd", kind="weakly_zd", oracle_capped=True,
+@register("weakly_zd.trichotomy_oracle", oracle_capped=True,
           label="n={n} k={k} over all zero-divisors")
 def check_weakly_trichotomy(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
@@ -782,7 +766,7 @@ def check_weakly_trichotomy(ctx: RunContext, n: int, k: int):
             g = divisors[j]
             total += 1
             brute = oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, g)
-            want = weakly_adjacent_all(space, f.zero_set(), g.zero_set(),
+            want = weakly_adjacent_all(space, f.zero_set, g.zero_set,
                                        same_vertex=(i == j))
             if brute != want:
                 bad += 1
@@ -790,21 +774,19 @@ def check_weakly_trichotomy(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("weakly_zd.self_adjacency_rule", "weakly_zd", kind="weakly_zd", oracle_capped=True,
-          label="n={n} k={k}")
+@register("weakly_zd.self_adjacency_rule", oracle_capped=True, label="n={n} k={k}")
 def check_weakly_self_adjacency(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     bad = 0
     for f in enumerate_functions(space, k):
         brute = oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, f)
-        if brute != (not is_atom(space, f.zero_set())):
+        if brute != (not is_atom(space, f.zero_set)):
             bad += 1
     return Outcome("self-adjacent iff the zero set is not an atom", f"{bad} mismatches",
                    bad == 0)
 
 
-@register("weakly_zd.complete_multipartite_rule", "weakly_zd", kind="weakly_zd",
-          label="n={n} k={k}")
+@register("weakly_zd.complete_multipartite_rule", label="n={n} k={k}")
 def check_weakly_multipartite(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.WEAKLY_ZD, "expanded", alphabet=k)
     shape = partiteness(g)
@@ -821,7 +803,7 @@ def check_weakly_multipartite(ctx: RunContext, n: int, k: int):
         "confirmed" if ok else "violated", ok)
 
 
-@register("weakly_zd.bipartite_rule", "weakly_zd", kind="weakly_zd")
+@register("weakly_zd.bipartite_rule")
 def check_weakly_bipartite(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.WEAKLY_ZD, "expanded", alphabet=k)
     shape = partiteness(g)
@@ -829,7 +811,7 @@ def check_weakly_bipartite(ctx: RunContext, n: int, k: int):
     return Outcome(f"bipartite: {want}", str(shape.is_bipartite), shape.is_bipartite == want)
 
 
-@register("weakly_zd.three_atom_properties", "weakly_zd", kind="weakly_zd", n_min=3)
+@register("weakly_zd.three_atom_properties", n_min=3)
 def check_weakly_three_atoms(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.WEAKLY_ZD, "expanded", alphabet=k)
     summary = ctx.graph_metrics(g)
@@ -843,8 +825,7 @@ def check_weakly_three_atoms(ctx: RunContext, n: int, k: int):
         "confirmed" if ok else "violated", ok)
 
 
-@register("weakly_zd.parameters", "weakly_zd", kind="weakly_zd", needs_k3=NEEDS_K3,
-          label="n={n} k={k}")
+@register("weakly_zd.parameters", needs_k3=NEEDS_K3, label="n={n} k={k}")
 def check_weakly_parameters(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.WEAKLY_ZD, "expanded", alphabet=k)
     gq = ctx.graph(n, GraphKind.WEAKLY_ZD, "quotient")
@@ -862,7 +843,7 @@ def check_weakly_parameters(ctx: RunContext, n: int, k: int):
         note="quotient dominating number recorded separately: single-member classes")
 
 
-@register("weakly_zd.interval_empty", "weakly_zd", backend=INTERVAL, kind="weakly_zd")
+@register("weakly_zd.interval_empty", backend=INTERVAL)
 def check_weakly_interval_empty(ctx: RunContext):
     g = build_graph(ctx.interval_space, GraphKind.WEAKLY_ZD, sample=ctx.interval_classes())
     return Outcome("empty vertex set (no atomic zero sets exist)", f"{g.n_vertices} vertices",
@@ -873,7 +854,7 @@ def check_weakly_interval_empty(ctx: RunContext):
 # quotient suite
 # ---------------------------------------------------------------------------
 
-@register("quotient.complement_isomorphism", "quotient", label="n={n} quotient")
+@register("quotient.complement_isomorphism", label="n={n} quotient")
 def check_quotient_complement_iso(ctx: RunContext, n: int, k: int):
     g1 = ctx.graph(n, GraphKind.ZERO_DIVISOR, "quotient")
     g2 = ctx.graph(n, GraphKind.COMAXIMAL, "quotient")
@@ -885,7 +866,7 @@ def check_quotient_complement_iso(ctx: RunContext, n: int, k: int):
                    "confirmed" if ok else "violated", ok)
 
 
-@register("quotient.k2_rule", "quotient", label="n={n} quotient")
+@register("quotient.k2_rule", label="n={n} quotient")
 def check_quotient_k2(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.COMAXIMAL, "quotient")
     is_k2 = g.n_vertices == 2 and g.n_edges() == 1
@@ -893,7 +874,7 @@ def check_quotient_k2(ctx: RunContext, n: int, k: int):
     return Outcome(f"two mutually joined classes: {want}", str(is_k2), is_k2 == want)
 
 
-@register("quotient.clique_chromatic_transfer", "quotient", oracle_capped=True,
+@register("quotient.clique_chromatic_transfer", oracle_capped=True,
           label="n={n} k={k}", skip_label="n={n}")
 def check_quotient_clique_chromatic(ctx: RunContext, n: int, k: int):
     gq = ctx.graph(n, GraphKind.COMAXIMAL, "quotient")
@@ -906,7 +887,7 @@ def check_quotient_clique_chromatic(ctx: RunContext, n: int, k: int):
                    f"expanded ({ve['clique'][0]}, {ve['chromatic'][0]})", ok)
 
 
-@register("quotient.domination_transfer", "quotient", oracle_capped=True,
+@register("quotient.domination_transfer", oracle_capped=True,
           label="n={n} k={k}", skip_label="n={n}")
 def check_quotient_domination(ctx: RunContext, n: int, k: int):
     gq = ctx.graph(n, GraphKind.COMAXIMAL, "quotient")
@@ -920,8 +901,7 @@ def check_quotient_domination(ctx: RunContext, n: int, k: int):
                    f"dt_t {vq['total_dominating'][0]} == {ve['total_dominating'][0]}", ok)
 
 
-@register("quotient.counting_parameters", "quotient", label="n={n} quotient",
-          skip_label="n={n}")
+@register("quotient.counting_parameters", label="n={n} quotient", skip_label="n={n}")
 def check_quotient_counting_parameters(ctx: RunContext, n: int, k: int):
     gq = ctx.graph(n, GraphKind.COMAXIMAL, "quotient")
     values = _solve(ctx, gq, "clique", "chromatic")
@@ -930,8 +910,7 @@ def check_quotient_counting_parameters(ctx: RunContext, n: int, k: int):
                    cl == n and ch == n)
 
 
-@register("quotient.weak_perfectness", "quotient", oracle_capped=True,
-          label="n={n} k={k}", skip_label="n={n}")
+@register("quotient.weak_perfectness", oracle_capped=True, label="n={n} k={k}", skip_label="n={n}")
 def check_quotient_weak_perfectness(ctx: RunContext, n: int, k: int):
     ok = True
     for mode, alpha in (("quotient", None), ("expanded", k)):
@@ -943,13 +922,13 @@ def check_quotient_weak_perfectness(ctx: RunContext, n: int, k: int):
                    "equal" if ok else "differ", ok)
 
 
-@register("quotient.class_partition", "quotient", label="n={n} k={k}")
+@register("quotient.class_partition", label="n={n} k={k}")
 def check_quotient_class_partition(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     functions = enumerate_functions(space, k)
     by_class: dict = {}
     for f in functions:
-        by_class.setdefault(f.zero_set(), []).append(f)
+        by_class.setdefault(f.zero_set, []).append(f)
     classes = enumerate_zclasses(space)
     ok = set(by_class) == {zc.zero_set for zc in classes}
     for zc in classes:
@@ -966,7 +945,7 @@ def check_quotient_class_partition(ctx: RunContext, n: int, k: int):
 # iso suite
 # ---------------------------------------------------------------------------
 
-@register("iso.expanded_complement_dichotomy", "iso", alphabets=(2,))
+@register("iso.expanded_complement_dichotomy", alphabets=(2,))
 def check_iso_dichotomy(ctx: RunContext, n: int, k: int):
     if n > ctx.config.oracle_atoms_max and k > 2:
         raise BoundExceededError(f"expanded graphs beyond {ctx.config.oracle_atoms_max} atoms")
@@ -987,14 +966,14 @@ def check_iso_dichotomy(ctx: RunContext, n: int, k: int):
     return Outcome(f"isomorphic: {want}", verdict.outcome, ok, witness=verdict.certificate)
 
 
-@register("iso.self_identity", "iso", n_max=3, oracle_capped=True)
+@register("iso.self_identity", n_max=3, oracle_capped=True)
 def check_iso_self_identity(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
     verdict = are_isomorphic(g, g, budget=ctx.config.iso_budget)
     return Outcome("isomorphic to itself", verdict.outcome, verdict.is_isomorphic)
 
 
-@register("iso.sampled_complement_probe", "iso", backend=INTERVAL)
+@register("iso.sampled_complement_probe", backend=INTERVAL)
 def check_iso_sampled_probe(ctx: RunContext):
     space = ctx.interval_space
     base = ctx.interval_classes()[: max(10, ctx.config.sample_count // 4)]

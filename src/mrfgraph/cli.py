@@ -16,13 +16,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .graph_build import KIND_BY_NAME, GraphKind, GraphTooLargeError, build_graph, export_graph
 from .graph_metrics import SOLVERS, BoundExceededError, metrics, np_metrics, partiteness, triangle_profile
-from .harness import SUITES, SuiteConfig, render_report, run_suite
+from .harness import SUITES, SuiteConfig, make_weights, render_report, run_suite
 from .isomorphism import are_isomorphic
 from .measure_space import ATOMIC, INTERVAL, AtomicSpace, IntervalSpace
-from .harness import make_weights
 from .vertex_universe import sample_interval_classes
 
 
@@ -54,20 +54,12 @@ def _parameter_names(text: str) -> str:
     return text
 
 
-def _space(args):
-    if args.backend == ATOMIC:
-        return AtomicSpace(make_weights(args.atoms, args.weights, args.seed))
-    return IntervalSpace()
-
-
 def _build_from_args(args, kind: GraphKind):
     if args.backend == INTERVAL:
         sample = sample_interval_classes(args.seed, args.samples)
         return build_graph(IntervalSpace(), kind, sample=sample)
-    space = _space(args)
-    if args.mode == "expanded":
-        return build_graph(space, kind, "expanded", alphabet=args.alphabet)
-    return build_graph(space, kind, "quotient")
+    space = AtomicSpace(make_weights(args.atoms, args.weights, args.seed))
+    return build_graph(space, kind, args.mode, alphabet=args.alphabet)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -165,25 +157,14 @@ def _config_from_args(args, backend: str) -> SuiteConfig:
             sys.stderr.write(f"invalid configuration: {args.config} holds "
                              f"{type(base).__name__}, not a JSON object\n")
             raise SystemExit(2)
-    atoms_min, atoms_max = args.atoms or (None, None)
-    overrides = {
-        "backend": backend,
-        "atoms_min": atoms_min,
-        "atoms_max": atoms_max,
-        "weights": args.weights,
-        "alphabet": args.alphabet,
-        "suites": tuple(s.strip() for s in args.suite.split(",")) if args.suite and args.suite != "all" else None,
-        "kinds": tuple(s.strip() for s in args.kinds.split(",")) if getattr(args, "kinds", None) else None,
-        "sample_count": getattr(args, "samples", None),
-        "seed": args.seed,
-        "max_cycle_len": args.max_cycle_len,
-        "clique_bound": args.clique_bound,
-        "chromatic_bound": args.chromatic_bound,
-        "dominating_bound": args.dominating_bound,
-        "iso_budget": args.budget,
-        "output": args.format,
-        "only": args.only,
-    }
+    # Each suite flag's dest is the SuiteConfig field it overrides; the atom
+    # range and the two name lists are parsed here.
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(SuiteConfig)}
+    overrides["atoms_min"], overrides["atoms_max"] = args.atoms or (None, None)
+    overrides["backend"] = backend
+    for name, text in (("suites", args.suite if args.suite != "all" else None),
+                       ("kinds", args.kinds)):
+        overrides[name] = tuple(s.strip() for s in text.split(",")) if text else None
     merged = dict(base)
     for key, value in overrides.items():
         if value is not None:
@@ -221,9 +202,9 @@ def _add_graph_selectors(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to a file instead of stdout")
 
 
-def _add_bounds(p: argparse.ArgumentParser) -> None:
+def _add_bounds(p: argparse.ArgumentParser, parse=_int_at_least(0), default=128) -> None:
     for name in ("clique", "chromatic", "dominating"):
-        p.add_argument(f"--{name}-bound", type=_int_at_least(0), default=128, dest=f"{name}_bound")
+        p.add_argument(f"--{name}-bound", type=parse, default=default, dest=f"{name}_bound")
 
 
 def _add_suite_flags(p: argparse.ArgumentParser) -> None:
@@ -233,17 +214,17 @@ def _add_suite_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alphabet", type=int, default=None)
     p.add_argument("--weights", choices=["unit", "random-positive"], default=None)
     p.add_argument("--kinds", default=None, help="comma-separated graph kinds to build")
-    p.add_argument("--samples", type=_int_at_least(1), default=None)
+    p.add_argument("--samples", type=_int_at_least(1), default=None, dest="sample_count",
+                   metavar="SAMPLES")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-cycle-len", type=int, default=None, dest="max_cycle_len")
-    p.add_argument("--budget", type=int, default=None, help="isomorphism search node budget")
-    p.add_argument("--format", choices=["json", "text"], default=None)
+    p.add_argument("--budget", type=int, default=None, dest="iso_budget", metavar="BUDGET",
+                   help="isomorphism search node budget")
+    p.add_argument("--format", choices=["json", "text"], default=None, dest="output")
     p.add_argument("--only", default=None, help="run a single check id")
     p.add_argument("--config", default=None, help="JSON config file (flags override it)")
     p.add_argument("--out", help="write the report to a file")
-    p.add_argument("--clique-bound", type=int, default=None, dest="clique_bound")
-    p.add_argument("--chromatic-bound", type=int, default=None, dest="chromatic_bound")
-    p.add_argument("--dominating-bound", type=int, default=None, dest="dominating_bound")
+    _add_bounds(p, int, None)
 
 
 def make_parser() -> argparse.ArgumentParser:

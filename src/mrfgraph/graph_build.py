@@ -336,34 +336,28 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
     if space.backend != ATOMIC:
         if sample is None:
             raise ValueError("interval-backend graphs need an explicit sampled vertex list")
-        classes = [zclass(space, z) for z in dict.fromkeys(zc.zero_set for zc in sample)]
-        if kind is GraphKind.WEAKLY_ZD:
-            classes = [zc for zc in classes if is_atom(space, zc.zero_set)]
-        zero_sets = tuple(zc.zero_set for zc in classes)
-        if len(classes) > max_vertices:
-            raise GraphTooLargeError(f"{len(classes)} vertices exceed guard {max_vertices}")
-        return Graph(kind, "sampled", None, space, tuple(classes), zero_sets,
-                     _fill_adjacency(kind, space, zero_sets))
-
-    if mode not in ("quotient", "expanded"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "expanded" and (alphabet is None or alphabet < 2):
-        raise ValueError("expanded mode needs an alphabet size k >= 2")
-    count = _vertex_count(space.n_atoms, kind, mode, alphabet)
-    if count > max_vertices:
-        raise GraphTooLargeError(f"{count} vertices exceed guard {max_vertices}")
-    if mode == "quotient":
-        payloads: list = list(enumerate_zclasses(space))
-        if kind is GraphKind.WEAKLY_ZD:
-            payloads = [zc for zc in payloads if is_atom(space, zc.zero_set)]
-        zero_sets = tuple(zc.zero_set for zc in payloads)
+        mode, alphabet = "sampled", None
+        payloads = [zclass(space, z) for z in dict.fromkeys(zc.zero_set for zc in sample)]
     else:
-        payloads = list(enumerate_functions(space, alphabet))
-        if kind is GraphKind.WEAKLY_ZD:
-            payloads = [f for f in payloads if is_atom(space, f.zero_set())]
-        zero_sets = tuple(f.zero_set() for f in payloads)
-    return Graph(kind, mode, alphabet if mode == "expanded" else None, space,
-                 tuple(payloads), zero_sets, _fill_adjacency(kind, space, zero_sets))
+        if mode not in ("quotient", "expanded"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "expanded" and (alphabet is None or alphabet < 2):
+            raise ValueError("expanded mode needs an alphabet size k >= 2")
+        count = _vertex_count(space.n_atoms, kind, mode, alphabet)
+        if count > max_vertices:
+            raise GraphTooLargeError(f"{count} vertices exceed guard {max_vertices}")
+        if mode == "quotient":
+            alphabet = None
+            payloads = enumerate_zclasses(space)
+        else:
+            payloads = enumerate_functions(space, alphabet)
+    if kind is GraphKind.WEAKLY_ZD:
+        payloads = [p for p in payloads if is_atom(space, p.zero_set)]
+    if len(payloads) > max_vertices:
+        raise GraphTooLargeError(f"{len(payloads)} vertices exceed guard {max_vertices}")
+    zero_sets = tuple(p.zero_set for p in payloads)
+    return Graph(kind, mode, alphabet, space, tuple(payloads), zero_sets,
+                 _fill_adjacency(kind, space, zero_sets))
 
 
 def export_graph(g: Graph, fmt: str) -> str:

@@ -217,9 +217,9 @@ class CheckDef:
     """
 
     id: str
-    suite: str
+    suite: str                    # the id's prefix
     backend: str                  # atomic | interval
-    kind: str | None              # graph kind gate, or None
+    kind: str | None              # the suite when it names a graph kind, else None
     fn: Callable
     n_min: int = 2
     n_max: int | None = None
@@ -248,14 +248,16 @@ class CheckDef:
 REGISTRY: dict[str, CheckDef] = {}
 
 
-def register(check_id: str, suite: str, backend: str = ATOMIC, kind: str | None = None,
-             **domain):
+def register(check_id: str, backend: str = ATOMIC, **domain):
     """Decorator adding one check, with its :class:`CheckDef` domain fields,
-    to the global registry."""
+    to the global registry.  The suite is the id's prefix; a suite named
+    after a graph kind gates on that kind."""
+    suite = check_id.partition(".")[0]
     def wrap(fn):
         if check_id in REGISTRY:
             raise ValueError(f"duplicate check id {check_id}")
-        REGISTRY[check_id] = CheckDef(check_id, suite, backend, kind, fn, **domain)
+        REGISTRY[check_id] = CheckDef(check_id, suite, backend,
+                                      suite if suite in KIND_NAMES else None, fn, **domain)
         return fn
     return wrap
 

@@ -336,17 +336,13 @@ def is_subset(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:
     return is_null(space, difference(space, a, b))
 
 
-def format_rational(q: Fraction) -> str:
-    return str(Fraction(q))
-
-
 def format_set(s: MeasurableSet) -> str:
     """Canonical literal: ``{0,2,5}`` or ``[0,1/4)+[1/2,3/4)`` (``[]`` empty)."""
     if s.backend == ATOMIC:
         return "{" + ",".join(str(i) for i in range(s.mask.bit_length()) if s.mask >> i & 1) + "}"
     if not s.intervals:
         return "[]"
-    return "+".join(f"[{format_rational(lo)},{format_rational(hi)})" for lo, hi in s.intervals)
+    return "+".join(f"[{lo},{hi})" for lo, hi in s.intervals)
 
 
 def parse_set(text: str) -> MeasurableSet:

@@ -65,6 +65,7 @@ class ExpandedFunction:
 
     values: tuple[int, ...]
 
+    @property
     def zero_set(self) -> MeasurableSet:
         mask = sum(1 << i for i, v in enumerate(self.values) if v == 0)
         return MeasurableSet(ATOMIC, mask=mask)

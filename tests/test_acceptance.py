@@ -220,11 +220,11 @@ def test_criterion_5_weakly_suite():
             for j in range(i, len(divisors)):
                 g = divisors[j]
                 brute = oracle_adjacent(GraphKind.WEAKLY_ZD, space, 3, f, g)
-                want = weakly_adjacent_all(space, f.zero_set(), g.zero_set(),
+                want = weakly_adjacent_all(space, f.zero_set, g.zero_set,
                                            same_vertex=(i == j))
                 assert brute == want
                 if i == j:
-                    assert brute == (not is_atom(space, f.zero_set()))
+                    assert brute == (not is_atom(space, f.zero_set))
 
         gw = expanded(n, GraphKind.WEAKLY_ZD)
         shape = partiteness(gw)

@@ -100,7 +100,7 @@ def test_weakly_trichotomy_over_all_divisors(n, k):
         for j in range(i, len(divisors)):
             g = divisors[j]
             brute = oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, g)
-            want = weakly_adjacent_all(space, f.zero_set(), g.zero_set(),
+            want = weakly_adjacent_all(space, f.zero_set, g.zero_set,
                                        same_vertex=(i == j))
             assert brute == want
 
@@ -259,6 +259,15 @@ def test_guard_fires_before_enumeration(monkeypatch):
             build_graph(unit_space(12), kind, "expanded", alphabet=3)
     with pytest.raises(GraphTooLargeError, match="^4094 vertices exceed guard 5$"):
         build_graph(unit_space(12), GraphKind.COMAXIMAL, "quotient", max_vertices=5)
+
+
+def test_interval_guard_counts_the_deduped_sample():
+    from mrfgraph.graph_build import GraphTooLargeError
+    classes = sample_interval_classes(3, 20)
+    size = len({zc.zero_set for zc in classes})
+    build_graph(IntervalSpace(), GraphKind.COMAXIMAL, sample=classes + classes, max_vertices=size)
+    with pytest.raises(GraphTooLargeError, match=f"^{size} vertices exceed guard {size - 1}$"):
+        build_graph(IntervalSpace(), GraphKind.COMAXIMAL, sample=classes, max_vertices=size - 1)
 
 
 def test_interval_build_is_sampled_and_deduped():

@@ -256,6 +256,30 @@ def test_interval_annihilator_common_neighbor():
     assert found > 10
 
 
+@pytest.mark.parametrize("space,zu,zv,want", [
+    ("interval", "[0,1/2)", "[1/4,1)", "[0,1/4)+[1/2,1)"),   # zero sets meet
+    ("interval", "[0,1/2)", "[1/2,1)", "[1/4,1/2)+[3/4,1)"),  # orthogonal, split both
+    (4, "{0,1}", "{2,3}", "{1,3}"),
+    (3, "{0}", "{1,2}", None),                               # orthogonal to an atom
+], ids=["interval-meet", "interval-split", "atomic-split", "atomic-atom"])
+def test_annihilator_common_neighbor_cover_cases(space, zu, zv, want):
+    """Pairs whose cozero sets cover the space, which sampled sets never do."""
+    from mrfgraph.graph_build import adjacent
+    from mrfgraph.measure_space import IntervalSpace, parse_set
+    from mrfgraph.vertex_universe import zclass
+
+    space = IntervalSpace() if space == "interval" else unit_space(space)
+    zu, zv = parse_set(zu), parse_set(zv)
+    zh = annihilator_common_neighbor_zero_set(space, zu, zv)
+    if want is None:
+        assert zh is None
+        return
+    assert zh == parse_set(want)
+    zclass(space, zh)
+    assert adjacent(GraphKind.ANNIHILATOR, space, zu, zh)
+    assert adjacent(GraphKind.ANNIHILATOR, space, zv, zh)
+
+
 # -- complementation ----------------------------------------------------------
 
 def test_comaximal_expanded_complemented():

@@ -105,6 +105,8 @@ def test_registry_ids_are_namespaced():
     for check_id, check in REGISTRY.items():
         suite, _, rest = check_id.partition(".")
         assert suite == check.suite and rest
+        kind_suite = suite in {k.value for k in GraphKind}
+        assert check.kind == (suite if kind_suite else None)
 
 
 def test_config_validation():
@@ -190,6 +192,58 @@ def test_cli_iso(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["outcome"] == "not_isomorphic"
     assert doc["certificate"]["kind"] == "eccentricity-class-count"
+
+
+def test_cli_iso_mapping_is_verified(capsys):
+    from mrfgraph.isomorphism import verify_mapping
+    from mrfgraph.measure_space import unit_space
+
+    assert main(["iso", "--left", "comaximal", "--right", "zero-divisor",
+                 "--atoms", "3", "--alphabet", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outcome"] == "isomorphic"
+    left, right = (build_graph(unit_space(3), kind, "expanded", alphabet=2)
+                   for kind in (GraphKind.COMAXIMAL, GraphKind.ZERO_DIVISOR))
+    index = {right.vertex_label(j): j for j in range(right.n_vertices)}
+    labels = [left.vertex_label(i) for i in range(left.n_vertices)]
+    assert sorted(doc["mapping"]) == sorted(labels)
+    assert sorted(doc["mapping"].values()) == sorted(index)
+    assert verify_mapping(left, right, tuple(index[doc["mapping"][label]] for label in labels))
+
+
+def test_cli_metrics_interval_weakly_zd_is_empty(capsys):
+    assert main(["metrics", "--backend", "interval", "--kind", "weakly-zd"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"graph": "weakly_zd_sampled", "empty": True}
+
+
+def test_cli_build_one_atom_notes_empty_graph(capsys):
+    assert main(["build", "--atoms", "1", "--kind", "comaximal"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: empty graph (no vertices satisfy the kind's constraints)\n"
+    assert json.loads(captured.out)["vertices"] == []
+
+
+def _suite_config(argv):
+    from mrfgraph.cli import _config_from_args, make_parser
+    return _config_from_args(make_parser().parse_args(["verify", *argv]), "atomic")
+
+
+@pytest.mark.parametrize("argv", [["--suite", "all"], ["--suite", ""], ["--kinds", ""]])
+def test_cli_empty_and_all_name_lists_keep_defaults(argv):
+    assert _suite_config(argv) == SuiteConfig()
+
+
+def test_cli_kinds_all_is_not_a_kind(capsys):
+    assert _exit_code(["verify", "--kinds", "all"]) == 2
+    assert capsys.readouterr().err == "invalid configuration: unknown kinds ['all']\n"
+
+
+def test_cli_suite_flags_land_in_their_fields():
+    config = _suite_config(["--samples", "5", "--budget", "9", "--format", "text",
+                            "--suite", "iso, quotient", "--kinds", "comaximal"])
+    assert (config.sample_count, config.iso_budget, config.output) == (5, 9, "text")
+    assert (config.suites, config.kinds) == (("iso", "quotient"), ("comaximal",))
 
 
 def test_cli_verify_pass(capsys):

@@ -115,6 +115,21 @@ def test_vertex_count_certificate():
     assert verdict.certificate["kind"] == "vertex-count"
 
 
+@pytest.mark.parametrize("left,right,certificate", [
+    # C5 and K_{2,3}: every eccentricity 2 on both sides
+    ([(i, (i + 1) % 5) for i in range(5)], [(i, j) for i in (0, 1) for j in (2, 3, 4)],
+     {"kind": "edge-count", "left": 5, "right": 6}),
+    # two 6-vertex trees with equal eccentricity histograms and edge counts
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)], [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)],
+     {"kind": "degree-multiset", "left": [1, 1, 1, 1, 2, 4], "right": [1, 1, 1, 1, 3, 3]}),
+], ids=["edge-count", "degree-multiset"])
+def test_count_certificates(left, right, certificate):
+    n = max(max(e) for e in left + right) + 1
+    verdict = are_isomorphic(raw_graph(n, left), raw_graph(n, right))
+    assert verdict.outcome == NOT_ISOMORPHIC
+    assert verdict.certificate == certificate
+
+
 def test_relabeled_cycles_are_isomorphic():
     c6 = raw_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     scrambled = raw_graph(6, [(3, 5), (5, 1), (1, 4), (4, 0), (0, 2), (2, 3)])

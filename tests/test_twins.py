@@ -1,5 +1,5 @@
 """Twin-class sourcing against the full per-source, per-pair and per-edge
-reference, and the memoised oracle against the un-memoised one.
+reference.
 
 Vertices with identical adjacency rows are false twins, and swapping two of
 them is an automorphism.  ``metrics``, ``MetricsSummary.distances_from``,
@@ -7,11 +7,10 @@ the two cycle-rank checks, ``triangle_profile`` and
 ``complementation_profile`` therefore work once per twin class or ordered
 pair of twin classes (``Graph.twins``).  The slow reference here searches
 from every vertex, for every vertex pair and over every edge, as the library
-did before.  ``oracle_adjacent`` memoises the a.e. test and the weakly-zd
-reach per value tuple; the reference re-derives both on every call."""
+did before.  The memoised ``oracle_adjacent`` is compared with the per-pair
+reference in test_graph_build."""
 
 import dataclasses
-import itertools
 import json
 import math
 import random
@@ -22,7 +21,7 @@ import pytest
 from mrfgraph import checks, graph_metrics
 from mrfgraph.checks import _pair_mismatches, _twin_cycle_rank, expected_comaximal_distance
 from mrfgraph.cli import main
-from mrfgraph.graph_build import Graph, GraphKind, build_graph, oracle_adjacent
+from mrfgraph.graph_build import Graph, GraphKind, build_graph
 from mrfgraph.graph_metrics import (
     SOLVERS,
     _levels,
@@ -35,8 +34,8 @@ from mrfgraph.graph_metrics import (
     triangle_profile,
 )
 from mrfgraph.harness import RunContext, SuiteConfig
-from mrfgraph.measure_space import IntervalSpace, atom_set, is_null, unit_space
-from mrfgraph.vertex_universe import ZClass, enumerate_functions, sample_interval_classes
+from mrfgraph.measure_space import IntervalSpace, atom_set, unit_space
+from mrfgraph.vertex_universe import ZClass, sample_interval_classes
 
 INF = math.inf
 MAX_LEN = 8
@@ -285,45 +284,3 @@ def test_searches_run_once_per_twin_class(monkeypatch):
     outcome = checks.check_comaximal_cycle_rank(ctx, 4, 3)
     assert outcome.ok
     assert 0 < calls["cycle_rank"] <= classes * classes
-
-
-def reference_oracle_adjacent(kind, space, k, f, g):
-    """The un-memoised table oracle: every a.e. test through ``atom_set`` and
-    ``is_null``, ann(p) over the k^n candidates, and the weakly-zd pair
-    scanning every candidate h1 in ann(f) for an h2 in ann(g)."""
-    def vanishes(values):
-        return is_null(space, atom_set(i for i, v in enumerate(values) if v != 0))
-
-    candidates = list(itertools.product(range(k), repeat=space.n_atoms))
-    nonzero = sum(1 << c for c, h in enumerate(candidates) if not vanishes(h))
-
-    def ann(p):
-        return sum(1 << c for c, h in enumerate(candidates)
-                   if vanishes(tuple(a * b for a, b in zip(h, p))))
-
-    fv, gv = f.values, g.values
-    if kind is GraphKind.ZERO_DIVISOR:
-        return vanishes(tuple(a * b for a, b in zip(fv, gv)))
-    if kind is GraphKind.COMAXIMAL:
-        return vanishes(tuple(1 if a * a + b * b == 0 else 0 for a, b in zip(fv, gv)))
-    ann_f, ann_g = ann(fv), ann(gv)
-    if kind is GraphKind.ANNIHILATOR:
-        return bool(ann(tuple(a * b for a, b in zip(fv, gv))) & ~ann_f & ~ann_g)
-    killers = ann_f & nonzero
-    return any(killers >> c & 1 and ann(h) & ann_g & nonzero
-               for c, h in enumerate(candidates))
-
-
-ORACLE_CASES = [(n, k) for n in (1, 2, 3) for k in (2, 3, 4)]
-
-
-@pytest.mark.parametrize("n,k", ORACLE_CASES, ids=[f"n{n}k{k}" for n, k in ORACLE_CASES])
-def test_memoised_oracle_matches_unmemoised(n, k):
-    """Every ordered pair, self-pairs included, at n <= 3.  The n=4, k=3
-    case is in test_graph_build's comparison with the per-pair oracle."""
-    space = unit_space(n)
-    divisors = enumerate_functions(space, k)
-    for kind in GraphKind:
-        for f, g in itertools.product(divisors, repeat=2):
-            assert oracle_adjacent(kind, space, k, f, g) == \
-                reference_oracle_adjacent(kind, space, k, f, g), (kind, f, g)

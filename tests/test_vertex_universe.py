@@ -62,14 +62,14 @@ def test_enumerate_functions_order_is_lexicographic():
 def test_class_size_matches_exhaustive_count():
     space = unit_space(3)
     zc = ZClass(atom_set([0]))
-    brute = sum(1 for v in brute_zero_divisors(3, 3) if ExpandedFunction(v).zero_set() == zc.zero_set)
+    brute = sum(1 for v in brute_zero_divisors(3, 3) if ExpandedFunction(v).zero_set == zc.zero_set)
     assert brute == 4
     assert class_size(space, zc, 3) == 4
     assert class_size(space, zc, 2) == 1
 
     space4 = unit_space(4)
     zc4 = ZClass(atom_set([0, 1]))
-    brute4 = sum(1 for v in brute_zero_divisors(4, 4) if ExpandedFunction(v).zero_set() == zc4.zero_set)
+    brute4 = sum(1 for v in brute_zero_divisors(4, 4) if ExpandedFunction(v).zero_set == zc4.zero_set)
     assert brute4 == 9
     assert class_size(space4, zc4, 4) == 9
 
@@ -80,7 +80,7 @@ def test_class_partition(n, k):
     functions = enumerate_functions(space, k)
     by_class = {}
     for f in functions:
-        by_class.setdefault(f.zero_set(), []).append(f)
+        by_class.setdefault(f.zero_set, []).append(f)
     classes = enumerate_zclasses(space)
     assert set(by_class) == {zc.zero_set for zc in classes}
     assert sum(len(v) for v in by_class.values()) == k ** n - (k - 1) ** n - 1
