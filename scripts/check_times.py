@@ -9,7 +9,9 @@ prints one line per check: wall seconds, then its pass/fail/skipped entry
 counts.  A check's time includes the graph builds and metrics it is the
 first to request; later checks find them cached, as in a real run.  The
 last line is the total.  Nothing is written into a report, and the report
-of the same run is unaffected.
+of the same run is unaffected.  A graph over the size guard or a bound
+error ends the run as it ends ``mrfgraph verify``: a ``mrfgraph:`` line on
+stderr and exit status 2.
 """
 
 import argparse
@@ -17,6 +19,7 @@ import sys
 import time
 
 from mrfgraph.cli import _atom_range
+from mrfgraph.graph_build import BoundExceededError, GraphTooLargeError
 from mrfgraph.harness import RunContext, SuiteConfig, _check_entries, applicable_checks
 
 
@@ -30,7 +33,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     for check in checks:
         t0 = time.perf_counter()
-        entries = _check_entries(check, ctx)
+        try:
+            entries = _check_entries(check, ctx)
+        except (BoundExceededError, GraphTooLargeError) as exc:
+            sys.stderr.write(f"mrfgraph: {exc}\n")
+            return 2
         elapsed = time.perf_counter() - t0
         statuses = [e.status for e in entries]
         counts = "/".join(str(statuses.count(s)) for s in ("pass", "fail", "skipped"))

@@ -15,7 +15,14 @@ import random
 from fractions import Fraction
 from functools import partial
 
-from .graph_build import GraphKind, adjacent, build_graph, oracle_adjacent, weakly_adjacent_all
+from .graph_build import (
+    GraphKind,
+    adjacent,
+    build_graph,
+    oracle_adjacent,
+    weakly_adjacent_all,
+    zero_set_classes,
+)
 from .graph_metrics import (
     BoundExceededError,
     annihilator_common_neighbor_zero_set,
@@ -97,22 +104,30 @@ def orthogonal_annihilator(space, zu, zv) -> bool:
             and (is_atom(space, zu) or is_atom(space, zv)))
 
 
+def _cell_pairs(g):
+    """One representative vertex pair (i, j), i < j, per unordered pair of
+    cells of the common refinement of zero-set and twin classes, and the
+    number of vertex pairs it stands for: the first members of two cells A
+    and B stand for |A|·|B| pairs, the first two of one cell for C(|A|, 2)."""
+    cells = zero_set_classes(zip(g.classes.of, g.twins.of)).members
+    for a, cell in enumerate(cells):
+        if len(cell) > 1:
+            yield cell[0], cell[1], len(cell) * (len(cell) - 1) // 2
+        for other in cells[a + 1:]:
+            yield cell[0], other[0], len(cell) * len(other)
+
+
 def _pair_mismatches(g, want, got) -> int:
     """Vertex pairs i < j where ``got(i, j)`` differs from the expected value
-    ``want(zu, zv)`` on their zero sets.  ``want`` is evaluated once per
-    ordered pair of zero-set classes; ``got`` once per vertex pair, row by
-    row."""
-    classes = g.classes
-    rows: dict[int, list] = {}
-    bad = 0
-    for i, a in enumerate(classes.of):
-        if a not in rows:
-            rows[a] = [want(classes.zero_sets[a], z) for z in classes.zero_sets]
-        row = rows[a]
-        for j in range(i + 1, g.n_vertices):
-            if got(i, j) != row[classes.of[j]]:
-                bad += 1
-    return bad
+    ``want(zu, zv)`` on their zero sets, compared once per cell pair
+    (``_cell_pairs``).  This counts every vertex pair only because ``want``
+    is symmetric and ``got`` is invariant under swapping false twins (an
+    automorphism), so both are constant on a cell pair; every ``got`` in use
+    is: distance, orthogonal pairs, row equality, ``cycle_rank`` and edge
+    flags.  A ``got`` that reads vertex indices in any other way would be
+    compared on the representatives only."""
+    zsets, of = g.classes.zero_sets, g.classes.of
+    return sum(w for i, j, w in _cell_pairs(g) if got(i, j) != want(zsets[of[i]], zsets[of[j]]))
 
 
 def _vertex_mismatches(g, want, got) -> int:
@@ -120,22 +135,6 @@ def _vertex_mismatches(g, want, got) -> int:
     set, evaluating ``want`` once per zero-set class."""
     expected = [want(z) for z in g.classes.zero_sets]
     return sum(1 for i, c in enumerate(g.classes.of) if got(i) != expected[c])
-
-
-def _twin_cycle_rank(g, max_len: int):
-    """``cycle_rank`` of a vertex pair, searched once per ordered pair of
-    twin classes (``g.twins``): swapping false twins is an automorphism, so
-    the classes' first members (first two within one class) serve the pair."""
-    of, members = g.twins.of, g.twins.members
-    ranks: dict[tuple[int, int], float] = {}
-
-    def got(i: int, j: int) -> float:
-        a, b = of[i], of[j]
-        if (a, b) not in ranks:
-            ranks[a, b] = cycle_rank(g, members[a][0], members[b][a == b], max_len)
-        return ranks[a, b]
-
-    return got
 
 
 def _solve(ctx: RunContext, g, *which: str) -> dict:
@@ -421,7 +420,7 @@ def check_comaximal_cycle_rank(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
     bad = _pair_mismatches(g, partial(expected_comaximal_cycle, space),
-                           _twin_cycle_rank(g, ctx.config.max_cycle_len))
+                           partial(cycle_rank, g, max_len=ctx.config.max_cycle_len))
     total = g.n_vertices * (g.n_vertices - 1) // 2
     return Outcome(f"{total} smallest-cycle ranks in {{3,4,6}} per the four-case rule",
                    f"{bad} mismatches", bad == 0)
@@ -430,14 +429,9 @@ def check_comaximal_cycle_rank(ctx: RunContext, n: int, k: int):
 @register("comaximal.class_stability")
 def check_comaximal_class_stability(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    classes = g.classes.members
-    ok = all(not g.is_edge(i, j) for members in classes
-             for i in members for j in members if i < j)
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            flags = {g.is_edge(i, j) for i in classes[a] for j in classes[b]}
-            if len(flags) != 1:
-                ok = False
+    # each class inside one twin class: no row holds its own bit, so equal
+    # rows make a class stable and every class pair fully joined or apart
+    ok = len(set(zip(g.classes.of, g.twins.of))) == len(g.classes.members)
     return Outcome("classes are stable sets; class pairs fully joined or fully apart",
                    "confirmed" if ok else "violated", ok)
 
@@ -666,7 +660,7 @@ def check_annihilator_cycle_rank(ctx: RunContext, n: int, k: int):
         edge = adjacent(GraphKind.ANNIHILATOR, space, zu, zv)
         return 3 if edge and not orthogonal_annihilator(space, zu, zv) else 4
 
-    bad = _pair_mismatches(g, want, _twin_cycle_rank(g, ctx.config.max_cycle_len))
+    bad = _pair_mismatches(g, want, partial(cycle_rank, g, max_len=ctx.config.max_cycle_len))
     total = g.n_vertices * (g.n_vertices - 1) // 2
     return Outcome(f"{total} ranks: 3 on non-orthogonal edges, else 4",
                    f"{bad} mismatches", bad == 0)
@@ -685,8 +679,8 @@ def check_annihilator_edge_triangles(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
     profile = triangle_profile(g)
     zsets, of = g.classes.zero_sets, g.classes.of
-    orthogonal = [[orthogonal_annihilator(space, zu, zv) for zv in zsets] for zu in zsets]
-    bad = sum(1 for i, j in g.edges() if profile.edge_flag(i, j) == orthogonal[of[i]][of[j]])
+    bad = sum(w for i, j, w in _cell_pairs(g) if g.is_edge(i, j) and profile.edge_flag(i, j)
+              == orthogonal_annihilator(space, zsets[of[i]], zsets[of[j]]))
     ok = bad == 0 and not profile.is_hypertriangulated
     return Outcome("edge on a triangle iff not orthogonal; not hypertriangulated over atoms",
                    f"{bad} mismatches, hypertriangulated={profile.is_hypertriangulated}", ok)

@@ -59,10 +59,6 @@ class MetricsSummary:
                     self.rows[c][x] = d
         return self.rows[c][rep if target == source else source if target == rep else target]
 
-    def distances_from(self, source: int) -> list[float]:
-        """Shortest-path distances from ``source``; ``inf`` when unreachable."""
-        return [self.distance(source, x) for x in range(len(self.adj))]
-
     def eccentricity_histogram(self) -> dict[float, int]:
         hist: dict[float, int] = {}
         for e in self.eccentricity:

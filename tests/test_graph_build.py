@@ -1,5 +1,6 @@
 """Graph construction: closed-form adjacency vs definition-level oracles."""
 
+import dataclasses
 import itertools
 import random
 
@@ -18,7 +19,8 @@ from mrfgraph.graph_build import (
     oracle_adjacent,
     weakly_adjacent_all,
 )
-from mrfgraph.harness import make_weights
+import mrfgraph.checks  # noqa: F401  (populates REGISTRY)
+from mrfgraph.harness import REGISTRY, RunContext, SuiteConfig, make_weights
 from mrfgraph.measure_space import (
     AtomicSpace,
     IntervalSpace,
@@ -391,22 +393,38 @@ def test_subgraph_containment_and_strictness():
             assert gz.adj != ga.adj and gc.adj != ga.adj
 
 
-def test_class_stability_and_representative_invariance():
-    space = unit_space(3)
-    g = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=3)
+def reference_class_stability(g) -> bool:
+    """Zero-set classes are stable sets and class pairs fully joined or fully
+    apart, tested on every vertex pair."""
     groups = {}
     for i, zs in enumerate(g.zero_sets):
         groups.setdefault(zs, []).append(i)
-    for members in groups.values():
-        for i in members:
-            for j in members:
-                if i < j:
-                    assert not g.is_edge(i, j)
     classes = list(groups.values())
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            flags = {g.is_edge(i, j) for i in classes[a] for j in classes[b]}
-            assert len(flags) == 1
+    if any(g.is_edge(i, j) for members in classes for i in members for j in members if i < j):
+        return False
+    return all(len({g.is_edge(i, j) for i in classes[a] for j in classes[b]}) == 1
+               for a in range(len(classes)) for b in range(a + 1, len(classes)))
+
+
+def test_class_stability_and_representative_invariance():
+    """The registered check tests that each zero-set class lies inside one
+    twin class; it agrees with the per-pair reference, also once the edge
+    between the first and the last vertex is flipped."""
+    check = REGISTRY["comaximal.class_stability"].fn
+    for n, k in ((2, 3), (3, 2), (3, 3), (4, 3)):
+        ctx = RunContext(SuiteConfig())
+        g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
+        assert reference_class_stability(g)
+        assert check(ctx, n, k).ok
+        adj = list(g.adj)
+        last = g.n_vertices - 1
+        adj[0] ^= 1 << last
+        adj[last] ^= 1
+        broken = dataclasses.replace(g, adj=tuple(adj))
+        key = next(key for key, cached in ctx._graphs.items() if cached is g)
+        ctx._graphs[key] = broken
+        # at k=2 every class is one vertex, so any graph passes
+        assert check(ctx, n, k).ok == reference_class_stability(broken) == (k == 2), (n, k)
 
 
 def test_unit_witness_on_adjacent_pairs():

@@ -62,7 +62,7 @@ def test_distance_example_quotient_n3():
     summary = metrics(g)
     idx = {z: i for i, z in enumerate(g.zero_sets)}
     i, j = idx[atom_set({1, 2})], idx[atom_set({0, 2})]
-    assert summary.distances_from(i)[j] == 3
+    assert summary.distance(i, j) == 3
 
 
 def test_k22_diameter_and_girth():
@@ -97,7 +97,8 @@ def test_metrics_match_networkx(g):
     h = to_nx(g)
     for i in range(g.n_vertices):
         lengths = nx.shortest_path_length(h, i)
-        assert summary.distances_from(i) == [lengths.get(j, INF) for j in range(g.n_vertices)]
+        assert [summary.distance(i, j) for j in range(g.n_vertices)] == \
+            [lengths.get(j, INF) for j in range(g.n_vertices)]
     if nx.is_connected(h):
         ecc = nx.eccentricity(h)
         assert list(summary.eccentricity) == [ecc[i] for i in range(g.n_vertices)]

@@ -342,12 +342,13 @@ def _toggle_edge(ctx, n, kind, k, zu, zv):
     ("annihilator.cycle_rank_cases", GraphKind.ANNIHILATOR, (3, 3)),
     ("comaximal.orthogonality_rule", GraphKind.COMAXIMAL, (3, 3)),
     ("comaximal.complemented_unique", GraphKind.COMAXIMAL, (3, "expanded", 3)),
+    ("comaximal.class_stability", GraphKind.COMAXIMAL, (3, 3)),
 ])
 def test_rule_checks_read_the_computed_side_per_vertex_pair(check_id, kind, args):
-    """The expected side is evaluated per zero-set class pair, but the
+    """The expected side is constant on zero-set class pairs, but the
     computed side is shared at most within a class of identical adjacency
     rows: one flipped edge between two members of a class pair moves them
-    to row classes of their own and is a mismatch."""
+    to row classes (and cells) of their own and is a mismatch."""
     fn = REGISTRY[check_id].fn
     ctx = RunContext(SuiteConfig())
     assert fn(ctx, *args).ok
@@ -355,7 +356,7 @@ def test_rule_checks_read_the_computed_side_per_vertex_pair(check_id, kind, args
     _flip_orthogonal_edge(ctx, 3, kind, 3)
     outcome = fn(ctx, *args)
     assert not outcome.ok
-    if check_id == "comaximal.complemented_unique":
+    if check_id in ("comaximal.complemented_unique", "comaximal.class_stability"):
         assert outcome.computed == "violated"
     else:
         assert int(outcome.computed.split()[0]) >= 1
@@ -367,7 +368,7 @@ def test_edge_triangle_rule_reads_each_edge():
     Z={1,2} from Z={0}, and to Z={2} from Z={0,1}, are orthogonal.  An added
     edge u-w between the first members of Z={0} and Z={0,1} gives each
     orthogonal edge at u or w a common neighbour (w or u): one mismatch per
-    member of Z={1,2} and of Z={2}, read edge by edge."""
+    member of Z={1,2} and of Z={2}: the check counts edges, not cell pairs."""
     fn = REGISTRY["annihilator.edge_triangle_rule"].fn
     ctx = RunContext(SuiteConfig())
     assert fn(ctx, 3, 3).ok
@@ -510,6 +511,14 @@ def test_check_times_prints_one_line_per_selected_check(capsys):
     ids = [check.id for check in applicable_checks(SuiteConfig(atoms_min=2, atoms_max=2))]
     assert [line.split()[2] for line in lines[:-1]] == ids
     assert lines[-1].endswith(f"total over {len(ids)} checks")
+
+
+def test_check_times_exits_2_over_the_guard(capsys):
+    """n=8 has 6,304 expanded vertices, over the default guard of 5,000: the
+    script stops as ``mrfgraph verify`` does, with no traceback."""
+    assert _script("check_times").main(["--atoms", "8..8"]) == 2
+    err = capsys.readouterr().err
+    assert err == "mrfgraph: 6304 vertices exceed guard 5000\n"
 
 
 def test_sample_cli_matches_default_suite_script(capsys):

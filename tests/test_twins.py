@@ -2,26 +2,32 @@
 reference.
 
 Vertices with identical adjacency rows are false twins, and swapping two of
-them is an automorphism.  ``metrics``, ``MetricsSummary.distances_from``,
-the two cycle-rank checks, ``triangle_profile`` and
+them is an automorphism.  ``metrics``, ``triangle_profile`` and
 ``complementation_profile`` therefore work once per twin class or ordered
-pair of twin classes (``Graph.twins``).  The slow reference here searches
-from every vertex, for every vertex pair and over every edge, as the library
-did before.  The memoised ``oracle_adjacent`` is compared with the per-pair
-reference in test_graph_build."""
+pair of twin classes (``Graph.twins``), and the rule checks compare once per
+cell pair of the common refinement of zero-set and twin classes.  The slow
+reference here searches from every vertex, for every vertex pair and over
+every edge, as the library did before.  The memoised ``oracle_adjacent`` is
+compared with the per-pair reference in test_graph_build."""
 
 import dataclasses
 import json
 import math
 import random
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
 from mrfgraph import checks, graph_metrics
-from mrfgraph.checks import _pair_mismatches, _twin_cycle_rank, expected_comaximal_distance
+from mrfgraph.checks import (
+    _pair_mismatches,
+    expected_comaximal_cycle,
+    expected_comaximal_distance,
+    orthogonal_annihilator,
+    orthogonal_comaximal,
+)
 from mrfgraph.cli import main
-from mrfgraph.graph_build import Graph, GraphKind, build_graph
+from mrfgraph.graph_build import Graph, GraphKind, adjacent, build_graph, zero_set_classes
 from mrfgraph.graph_metrics import (
     SOLVERS,
     _levels,
@@ -34,7 +40,7 @@ from mrfgraph.graph_metrics import (
     triangle_profile,
 )
 from mrfgraph.harness import RunContext, SuiteConfig
-from mrfgraph.measure_space import IntervalSpace, atom_set, unit_space
+from mrfgraph.measure_space import IntervalSpace, atom_set, null_equal, unit_space
 from mrfgraph.vertex_universe import ZClass, sample_interval_classes
 
 INF = math.inf
@@ -102,14 +108,15 @@ def assert_matches_reference(g: Graph, ranks: bool = True) -> None:
     assert summary.diameter == max(ecc)
     assert summary.girth == girth
     for s, row in enumerate(rows):
-        assert summary.distances_from(s) == row, s
         assert [summary.distance(s, x) for x in range(g.n_vertices)] == row, s
     assert_profiles_match_reference(g)
     if ranks:
-        got = _twin_cycle_rank(g, MAX_LEN)
+        # swapping false twins keeps cycle_rank, as _pair_mismatches requires
+        of, members = g.twins.of, g.twins.members
+        at_firsts = cache(lambda a, b: cycle_rank(g, members[a][0], members[b][a == b], MAX_LEN))
         for i in range(g.n_vertices):
             for j in range(i + 1, g.n_vertices):
-                assert got(i, j) == cycle_rank(g, i, j, MAX_LEN), (i, j)
+                assert cycle_rank(g, i, j, MAX_LEN) == at_firsts(of[i], of[j]), (i, j)
 
 
 def atomic_graphs(n: int):
@@ -172,8 +179,8 @@ def test_metrics_read_rows_only():
             assert fn(bare) == fn(g), (g.name(), fn)
         summary, bare_summary = metrics(g), metrics(bare)
         assert bare_summary == summary, g.name()
-        assert all(bare_summary.distances_from(s) == summary.distances_from(s)
-                   for s in range(g.n_vertices)), g.name()
+        assert all(bare_summary.distance(s, x) == summary.distance(s, x)
+                   for s in range(g.n_vertices) for x in range(g.n_vertices)), g.name()
 
 
 def raw_graph(rows) -> Graph:
@@ -262,6 +269,100 @@ def test_graph_breaking_twinness_shows_as_mismatch():
     bad = _pair_mismatches(broken, partial(expected_comaximal_distance, space),
                            metrics(broken).distance)
     assert bad > 0
+
+
+def reference_pair_mismatches(g: Graph, want, got) -> int:
+    """Vertex pairs i < j where ``got(i, j)`` differs from ``want`` on their
+    zero sets, with ``got`` called on every vertex pair."""
+    classes = g.classes
+    rows: dict[int, list] = {}
+    bad = 0
+    for i, a in enumerate(classes.of):
+        if a not in rows:
+            rows[a] = [want(classes.zero_sets[a], z) for z in classes.zero_sets]
+        for j in range(i + 1, g.n_vertices):
+            if got(i, j) != rows[a][classes.of[j]]:
+                bad += 1
+    return bad
+
+
+def reference_edge_triangle_mismatches(g: Graph, space) -> int:
+    """Edges whose triangle flag equals their orthogonality, read edge by
+    edge."""
+    profile = triangle_profile(g)
+    zsets, of = g.classes.zero_sets, g.classes.of
+    orthogonal = [[orthogonal_annihilator(space, zu, zv) for zv in zsets] for zu in zsets]
+    return sum(1 for i, j in g.edges() if profile.edge_flag(i, j) == orthogonal[of[i]][of[j]])
+
+
+def edge_triangle_mismatches(g: Graph, n: int) -> int:
+    """The mismatch count of ``annihilator.edge_triangle_rule`` with ``g``
+    served in place of the n-atom annihilator graph."""
+    ctx = RunContext(SuiteConfig())
+    served = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=3)
+    key = next(key for key, cached in ctx._graphs.items() if cached is served)
+    ctx._graphs[key] = g
+    return int(checks.check_annihilator_edge_triangles(ctx, n, 3).computed.split()[0])
+
+
+def rule_comparisons(g: Graph, space):
+    """The (want, got) of every rule check that calls ``_pair_mismatches``.
+    Both cycle-rank checks read one table of ``cycle_rank`` per vertex pair,
+    built up to n=4; at n=5 it would take about 4 s more."""
+    def annihilator_cycle(zu, zv):
+        edge = adjacent(GraphKind.ANNIHILATOR, space, zu, zv)
+        return 3 if edge and not orthogonal_annihilator(space, zu, zv) else 4
+
+    pairs = set(complementation_profile(g).orthogonal_pairs)
+    orthogonal = lambda i, j: (i, j) in pairs  # noqa: E731
+    yield partial(expected_comaximal_distance, space), metrics(g).distance
+    yield partial(orthogonal_comaximal, space), orthogonal
+    yield partial(orthogonal_annihilator, space), orthogonal
+    yield partial(null_equal, space), lambda i, j: g.adj[i] == g.adj[j]
+    if space.n_atoms <= 4:
+        ranks = {(i, j): cycle_rank(g, i, j, MAX_LEN)
+                 for i in range(g.n_vertices) for j in range(i + 1, g.n_vertices)}
+        yield partial(expected_comaximal_cycle, space), lambda i, j: ranks[i, j]
+        yield annihilator_cycle, lambda i, j: ranks[i, j]
+
+
+def flip_first_and_last(g: Graph) -> Graph:
+    """``g`` with the vertex pair (0, last) toggled between edge and
+    non-edge."""
+    last = g.n_vertices - 1
+    adj = list(g.adj)
+    adj[0] ^= 1 << last
+    adj[last] ^= 1
+    return dataclasses.replace(g, adj=tuple(adj))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cell_pair_counts_match_per_pair_reference(n):
+    """Every rule check's mismatch count, compared once per cell pair,
+    equals the per-vertex-pair and per-edge count, on every atomic graph and
+    on the same graph with one flipped edge.  The flip makes ``got`` depend
+    on the vertex index, so each flipped vertex falls into a cell of its
+    own."""
+    space = unit_space(n)
+    pair_counts, edge_counts = [], []
+    for g in atomic_graphs(n):
+        broken = flip_first_and_last(g)
+        cells = zero_set_classes(zip(broken.classes.of, broken.twins.of))
+        assert cells.members[cells.of[0]] == (0,), g.name()
+        assert cells.members[cells.of[-1]] == (g.n_vertices - 1,), g.name()
+        for h in (g, broken):
+            for want, got in rule_comparisons(h, space):
+                pair_counts.append(reference_pair_mismatches(h, want, got))
+                assert _pair_mismatches(h, want, got) == pair_counts[-1], h.name()
+            edge_counts.append(reference_edge_triangle_mismatches(h, space))
+            assert edge_triangle_mismatches(h, n) == edge_counts[-1], h.name()
+            # distance 1 everywhere: every non-adjacent pair counts, inside
+            # a cell too
+            pairs = h.n_vertices * (h.n_vertices - 1) // 2
+            assert _pair_mismatches(h, lambda zu, zv: 1, metrics(h).distance) == \
+                pairs - h.n_edges(), h.name()
+    # the rules of one graph read on another, and the flips, give mismatches
+    assert any(pair_counts) and (n == 2 or any(edge_counts))
 
 
 def test_searches_run_once_per_twin_class(monkeypatch):
