@@ -287,13 +287,12 @@ class Graph:
         return "_".join(parts)
 
 
-def _fill_adjacency(kind, space, zero_sets) -> tuple[int, ...]:
+def _fill_adjacency(kind, space, classes: ZeroSetClasses) -> tuple[int, ...]:
     """Adjacency rows, testing ``adjacent`` on the cell masks of each
     unordered pair of zero-set classes once, and of each class with itself.
     Each row is the union of the member masks of its adjacent classes minus
     the vertex's own bit.  The weakly-zd atom filter must run before, on the
     original space: a single cell would look like an atom."""
-    classes = zero_set_classes(zero_sets)
     full, masks = cell_masks(space, classes.zero_sets)
     edge = {GraphKind.COMAXIMAL: lambda a, b: not a & b,
             GraphKind.ZERO_DIVISOR: lambda a, b: a | b == full,
@@ -356,8 +355,11 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
     if len(payloads) > max_vertices:
         raise GraphTooLargeError(f"{len(payloads)} vertices exceed guard {max_vertices}")
     zero_sets = tuple(p.zero_set for p in payloads)
-    return Graph(kind, mode, alphabet, space, tuple(payloads), zero_sets,
-                 _fill_adjacency(kind, space, zero_sets))
+    classes = zero_set_classes(zero_sets)
+    g = Graph(kind, mode, alphabet, space, tuple(payloads), zero_sets,
+              _fill_adjacency(kind, space, classes))
+    vars(g)["classes"] = classes  # the cached property, computed once
+    return g
 
 
 def export_graph(g: Graph, fmt: str) -> str:

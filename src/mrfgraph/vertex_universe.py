@@ -17,9 +17,8 @@ sets agree almost everywhere.
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .measure_space import (
     ATOMIC,
@@ -61,17 +60,19 @@ def zclass(space: MeasureSpace, zero_set: MeasurableSet) -> ZClass:
 
 @dataclass(frozen=True)
 class ExpandedFunction:
-    """Per-atom values in {0,...,k-1}; identity is the full value vector."""
+    """Per-atom values in {0,...,k-1}; identity is the full value vector.
+
+    ``zero_set`` is stored, not compared, hashed or shown: built from
+    ``values`` alone it is derived from them (the reference), while
+    :func:`enumerate_functions` passes one shared set per class."""
 
     values: tuple[int, ...]
+    zero_set: MeasurableSet = field(default=None, compare=False, repr=False)
 
-    @property
-    def zero_set(self) -> MeasurableSet:
-        mask = sum(1 << i for i, v in enumerate(self.values) if v == 0)
-        return MeasurableSet(ATOMIC, mask=mask)
-
-    def is_zero_divisor(self) -> bool:
-        return any(v == 0 for v in self.values) and any(v != 0 for v in self.values)
+    def __post_init__(self):
+        if self.zero_set is None:
+            mask = sum(1 << i for i, v in enumerate(self.values) if v == 0)
+            object.__setattr__(self, "zero_set", MeasurableSet(ATOMIC, mask=mask))
 
     def __str__(self) -> str:
         return format_function(self)
@@ -88,14 +89,39 @@ def enumerate_zclasses(space: AtomicSpace) -> list[ZClass]:
 
 
 def enumerate_functions(space: AtomicSpace, k: int) -> list[ExpandedFunction]:
-    """All zero-divisor assignments, lexicographic; k^n - (k-1)^n - 1 of them."""
+    """All zero-divisor assignments, lexicographic; k^n - (k-1)^n - 1 of them.
+
+    The work is O(V + k^(n-1)): the k^(n-1) heads (values on atoms 0..n-2)
+    are walked in order with their zero-set masks, and only the last value
+    is constrained -- a head with no zero takes 0 alone, an all-zero head
+    1..k-1, any other head all k values.  One ``MeasurableSet`` is built per
+    zero-set mask and shared by every member of its class.  A single-atom
+    space has no zero-divisors and yields the empty list.
+    """
     if k < 2:
         raise ValueError("alphabet size must be at least 2")
+    n = space.n_atoms
+    if n < 2:
+        return []
+    heads = [((), 0)]
+    for i in range(n - 1):
+        heads = [(h + (v,), m if v else m | 1 << i) for h, m in heads for v in range(k)]
+    last, all_zero = 1 << n - 1, (1 << n - 1) - 1
+    sets: dict[int, MeasurableSet] = {}
+
+    def zero_set(mask: int) -> MeasurableSet:
+        z = sets.get(mask)
+        if z is None:
+            z = sets[mask] = MeasurableSet(ATOMIC, mask=mask)
+        return z
+
     out = []
-    for values in itertools.product(range(k), repeat=space.n_atoms):
-        f = ExpandedFunction(values)
-        if f.is_zero_divisor():
-            out.append(f)
+    for h, m in heads:
+        if m != all_zero:
+            out.append(ExpandedFunction(h + (0,), zero_set(m | last)))
+        if m:
+            z = zero_set(m)
+            out.extend(ExpandedFunction(h + (v,), z) for v in range(1, k))
     return out
 
 

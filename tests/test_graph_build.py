@@ -18,6 +18,7 @@ from mrfgraph.graph_build import (
     export_graph,
     oracle_adjacent,
     weakly_adjacent_all,
+    zero_set_classes,
 )
 import mrfgraph.checks  # noqa: F401  (populates REGISTRY)
 from mrfgraph.harness import REGISTRY, RunContext, SuiteConfig, make_weights
@@ -107,10 +108,15 @@ def test_weakly_trichotomy_over_all_divisors(n, k):
             assert brute == want
 
 
+def zero_divisor_values(n, k):
+    """Value tuples with a zero and a nonzero, from ``itertools.product``."""
+    return [v for v in itertools.product(range(k), repeat=n) if 0 in v and any(v)]
+
+
 def slow_oracle_adjacent(kind, space, k, f, g):
     """The per-pair oracle: ann(p) re-derived for every candidate on every
     call, the annihilator candidates from ``itertools.product`` and the
-    weakly-zd ones from ``enumerate_functions``.  The slow reference for
+    weakly-zd ones from :func:`zero_divisor_values`.  The slow reference for
     the table-backed ``oracle_adjacent``."""
     def vanishes(values):
         return is_null(space, atom_set(i for i, v in enumerate(values) if v != 0))
@@ -128,7 +134,7 @@ def slow_oracle_adjacent(kind, space, k, f, g):
         return any(vanishes(product(h, fg)) and not vanishes(product(h, fv))
                    and not vanishes(product(h, gv))
                    for h in itertools.product(range(k), repeat=space.n_atoms))
-    divisors = [h.values for h in enumerate_functions(space, k)]
+    divisors = zero_divisor_values(space.n_atoms, k)
     ann_f = [h for h in divisors if vanishes(product(h, fv))]
     ann_g = [h for h in divisors if vanishes(product(h, gv))]
     return any(vanishes(product(h1, h2)) for h1 in ann_f for h2 in ann_g)
@@ -305,6 +311,31 @@ def test_class_build_matches_pairwise_reference(kind, weights):
         assert g.adj == pairwise_adjacency(g), (g.name(), weights)
 
 
+LARGE_ALPHABETS = [(2, 50), (3, 12)]
+
+
+@pytest.mark.parametrize("n,k", LARGE_ALPHABETS, ids=[f"n{n}k{k}" for n, k in LARGE_ALPHABETS])
+@pytest.mark.parametrize("kind", KINDS)
+def test_expanded_build_beyond_alphabet_four(kind, n, k):
+    """Alphabets above the oracle's: the vertices are the filtered product
+    (atomic zero sets only for weakly-zd), and every vertex pair matches the
+    closed form on zero sets re-derived from the values."""
+    space = unit_space(n)
+    g = build_graph(space, kind, "expanded", alphabet=k)
+    want = [v for v in zero_divisor_values(n, k)
+            if kind is not GraphKind.WEAKLY_ZD or v.count(0) == 1]
+    assert [f.values for f in g.vertices] == want
+    derived = tuple(ExpandedFunction(f.values).zero_set for f in g.vertices)
+    assert g.adj == pairwise_adjacency(dataclasses.replace(g, zero_sets=derived))
+
+
+def test_two_atom_build_at_alphabet_2501():
+    """Two classes of 2500 functions each, completely joined."""
+    g = build_graph(unit_space(2), GraphKind.COMAXIMAL, "expanded", alphabet=2501)
+    assert g.n_vertices == 5000
+    assert g.n_edges() == 2500 * 2500
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_class_build_matches_pairwise_reference_sampled(kind):
     classes = sample_interval_classes(5, 40)
@@ -348,7 +379,7 @@ def test_mask_kernel_matches_pairwise_adjacent_on_intervals(kind):
             if reference(zero_sets[i], zero_sets[j]):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-        assert _fill_adjacency(kind, space, zero_sets) == tuple(rows)
+        assert _fill_adjacency(kind, space, zero_set_classes(zero_sets)) == tuple(rows)
 
 
 def grouped_by_zero_set(g):
@@ -365,13 +396,17 @@ def grouped_by_zero_set(g):
 
 
 def test_graph_classes_match_grouping_by_zero_set():
-    builds = [(n, "quotient", None) for n in range(1, 5)]
-    builds += [(n, "expanded", k) for n in range(1, 5) for k in (2, 3)]
+    """``build_graph`` partitions its zero sets once and hands that
+    partition to ``classes``; it matches a naive grouping and a fresh one."""
+    builds = [(n, "quotient", None) for n in range(1, 6)]
+    builds += [(n, "expanded", k) for n in range(1, 6) for k in (2, 3, 4)]
     graphs = [build_graph(unit_space(n), kind, mode, alphabet=k)
               for n, mode, k in builds for kind in KINDS]
     classes = sample_interval_classes(5, 40)
     graphs.append(build_graph(IntervalSpace(), GraphKind.COMAXIMAL, sample=classes))
     for g in graphs:
+        assert "classes" in vars(g), g.name()
+        assert g.classes == zero_set_classes(g.zero_sets), g.name()
         of, members, zero_sets = grouped_by_zero_set(g)
         got = g.classes
         assert (got.of, got.members, got.zero_sets) == (of, members, zero_sets), g.name()

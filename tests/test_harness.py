@@ -282,6 +282,14 @@ def test_cli_verify_alphabet_beyond_oracle_skips(capsys):
                for e in oracle)
 
 
+def test_cli_verify_one_atom_huge_alphabet(capsys):
+    """One atom has no zero-divisors, so no alphabet makes the run enumerate."""
+    assert main(["verify", "--atoms", "1..1", "--alphabet", "100000000",
+                 "--only", "comaximal.adjacency_oracle"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"pass": 1, "fail": 0, "skipped": 0, "total": 1}
+
+
 @pytest.mark.parametrize("argv,check_id,force", [
     (["verify", "--atoms", "2..3", "--alphabet", "4", "--weights", "random-positive",
       "--seed", "11"], "quotient.k2_rule", True),

@@ -59,6 +59,35 @@ def test_enumerate_functions_order_is_lexicographic():
     assert [f.values for f in functions] == [(0, 1), (1, 0)]
 
 
+ENUMERATION_CASES = [(n, k) for n in range(1, 7) for k in (2, 3, 4)] + [(2, 50), (3, 12)]
+
+
+@pytest.mark.parametrize("n,k", ENUMERATION_CASES, ids=[f"n{n}k{k}" for n, k in ENUMERATION_CASES])
+def test_enumerate_functions_matches_filtered_product(n, k):
+    """Order and count against the filtered ``itertools.product``; every
+    stored zero set equals the one derived from the values alone, members of
+    one class share one set object, and an enumerated function is equal to,
+    hashes like and prints like one built directly."""
+    functions = enumerate_functions(unit_space(n), k)
+    assert [f.values for f in functions] == brute_zero_divisors(n, k)
+    assert len(functions) == k ** n - (k - 1) ** n - 1
+    shared = {}
+    for f in functions:
+        direct = ExpandedFunction(f.values)
+        assert direct.zero_set == atom_set(i for i, v in enumerate(f.values) if v == 0)
+        assert f.zero_set == direct.zero_set
+        assert shared.setdefault(f.zero_set, f.zero_set) is f.zero_set
+        assert f == direct and hash(f) == hash(direct)
+        assert (repr(f), str(f)) == (repr(direct), str(direct))
+
+
+def test_enumerate_functions_one_atom_and_large_alphabet():
+    """The work follows the output: one atom has no zero-divisors whatever
+    the alphabet, and two atoms over 2501 symbols give 2 * 2500 functions."""
+    assert enumerate_functions(unit_space(1), 10 ** 9) == []
+    assert len(enumerate_functions(unit_space(2), 2501)) == 5000
+
+
 def test_class_size_matches_exhaustive_count():
     space = unit_space(3)
     zc = ZClass(atom_set([0]))
