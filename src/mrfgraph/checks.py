@@ -19,6 +19,7 @@ from .graph_build import (
     GraphKind,
     adjacent,
     build_graph,
+    check_oracle_bounds,
     oracle_adjacent,
     weakly_adjacent_all,
     zero_set_classes,
@@ -752,6 +753,7 @@ def check_weakly_oracle(ctx: RunContext, n: int, k: int):
           label="n={n} k={k} over all zero-divisors")
 def check_weakly_trichotomy(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
+    check_oracle_bounds(space, k)
     divisors = enumerate_functions(space, k)
     bad = 0
     total = 0
@@ -771,6 +773,7 @@ def check_weakly_trichotomy(ctx: RunContext, n: int, k: int):
 @register("weakly_zd.self_adjacency_rule", oracle_capped=True, label="n={n} k={k}")
 def check_weakly_self_adjacency(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
+    check_oracle_bounds(space, k)
     bad = 0
     for f in enumerate_functions(space, k):
         brute = oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, f)
@@ -919,7 +922,7 @@ def check_quotient_weak_perfectness(ctx: RunContext, n: int, k: int):
 @register("quotient.class_partition", label="n={n} k={k}")
 def check_quotient_class_partition(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
-    functions = enumerate_functions(space, k)
+    functions = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k).vertices
     by_class: dict = {}
     for f in functions:
         by_class.setdefault(f.zero_set, []).append(f)

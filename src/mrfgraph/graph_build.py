@@ -150,6 +150,15 @@ class _AnnihilatorTable:
         return mask
 
 
+def check_oracle_bounds(space: AtomicSpace, k: int) -> None:
+    """Raise :class:`BoundExceededError` past the oracle's atom or alphabet bound."""
+    n = space.n_atoms
+    if n > ORACLE_MAX_ATOMS:
+        raise BoundExceededError(f"oracle bound exceeded: {n} atoms > {ORACLE_MAX_ATOMS}")
+    if k > ORACLE_MAX_ALPHABET:
+        raise BoundExceededError(f"oracle bound exceeded: alphabet {k} > {ORACLE_MAX_ALPHABET}")
+
+
 def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
                     f: ExpandedFunction, g: ExpandedFunction) -> bool:
     """Definition-level brute-force adjacency, no closed forms.
@@ -165,14 +174,10 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
                   h2 ranges over the union of ann(h1) for the nonzero h1 in
                   ann(f), so the test is one intersection with ann(g).
 
-    Raises :class:`BoundExceededError` beyond ``ORACLE_MAX_ATOMS`` atoms or
-    ``ORACLE_MAX_ALPHABET`` symbols, before any table is built.
+    Raises :class:`BoundExceededError` past ``check_oracle_bounds``, before
+    any table is built.
     """
-    n = space.n_atoms
-    if n > ORACLE_MAX_ATOMS:
-        raise BoundExceededError(f"oracle bound exceeded: {n} atoms > {ORACLE_MAX_ATOMS}")
-    if k > ORACLE_MAX_ALPHABET:
-        raise BoundExceededError(f"oracle bound exceeded: alphabet {k} > {ORACLE_MAX_ALPHABET}")
+    check_oracle_bounds(space, k)
     table = _AnnihilatorTable(space, k)
     fv, gv = f.values, g.values
     if kind is GraphKind.ZERO_DIVISOR:
@@ -259,6 +264,16 @@ class Graph:
         """The false-twin classes: vertices grouped by adjacency row, read
         from ``adj`` alone and never from the zero sets."""
         return zero_set_classes(self.adj)
+
+    @cached_property
+    def quotient(self) -> tuple[int, ...]:
+        """Per twin class, the mask of the twin classes its members are
+        adjacent to: rows are unions of whole classes, so with the class
+        sizes this is all of ``adj``.  False twins are never adjacent."""
+        twins = self.twins
+        firsts = sum(1 << vs[0] for vs in twins.members)
+        return tuple(sum(1 << twins.of[v] for v in _members(self.adj[vs[0]] & firsts))
+                     for vs in twins.members)
 
     def is_edge(self, i: int, j: int) -> bool:
         return i != j and bool(self.adj[i] >> j & 1)

@@ -34,30 +34,24 @@ INF = math.inf
 @dataclass(frozen=True)
 class MetricsSummary:
     """All-pairs exact metrics of one graph.  Distances are not stored: the
-    BFS levels from each twin class's first member are, and a class's
-    distance row is built from them when a check first asks for it."""
+    BFS levels over the twin quotient (``Graph.quotient``) from each class
+    are, and a distance is read from them when a check asks for it."""
 
-    adj: tuple[int, ...]
     eccentricity: tuple[float, ...]
     diameter: float
     girth: float
     connected: bool
     twins: ZeroSetClasses = field(compare=False, repr=False)
     levels: tuple[list[int], ...] = field(compare=False, repr=False)
-    rows: dict[int, list[float]] = field(default_factory=dict, compare=False, repr=False)
 
     def distance(self, source: int, target: int) -> float:
-        """Shortest-path distance, ``inf`` when unreachable.  Swapping
-        ``source`` with its class's first member is an automorphism, so this
-        is that member's distance to the swapped ``target``."""
-        c = self.twins.of[source]
-        rep = self.twins.members[c][0]
-        if c not in self.rows:
-            self.rows[c] = [INF] * len(self.adj)
-            for d, level in enumerate(self.levels[c]):
-                for x in _members(level):
-                    self.rows[c][x] = d
-        return self.rows[c][rep if target == source else source if target == rep else target]
+        """Shortest-path distance, ``inf`` when unreachable: that of the two
+        classes in the quotient, or for two members of one class 2 through a
+        shared neighbour (``inf`` with none)."""
+        a, b = self.twins.of[source], self.twins.of[target]
+        if a == b and source != target:
+            return 2 if len(self.levels[a]) > 1 else INF
+        return next((d for d, level in enumerate(self.levels[a]) if level >> b & 1), INF)
 
     def eccentricity_histogram(self) -> dict[float, int]:
         hist: dict[float, int] = {}
@@ -104,19 +98,25 @@ def _levels(adj: tuple[int, ...], source: int) -> tuple[list[int], int, float]:
 
 
 def metrics(g: Graph) -> MetricsSummary:
-    """Eccentricities, diameter and girth from one level-set BFS per twin
-    class: every member takes its class's eccentricity, and the girth is the
-    minimum cycle bound over the classes' first members."""
-    n = g.n_vertices
-    if n == 0:
+    """Eccentricities, diameter and girth from one level-set BFS per class of
+    the twin quotient (``Graph.quotient``).  A class of two or more members
+    adds distance 2 inside itself (``inf`` with no neighbour) and, with two
+    or more neighbouring vertices, a 4-cycle; every other cycle of the graph
+    is a cycle of the quotient."""
+    if g.n_vertices == 0:
         raise ValueError("metrics of an empty graph are undefined")
-    full = (1 << n) - 1
-    searches = [_levels(g.adj, members[0]) for members in g.twins.members]
+    q, members = g.quotient, g.twins.members
+    full = (1 << len(q)) - 1
+    searches = [_levels(q, c) for c in range(len(q))]
     ecc = [len(levels) - 1 if reached == full else INF for levels, reached, _ in searches]
-    eccentricity = tuple(ecc[c] for c in g.twins.of)
-    diameter = max(ecc)
     girth = min(cycle for _, _, cycle in searches)
-    return MetricsSummary(g.adj, eccentricity, diameter, girth, diameter < INF,
+    for c, row in enumerate(q):
+        if len(members[c]) > 1:
+            ecc[c] = max(ecc[c], 2) if row else INF
+            if sum(len(members[b]) for b in _members(row)) > 1:
+                girth = min(girth, 4)
+    diameter = max(ecc)
+    return MetricsSummary(tuple(ecc[c] for c in g.twins.of), diameter, girth, diameter < INF,
                           g.twins, tuple(levels for levels, _, _ in searches))
 
 
@@ -192,25 +192,10 @@ class TriangleProfile:
         return bool(self.flagged[self.of[i]] >> self.of[j] & 1)
 
 
-def _class_edges(g: Graph) -> tuple[list[int], list[int]]:
-    """Per twin class (``g.twins``), the mask of twin classes it is adjacent
-    to and, within it, of those whose rows meet its own row.  Members of a
-    class share their row, so an edge lies on a triangle exactly when the
-    rows of its two classes meet, and each ordered class pair is tested
-    once."""
-    firsts = [members[0] for members in g.twins.members]
-    rows = [g.adj[v] for v in firsts]
-    adjacent, meeting = [], []
-    for row in rows:
-        near = meet = 0
-        for b, v in enumerate(firsts):
-            if row >> v & 1:
-                near |= 1 << b
-                if row & rows[b]:
-                    meet |= 1 << b
-        adjacent.append(near)
-        meeting.append(meet)
-    return adjacent, meeting
+def _meeting(q: tuple[int, ...]) -> tuple[int, ...]:
+    """Per quotient class, the mask of adjacent classes whose quotient rows
+    meet its own: those whose edges to it lie on a triangle."""
+    return tuple(sum(1 << b for b in _members(row) if row & q[b]) for row in q)
 
 
 def comaximal_triangle_zero_sets(space: MeasureSpace, zs: MeasurableSet):
@@ -237,17 +222,17 @@ def annihilator_common_neighbor_zero_set(space: MeasureSpace, zu: MeasurableSet,
 
 
 def triangle_profile(g: Graph) -> TriangleProfile:
-    """Triangle coverage of every vertex and every edge, searched once per
-    ordered pair of twin classes (``g.twins``): an edge lies on a triangle
-    when the rows of its two classes meet, and a vertex when one of its
+    """Triangle coverage of every vertex and every edge, read from the twin
+    quotient (``Graph.quotient``): an edge lies on a triangle when the
+    quotient rows of its two classes meet, and a vertex when one of its
     edges does.  Like every function here it reads the rows alone, so a
     sampled graph's flags describe the sample, not the full graph."""
     if g.n_vertices == 0:
         raise ValueError("triangle profile of an empty graph is undefined")
-    adjacent, flagged = _class_edges(g)
+    flagged = _meeting(g.quotient)
     vertex_flags = tuple(bool(flagged[c]) for c in g.twins.of)
-    return TriangleProfile(all(vertex_flags), any(adjacent) and adjacent == flagged,
-                           vertex_flags, g.twins.of, tuple(flagged))
+    return TriangleProfile(all(vertex_flags), any(g.quotient) and g.quotient == flagged,
+                           vertex_flags, g.twins.of, flagged)
 
 
 @dataclass(frozen=True)
@@ -263,15 +248,14 @@ def complementation_profile(g: Graph) -> ComplementationProfile:
     smallest common cycle is longer than a triangle); unique complementation
     by literal neighborhood equality across each vertex's partners.
 
-    Both are decided per twin class (``g.twins``): two classes are
-    orthogonal when they are adjacent and their rows do not meet, and the
+    Both are decided on the twin quotient (``Graph.quotient``): two classes
+    are orthogonal when they are adjacent and their rows do not meet, and the
     partners of a vertex all have one neighborhood exactly when they lie in
     one twin class, since distinct twin classes have distinct rows."""
-    n = g.n_vertices
-    if n == 0:
+    if g.n_vertices == 0:
         raise ValueError("complementation profile of an empty graph is undefined")
     of, member_masks = g.twins.of, g.twins.masks
-    partners = [near & ~meet for near, meet in zip(*_class_edges(g))]
+    partners = [near & ~meet for near, meet in zip(g.quotient, _meeting(g.quotient))]
     reach = [sum(member_masks[b] for b in _members(p)) for p in partners]
     pairs = tuple((i, j) for i, c in enumerate(of) for j in _members(reach[c] >> i + 1 << i + 1))
     has = tuple(bool(partners[c]) for c in of)
@@ -288,24 +272,24 @@ class Partiteness:
 
 
 def partiteness(g: Graph) -> Partiteness:
-    """Bipartiteness as 'no edge inside any BFS level' over every component.
-    A graph is complete multipartite exactly when each twin class
-    (``g.twins``) is joined to every vertex outside it; its parts are then
-    the twin classes, and it is complete bipartite when there are two."""
-    n = g.n_vertices
-    if n == 0:
+    """Bipartiteness as 'no edge inside any BFS level' over every component
+    of the twin quotient (``Graph.quotient``), which has the graph's odd
+    cycles.  A graph is complete multipartite exactly when each twin class
+    is joined to every other; its parts are then the twin classes, and it is
+    complete bipartite when there are two."""
+    if g.n_vertices == 0:
         raise ValueError("partiteness of an empty graph is undefined")
+    q = g.quotient
     levels, seen = [], 0
-    for s in range(n):
+    for s in range(len(q)):
         if not seen >> s & 1:
-            found, reached, _ = _levels(g.adj, s)
+            found, reached, _ = _levels(q, s)
             seen |= reached
             levels += found
-    bipartite = not any(g.adj[x] & level for level in levels for x in _members(level))
-    full = (1 << n) - 1
-    twins = g.twins
-    joined = all(g.adj[vs[0]] == full ^ mask for vs, mask in zip(twins.members, twins.masks))
-    parts = twins.members if joined else None
+    bipartite = not any(q[x] & level for level in levels for x in _members(level))
+    full = (1 << len(q)) - 1
+    joined = all(row == full ^ 1 << c for c, row in enumerate(q))
+    parts = g.twins.members if joined else None
     return Partiteness(bipartite, joined and len(parts) == 2, parts)
 
 

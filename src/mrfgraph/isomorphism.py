@@ -120,32 +120,37 @@ def are_isomorphic(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
     order = sorted(range(n), key=lambda i: (color_count[colors1[i]], -g1.degree(i), i))
 
     # depth-first over the positions of ``order`` on an explicit stack:
-    # cursor[pos] is the next candidate index to try at that position
+    # cursor[pos] is the next candidate index to try at that position;
+    # placed1/placed2 mask the vertices mapped so far and their images
     mapping = [-1] * n
-    used = [False] * n
+    placed1 = placed2 = 0
     cursor = [0] * (n + 1)
     nodes = 0
     pos = 0
     while 0 <= pos < n:
         i = order[pos]
+        # a candidate j fits when its placed neighbours are the images of i's
+        image = sum(1 << mapping[p] for p in _members(g1.adj[i] & placed1))
         for c in range(cursor[pos], len(candidates[i])):
             j = candidates[i][c]
-            if used[j]:
+            if placed2 >> j & 1:
                 continue
             nodes += 1
             if nodes > budget:
                 return IsoVerdict(INCONCLUSIVE, nodes_explored=nodes)
-            if all(g1.is_edge(i, p) == g2.is_edge(j, mapping[p]) for p in order[:pos]):
+            if g2.adj[j] & placed2 == image:
                 cursor[pos] = c + 1
                 mapping[i] = j
-                used[j] = True
+                placed1 |= 1 << i
+                placed2 |= 1 << j
                 pos += 1
                 cursor[pos] = 0
                 break
         else:
             pos -= 1  # candidates exhausted: undo the previous position
             if pos >= 0:
-                used[mapping[order[pos]]] = False
+                placed1 ^= 1 << order[pos]
+                placed2 ^= 1 << mapping[order[pos]]
                 mapping[order[pos]] = -1
     if pos < 0:
         return IsoVerdict(NOT_ISOMORPHIC, nodes_explored=nodes, certificate={

@@ -142,8 +142,11 @@ def test_metrics_cache_keys_on_rows():
                     for count in (10, 30))
     assert small.n_vertices < large.n_vertices
     m_small, m_large = ctx.graph_metrics(small), ctx.graph_metrics(large)
-    assert m_small.adj == small.adj and m_large.adj == large.adj
+    assert m_small is not m_large
+    assert len(m_small.eccentricity) == small.n_vertices
+    assert len(m_large.eccentricity) == large.n_vertices
     assert ctx.graph_metrics(large) is m_large
+    assert ctx.graph_metrics(small) is m_small
 
 
 def test_config_round_trip():
@@ -267,7 +270,13 @@ def test_cli_verify_alphabet_two_skips_girth_rule(capsys):
     assert [e["status"] for e in entries] == ["skipped"]
 
 
-def test_cli_verify_alphabet_beyond_oracle_skips(capsys):
+def test_cli_verify_alphabet_beyond_oracle_skips(capsys, monkeypatch):
+    """The oracle checks skip on the alphabet bound before they enumerate
+    anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated functions past the oracle bound")
+
+    monkeypatch.setattr(mrfgraph.checks, "enumerate_functions", refuse)
     assert main(["verify", "--atoms", "2..2", "--alphabet", "5", "--format", "json"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -439,6 +448,8 @@ def _exit_code(argv) -> int:
       "--dominating-bound", "10"], "exceed dominating bound 10"),
     (["build", "--atoms", "9", "--mode", "expanded", "--kind", "comaximal"],
      "exceed guard 5000"),
+    (["verify", "--atoms", "2..2", "--alphabet", "20000", "--only", "quotient.class_partition"],
+     "39998 vertices exceed guard 5000"),
     (["verify", "--atoms", "2..x"], "--atoms: expected N or LO..HI, got '2..x'"),
     (["verify", "--atoms", "2..3", "--max-cycle-len", "0", "--suite", "comaximal"],
      "invalid configuration: max_cycle_len must be at least 3"),
@@ -468,6 +479,7 @@ def _exit_code(argv) -> int:
     (["iso", "--left", "comaximal", "--right", "zero_divisor", "--atoms", "2",
       "--budget", "-1"], "--budget: must be at least 0, got -1"),
 ], ids=["atoms-0", "alphabet-1", "missing-config", "bound-exceeded", "graph-too-large",
+        "class-partition-too-large",
         "atoms-malformed", "max-cycle-len-0", "samples-0", "out-unwritable", "only-unknown",
         "only-other-backend", "which-unknown", "verify-budget-negative",
         "verify-clique-bound-negative", "verify-chromatic-bound-negative",
@@ -544,6 +556,18 @@ def test_default_atomic_report_is_pinned():
     report = run_suite(_default_suite_script().CONFIGS["atomic"])
     assert render_report(report, "json") == (ROOT / "reports" / "atomic.json").read_text()
     assert render_report(report, "text") == (ROOT / "reports" / "atomic.txt").read_text()
+
+
+@pytest.mark.parametrize("atoms,digest", [
+    ("2..6", "2c768ba92c8034ef172a3f737209b8e676986035a8053d7d42ecf3224f0e4285"),
+    ("7..7", "75d60e2c059fafedcb12a7a1bfa28f1ea72d4782fe993d171122d52dd59ebe0b"),
+], ids=["2..6", "7..7"])
+def test_larger_atomic_reports_are_pinned(atoms, digest, capsys):
+    """The n=6 and n=7 runs, which reports/atomic.json (n up to 5) does not
+    reach."""
+    assert main(["verify", "--atoms", atoms, "--alphabet", "3", "--seed", "7",
+                 "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_sample_1000_report_is_pinned(capsys):

@@ -208,7 +208,9 @@ def test_empty_graphs_isomorphic():
 
 def recursive_backtrack(g1, g2, budget):
     """The recursive search the explicit stack replaced (slow reference):
-    same candidates and order, one Python frame per position."""
+    same candidates and order, one Python frame per position, and each
+    candidate tested against every placed vertex in turn where the search
+    compares one mask."""
     from mrfgraph.graph_metrics import metrics
     from mrfgraph.isomorphism import _wl_colors
 
@@ -261,6 +263,12 @@ def test_explicit_stack_search_matches_recursive_reference():
     prism = raw_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                           (0, 3), (1, 4), (2, 5)])
     pairs = [(k33, prism, budget) for budget in (5, 200_000)]
+    for n in (3, 4):  # expanded graphs: twin classes give many equal colours
+        g = build_graph(unit_space(n), GraphKind.COMAXIMAL, "expanded", alphabet=3)
+        perm = list(range(g.n_vertices))
+        rng.shuffle(perm)
+        relabeled = raw_graph(g.n_vertices, [(perm[i], perm[j]) for i, j in g.edges()])
+        pairs += [(g, g, 200_000), (g, relabeled, 200_000), (g, relabeled, 10)]
     for trial in range(60):
         n = rng.randint(4, 9)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45]

@@ -30,6 +30,7 @@ from mrfgraph.cli import main
 from mrfgraph.graph_build import Graph, GraphKind, adjacent, build_graph, zero_set_classes
 from mrfgraph.graph_metrics import (
     SOLVERS,
+    Partiteness,
     _levels,
     _members,
     complementation_profile,
@@ -89,6 +90,36 @@ def reference_complementation_profile(g: Graph):
     return tuple(pairs), has, complemented, unique
 
 
+def reference_partiteness(g: Graph) -> Partiteness:
+    """Bipartiteness by a BFS 2-colouring from every uncoloured vertex, and
+    complete multipartiteness by brute force: each vertex joins the first
+    part whose first member it is not adjacent to, and the parts must be
+    independent sets joined to each other by every edge."""
+    n = g.n_vertices
+    colour: list[int | None] = [None] * n
+    bipartite = True
+    for s in range(n):
+        if colour[s] is None:
+            colour[s], queue = 0, [s]
+            for x in queue:
+                for y in _members(g.adj[x]):
+                    if colour[y] is None:
+                        colour[y] = 1 - colour[x]
+                        queue.append(y)
+                    bipartite = bipartite and colour[y] != colour[x]
+    parts: list[list[int]] = []
+    for v in range(n):
+        part = next((p for p in parts if not g.is_edge(p[0], v)), None)
+        if part is None:
+            parts.append([v])
+        else:
+            part.append(v)
+    joined = all(g.is_edge(i, j) == (a != b) for a, pa in enumerate(parts)
+                 for b, pb in enumerate(parts) for i in pa for j in pb if i != j)
+    return Partiteness(bipartite, joined and len(parts) == 2,
+                       tuple(map(tuple, parts)) if joined else None)
+
+
 def assert_profiles_match_reference(g: Graph) -> None:
     tri = triangle_profile(g)
     triangulated, hyper, vertex_flags, edge_flags = reference_triangle_profile(g)
@@ -99,6 +130,7 @@ def assert_profiles_match_reference(g: Graph) -> None:
     comp = complementation_profile(g)
     assert (comp.orthogonal_pairs, comp.has_complement, comp.is_complemented,
             comp.is_uniquely_complemented) == reference_complementation_profile(g)
+    assert partiteness(g) == reference_partiteness(g)
 
 
 def assert_matches_reference(g: Graph, ranks: bool = True) -> None:
@@ -133,8 +165,9 @@ def test_atomic_graphs_match_per_source_and_per_pair_reference(n):
         assert_matches_reference(g)
 
 
-def test_metrics_at_five_atoms_match_per_source_reference():
-    for g in atomic_graphs(5):
+@pytest.mark.parametrize("n", [5, 6])
+def test_metrics_match_per_source_reference(n):
+    for g in atomic_graphs(n):
         assert_matches_reference(g, ranks=False)
 
 
