@@ -1,33 +1,43 @@
 #!/usr/bin/env python3
-"""Per-check in-process wall time of the atomic suites over an atom range.
+"""Per-check in-process wall time of the atomic suites over an atom range,
+or of the interval suites over a sample.
 
     PYTHONPATH=src python scripts/check_times.py --atoms 7..7
+    PYTHONPATH=src python scripts/check_times.py --samples 1000
 
-Runs the checks that ``mrfgraph verify --atoms LO..HI`` selects, in the same
-order, through the harness's own instance loop on one ``RunContext``, and
-prints one line per check: wall seconds, then its pass/fail/skipped entry
-counts.  A check's time includes the graph builds and metrics it is the
-first to request; later checks find them cached, as in a real run.  The
-last line is the total.  Nothing is written into a report, and the report
-of the same run is unaffected.  A graph over the size guard or a bound
-error ends the run as it ends ``mrfgraph verify``: a ``mrfgraph:`` line on
-stderr and exit status 2.
+Runs the checks that ``mrfgraph verify --atoms LO..HI`` (or ``mrfgraph
+sample --samples N``) selects, in the same order, through the harness's own
+instance loop on one ``RunContext``, and prints one line per check: wall
+seconds, then its pass/fail/skipped entry counts.  A check's time includes
+the graph builds, metrics and samples it is the first to request; later
+checks find them cached, as in a real run.  The last line is the total.
+Nothing is written into a report, and the report of the same run is
+unaffected.  A graph over the size guard or a bound error ends the run as
+it ends ``mrfgraph verify``: a ``mrfgraph:`` line on stderr and exit status
+2.
 """
 
 import argparse
 import sys
 import time
 
-from mrfgraph.cli import _atom_range
+from mrfgraph.cli import _atom_range, _int_at_least
 from mrfgraph.graph_build import BoundExceededError, GraphTooLargeError
 from mrfgraph.harness import RunContext, SuiteConfig, _check_entries, applicable_checks
+from mrfgraph.measure_space import INTERVAL
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--atoms", type=_atom_range, default=(2, 5), help="atom range, e.g. 7..7")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--atoms", type=_atom_range, default=(2, 5), help="atom range, e.g. 7..7")
+    group.add_argument("--samples", type=_int_at_least(1),
+                       help="time the interval checks on this many sampled classes")
     args = parser.parse_args(argv)
-    config = SuiteConfig(atoms_min=args.atoms[0], atoms_max=args.atoms[1])
+    if args.samples is None:
+        config = SuiteConfig(atoms_min=args.atoms[0], atoms_max=args.atoms[1])
+    else:
+        config = SuiteConfig(backend=INTERVAL, sample_count=args.samples)
     ctx = RunContext(config)
     checks = applicable_checks(config)
     start = time.perf_counter()

@@ -36,10 +36,10 @@ from .measure_space import (
     atom_set,
     cell_masks,
     complement,
-    difference,
-    intersect,
     is_atom,
+    is_disjoint,
     is_null,
+    is_subset,
     null_equal,
 )
 from .vertex_universe import (
@@ -82,13 +82,11 @@ ORACLE_MAX_ALPHABET = 4
 def adjacent(kind: GraphKind, space: MeasureSpace, zu: MeasurableSet, zv: MeasurableSet) -> bool:
     """Closed-form adjacency between two distinct zero-divisor zero sets."""
     if kind is GraphKind.COMAXIMAL:
-        return is_null(space, intersect(space, zu, zv))
+        return is_disjoint(space, zu, zv)
     if kind is GraphKind.ZERO_DIVISOR:
-        return is_null(space, intersect(space, complement(space, zu), complement(space, zv)))
+        return is_disjoint(space, complement(space, zu), complement(space, zv))
     if kind is GraphKind.ANNIHILATOR:
-        return not is_null(space, difference(space, zu, zv)) and not is_null(
-            space, difference(space, zv, zu)
-        )
+        return not is_subset(space, zu, zv) and not is_subset(space, zv, zu)
     if kind is GraphKind.WEAKLY_ZD:
         if not (is_atom(space, zu) and is_atom(space, zv)):
             raise ValueError("weakly-zd adjacency is defined on atomic zero sets only")
@@ -303,23 +301,30 @@ class Graph:
 
 
 def _fill_adjacency(kind, space, classes: ZeroSetClasses) -> tuple[int, ...]:
-    """Adjacency rows, testing ``adjacent`` on the cell masks of each
-    unordered pair of zero-set classes once, and of each class with itself.
-    Each row is the union of the member masks of its adjacent classes minus
-    the vertex's own bit.  The weakly-zd atom filter must run before, on the
-    original space: a single cell would look like an atom."""
+    """Adjacency rows from the cell masks of the zero-set classes.  One
+    comprehension per class lists the adjacent classes from itself on, so
+    each unordered pair is tested once (the cost of a test is the AND of two
+    long masks, not the call); each adjacent pair then adds each class's
+    member mask to the other's row, and a vertex's row drops its own bit.
+    Zero-divisor adjacency is the comaximal test on the complement masks.
+    The weakly-zd atom filter must run before, on the original space: a
+    single cell would look like an atom."""
     full, masks = cell_masks(space, classes.zero_sets)
-    edge = {GraphKind.COMAXIMAL: lambda a, b: not a & b,
-            GraphKind.ZERO_DIVISOR: lambda a, b: a | b == full,
-            GraphKind.ANNIHILATOR: lambda a, b: bool(a & ~b and b & ~a),
-            GraphKind.WEAKLY_ZD: lambda a, b: a != b}[kind]
+    if kind is GraphKind.ZERO_DIVISOR:  # the cozero sets do not meet
+        masks = [full ^ m for m in masks]
     members = classes.masks
-    reach = [members[c] if edge(m, m) else 0 for c, m in enumerate(masks)]
+    reach = [0] * len(masks)
     for a, ma in enumerate(masks):
-        for b in range(a + 1, len(masks)):
-            if edge(ma, masks[b]):
-                reach[a] |= members[b]
-                reach[b] |= members[a]
+        rest = enumerate(masks[a:], a)
+        if kind is GraphKind.ANNIHILATOR:
+            row = [b for b, mb in rest if ma & ~mb and mb & ~ma]
+        elif kind is GraphKind.WEAKLY_ZD:
+            row = [b for b, mb in rest if ma != mb]
+        else:
+            row = [b for b, mb in rest if not ma & mb]
+        for b in row:
+            reach[a] |= members[b]
+            reach[b] |= members[a]
     return tuple(reach[c] & ~(1 << v) for v, c in enumerate(classes.of))
 
 

@@ -23,6 +23,7 @@ from .measure_space import (
     complement,
     intersect,
     is_atom,
+    is_disjoint,
     is_null,
     split_nonatom,
     union,
@@ -210,7 +211,7 @@ def annihilator_common_neighbor_zero_set(space: MeasureSpace, zu: MeasurableSet,
     """Zero set of a vertex adjacent to both in the annihilator graph, or
     ``None`` when no common neighbor exists (orthogonal pairs only)."""
     cozu, cozv = complement(space, zu), complement(space, zv)
-    if not is_null(space, intersect(space, cozu, cozv)):
+    if not is_disjoint(space, cozu, cozv):
         return complement(space, union(space, zu, zv))
     if not is_null(space, intersect(space, zu, zv)):
         return complement(space, intersect(space, zu, zv))
@@ -421,46 +422,47 @@ def _chromatic(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
 
 def _min_dominating(rows: tuple[int, ...], n: int, total: bool) -> tuple[float, list[int]]:
     """Iterative-deepening exact search; branches on the vertex with the
-    fewest available dominators, which by symmetry are its own cover."""
+    fewest available dominators, which by symmetry are its own cover.  Each
+    depth is a frame on an explicit stack (the untried dominators and the
+    set covered so far), so the depth is not limited by recursion."""
     full = (1 << n) - 1
     cover = [rows[i] | (0 if total else 1 << i) for i in range(n)]
     if any(c == 0 for c in cover):
         return INF, []
     max_cover = max(c.bit_count() for c in cover)
 
-    def dfs(chosen: list[int], covered: int, remaining: int) -> list[int] | None:
-        if covered == full:
-            return chosen[:]
-        if remaining == 0:
-            return None
+    def dominators(covered: int, remaining: int) -> int:
+        """The cover of the uncovered vertex with the smallest cover, or 0
+        when ``remaining`` more vertices cannot cover the rest."""
         uncovered = full & ~covered
-        if uncovered.bit_count() > remaining * max_cover:
-            return None
-        u, u_dom = -1, 0
-        probe = uncovered
-        best_count = n + 1
-        while probe:
-            bit = probe & -probe
-            probe ^= bit
-            i = bit.bit_length() - 1
+        if remaining == 0 or uncovered.bit_count() > remaining * max_cover:
+            return 0
+        best, best_count = 0, n + 1
+        for i in _members(uncovered):
             cnt = cover[i].bit_count()
             if cnt < best_count:
-                best_count, u, u_dom = cnt, i, cover[i]
-        while u_dom:
-            bit = u_dom & -u_dom
-            u_dom ^= bit
-            v = bit.bit_length() - 1
-            chosen.append(v)
-            result = dfs(chosen, covered | cover[v], remaining - 1)
-            if result is not None:
-                return result
-            chosen.pop()
-        return None
+                best_count, best = cnt, cover[i]
+        return best
 
     for size in range(1, n + 1):
-        result = dfs([], 0, size)
-        if result is not None:
-            return len(result), sorted(result)
+        chosen: list[int] = []
+        untried, covered = [dominators(0, size)], [0]
+        while untried:
+            options = untried[-1]
+            if not options:  # this depth is done: back to its parent's next option
+                untried.pop()
+                covered.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            bit = options & -options
+            untried[-1] = options ^ bit
+            chosen.append(bit.bit_length() - 1)
+            now = covered[-1] | cover[chosen[-1]]
+            if now == full:
+                return len(chosen), sorted(chosen)
+            untried.append(dominators(now, size - len(chosen)))
+            covered.append(now)
     return INF, []
 
 

@@ -11,7 +11,10 @@ Two finitely representable backends share one set-algebra API:
   ``[cuts[2i]/den, cuts[2i+1]/den)`` with the cuts strictly increasing, so
   adjacent pieces are merged and the form is unique.  Union, intersection,
   difference and symmetric difference are one merge sweep over two cut
-  lists (``_combine``).  The backend is non-atomic: no set is an atom.
+  lists (``_sweep``), the operation a 4-entry truth table on the two
+  memberships.  ``_combine`` canonicalises the cuts it yields; the nullity
+  forms (``is_disjoint``, ``is_subset``, ``null_equal``) stop at its first
+  cut and build no set.  The backend is non-atomic: no set is an atom.
 
 Weights, measures and split targets are ``fractions.Fraction``; interval
 endpoints are ints over a common denominator, so the interval algebra is
@@ -24,7 +27,6 @@ once on the backend.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -131,7 +133,7 @@ def _interval(den: int, cuts: Sequence[int]) -> MeasurableSet:
     if g != 1:
         den //= g
         cuts = [c // g for c in cuts]
-    return MeasurableSet(INTERVAL, den=den, cuts=tuple(cuts))
+    return MeasurableSet(INTERVAL, 0, den, tuple(cuts))  # positional binds faster
 
 
 def interval_set(pairs: Iterable[tuple[Fraction | int | str, Fraction | int | str]]) -> MeasurableSet:
@@ -154,69 +156,106 @@ def interval_set(pairs: Iterable[tuple[Fraction | int | str, Fraction | int | st
 
 
 def _check(space: MeasureSpace, *sets: MeasurableSet) -> None:
+    """Refuse a set of the other backend, or an atomic set with a bit at or
+    above the atom count.  An interval set costs one comparison."""
     for s in sets:
         if s.backend != space.backend:
             raise BackendMismatchError(
                 f"set backend {s.backend!r} used with space backend {space.backend!r}"
             )
-        if s.backend == ATOMIC and s.mask >> space.n_atoms:
-            raise ValueError(f"atom index out of range for a {space.n_atoms}-atom space")
+    if space.backend == ATOMIC:
+        for s in sets:
+            if s.mask >> space.n_atoms:
+                raise ValueError(f"atom index out of range for a {space.n_atoms}-atom space")
 
 
-def _combine(a: MeasurableSet, b: MeasurableSet, op) -> MeasurableSet:
-    """The interval set where ``op(in_a, in_b)`` holds, for an ``op`` false
-    on (0, 0): both cut lists are rescaled to a common denominator, then one
-    merge sweep emits a cut wherever the value of ``op`` changes.  Just past
-    the i-th cut of a set, a point lies in that set exactly when i is odd;
-    just past the last emitted cut, in the result exactly when ``len(out)``
-    is odd."""
-    den = a.den
-    ca, cb = a.cuts, b.cuts
-    if b.den != den:
-        den = lcm(den, b.den)
-        fa, fb = den // a.den, den // b.den
-        ca = [c * fa for c in ca]
-        cb = [c * fb for c in cb]
+# The binary operations as truth tables, indexed by 2 * in_a + in_b; each is
+# false on (0, 0), so the region left of every cut lies outside the result.
+UNION = (0, 1, 1, 1)
+INTERSECT = (0, 0, 0, 1)
+DIFFERENCE = (0, 0, 1, 0)
+SYMDIFF = (0, 1, 1, 0)
+
+
+def _rescaled(a: MeasurableSet, b: MeasurableSet):
+    """The cut lists of two interval sets over their common denominator, and it."""
+    if a.den == b.den:
+        return a.cuts, b.cuts, a.den
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    return [c * fa for c in a.cuts], [c * fb for c in b.cuts], den
+
+
+def _sweep(ca: Sequence[int], cb: Sequence[int], table: tuple[int, ...]):
+    """Yield, left to right, the cuts of the set where ``table[2 * in_a +
+    in_b]`` holds, for two cut lists over one denominator.  Just past a cut,
+    ``state`` holds both memberships: a cut of a toggles its bit 2, a cut of
+    b its bit 1.  Once one list is spent its set is left behind, so the
+    rest of the other list is the rest of the result, or none of it."""
     na, nb = len(ca), len(cb)
-    out: list[int] = []
-    i = j = 0
-    while i < na or j < nb:
-        x = ca[i] if j == nb or (i < na and ca[i] < cb[j]) else cb[j]
-        if i < na and ca[i] == x:
+    i = j = state = inside = 0
+    while i < na and j < nb:
+        x, y = ca[i], cb[j]
+        if x <= y:
             i += 1
-        if j < nb and cb[j] == x:
+            state ^= 2
+        if y <= x:
             j += 1
-        if op(i & 1, j & 1) != len(out) & 1:
-            out.append(x)
-    return _interval(den, out)
+            state ^= 1
+            x = y
+        if table[state] != inside:
+            inside ^= 1
+            yield x
+    if i < na:
+        if table[2]:
+            yield from ca[i:]
+    elif table[1]:
+        yield from cb[j:]
+
+
+def _combine(a: MeasurableSet, b: MeasurableSet, table: tuple[int, ...]) -> MeasurableSet:
+    """The interval set where ``table`` holds, in canonical form."""
+    ca, cb, den = _rescaled(a, b)
+    return _interval(den, [*_sweep(ca, cb, table)])
+
+
+def _null(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet, table: tuple[int, ...]) -> bool:
+    """True when the set where ``table`` holds is null, building no set: on
+    intervals the sweep stops at its first cut."""
+    _check(space, a, b)
+    if space.backend == ATOMIC:
+        x, y = a.mask, b.mask  # table[1], [2], [3]: the atoms in b only, a only, both
+        return not (table[1] and y & ~x or table[2] and x & ~y or table[3] and x & y)
+    ca, cb, _ = _rescaled(a, b)
+    return next(_sweep(ca, cb, table), None) is None
 
 
 def union(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
     _check(space, a, b)
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, mask=a.mask | b.mask)
-    return _combine(a, b, operator.or_)
+    return _combine(a, b, UNION)
 
 
 def intersect(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
     _check(space, a, b)
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, mask=a.mask & b.mask)
-    return _combine(a, b, operator.and_)
+    return _combine(a, b, INTERSECT)
 
 
 def difference(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
     _check(space, a, b)
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, mask=a.mask & ~b.mask)
-    return _combine(a, b, operator.gt)
+    return _combine(a, b, DIFFERENCE)
 
 
 def symdiff(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
     _check(space, a, b)
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, mask=a.mask ^ b.mask)
-    return _combine(a, b, operator.xor)
+    return _combine(a, b, SYMDIFF)
 
 
 def complement(space: MeasureSpace, a: MeasurableSet) -> MeasurableSet:
@@ -230,7 +269,7 @@ def complement(space: MeasureSpace, a: MeasurableSet) -> MeasurableSet:
     c, den = a.cuts, a.den
     c = c[1:] if c and c[0] == 0 else (0, *c)
     c = c[:-1] if c and c[-1] == den else (*c, den)
-    return MeasurableSet(INTERVAL, den=den, cuts=c)
+    return MeasurableSet(INTERVAL, 0, den, c)
 
 
 def measure(space: MeasureSpace, a: MeasurableSet) -> Fraction:
@@ -255,7 +294,12 @@ def is_null(space: MeasureSpace, a: MeasurableSet) -> bool:
 
 def null_equal(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:
     """Almost-everywhere equality of sets: the symmetric difference is null."""
-    return is_null(space, symdiff(space, a, b))
+    return _null(space, a, b, SYMDIFF)
+
+
+def is_disjoint(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:
+    """The sets meet in a null set."""
+    return _null(space, a, b, INTERSECT)
 
 
 def is_atom(space: MeasureSpace, a: MeasurableSet) -> bool:
@@ -282,9 +326,23 @@ def split_nonatom(space: MeasureSpace, a: MeasurableSet) -> tuple[MeasurableSet,
         return MeasurableSet(ATOMIC, mask=lowest), MeasurableSet(ATOMIC, mask=a.mask ^ lowest)
     if not a.cuts:
         raise ValueError("cannot split a null set")
-    half = measure(space, a) / 2
-    left = split_at_measure(space, a, half)
-    return left, difference(space, a, left)
+    # over 2 * den, half the length is the length over den
+    c = [2 * x for x in a.cuts]
+    left, right = _split_cuts(c, sum(a.cuts[1::2]) - sum(a.cuts[::2]))
+    return _interval(2 * a.den, left), _interval(2 * a.den, right)
+
+
+def _split_cuts(c: Sequence[int], r: int) -> tuple[list[int], list[int]]:
+    """The cuts of the first ``r`` units of length of the pieces ``c``, and
+    of the rest; ``r`` lies between 0 and their total length."""
+    for k in range(0, len(c), 2):
+        lo, hi = c[k], c[k + 1]
+        if r <= hi - lo:
+            x = lo + r
+            left = [*c[:k], lo, x] if r else [*c[:k]]
+            return left, [x, hi, *c[k + 2:]] if x < hi else [*c[k + 2:]]
+        r -= hi - lo
+    return [], []
 
 
 def split_at_measure(space: MeasureSpace, a: MeasurableSet, r: Fraction | int | str) -> MeasurableSet:
@@ -304,15 +362,7 @@ def split_at_measure(space: MeasureSpace, a: MeasurableSet, r: Fraction | int | 
     remaining = r.numerator * (den // r.denominator)
     if not (0 <= remaining <= total):
         raise ValueError(f"target measure {r} outside [0, {Fraction(total, den)}]")
-    out: list[int] = []
-    for k in range(0, len(c), 2):
-        if remaining == 0:
-            break
-        lo = c[k]
-        hi = min(c[k + 1], lo + remaining)
-        out += (lo, hi)
-        remaining -= hi - lo
-    return _interval(den, out)
+    return _interval(den, _split_cuts(c, remaining)[0])
 
 
 def cell_masks(space: MeasureSpace, sets: Sequence[MeasurableSet]) -> tuple[int, list[int]]:
@@ -333,7 +383,7 @@ def cell_masks(space: MeasureSpace, sets: Sequence[MeasurableSet]) -> tuple[int,
 
 def is_subset(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:
     """a contained in b up to null sets (exact containment on these backends)."""
-    return is_null(space, difference(space, a, b))
+    return _null(space, a, b, DIFFERENCE)
 
 
 def format_set(s: MeasurableSet) -> str:

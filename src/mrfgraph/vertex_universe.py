@@ -28,9 +28,9 @@ from .measure_space import (
     MeasureSpace,
     _interval,
     complement,
-    difference,
     format_set,
     is_null,
+    is_subset,
 )
 
 UNIT_INTERVAL = IntervalSpace()
@@ -135,7 +135,7 @@ def class_size(space: AtomicSpace, zc: ZClass, k: int) -> int:
 
 def ann_leq(space: MeasureSpace, zf: MeasurableSet, zg: MeasurableSet) -> bool:
     """ann(f) contained in ann(g), i.e. Z(f) \\ Z(g) is null."""
-    return is_null(space, difference(space, zf, zg))
+    return is_subset(space, zf, zg)
 
 
 def sample_interval_class(seed, depth: int) -> ZClass:

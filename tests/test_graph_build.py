@@ -27,9 +27,12 @@ from mrfgraph.measure_space import (
     IntervalSpace,
     atom_set,
     complement,
+    difference,
+    intersect,
     interval_set,
     is_null,
     null_equal,
+    symdiff,
     unit_space,
 )
 from mrfgraph.vertex_universe import (
@@ -380,6 +383,38 @@ def test_mask_kernel_matches_pairwise_adjacent_on_intervals(kind):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         assert _fill_adjacency(kind, space, zero_set_classes(zero_sets)) == tuple(rows)
+
+
+def built_set_adjacency(kind, space, zu, zv):
+    """The closed forms with every Boolean combination built as a set and
+    then tested with ``is_null`` (the weakly-zd form without its atom guard)."""
+    if kind is GraphKind.COMAXIMAL:
+        return is_null(space, intersect(space, zu, zv))
+    if kind is GraphKind.ZERO_DIVISOR:
+        return is_null(space, intersect(space, complement(space, zu), complement(space, zv)))
+    if kind is GraphKind.ANNIHILATOR:
+        return (not is_null(space, difference(space, zu, zv))
+                and not is_null(space, difference(space, zv, zu)))
+    return not is_null(space, symdiff(space, zu, zv))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_adjacent_nullity_forms_match_built_sets_on_intervals(kind):
+    """``adjacent`` decides by the set algebra's nullity forms, which build
+    no set; called directly on every ordered pair of complement-closed
+    sampled zero sets and the hand-made sets, it matches the built-set
+    closed forms.  Weakly-zd adjacency is undefined off atoms, so its
+    nullity form ``null_equal`` is compared instead."""
+    space = IntervalSpace()
+    zero_sets = complement_closed(space, sample_interval_classes(9, 60)) + HAND_SETS
+    if kind is GraphKind.WEAKLY_ZD:
+        predicate = lambda zu, zv: not null_equal(space, zu, zv)
+    else:
+        predicate = lambda zu, zv: adjacent(kind, space, zu, zv)
+    pairs = list(itertools.product(zero_sets, repeat=2))
+    verdicts = [predicate(zu, zv) for zu, zv in pairs]
+    assert verdicts == [built_set_adjacency(kind, space, zu, zv) for zu, zv in pairs]
+    assert set(verdicts) == {False, True}
 
 
 def grouped_by_zero_set(g):

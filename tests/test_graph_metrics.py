@@ -14,6 +14,7 @@ from mrfgraph.graph_metrics import (
     BoundExceededError,
     _dsatur,
     _max_clique,
+    _min_dominating,
     annihilator_common_neighbor_zero_set,
     comaximal_triangle_zero_sets,
     complementation_profile,
@@ -503,6 +504,78 @@ def test_max_clique_needs_no_recursion_depth():
     full = (1 << n) - 1
     rows = tuple(full ^ (1 << v) for v in range(n))
     assert _max_clique(rows, n) == (n, list(range(n)))
+
+
+def recursive_min_dominating(rows, n, total):
+    """The recursive iterative-deepening search the explicit stack replaced
+    (slow reference): the same branching vertex and option order."""
+    full = (1 << n) - 1
+    cover = [rows[i] | (0 if total else 1 << i) for i in range(n)]
+    if any(c == 0 for c in cover):
+        return INF, []
+    max_cover = max(c.bit_count() for c in cover)
+
+    def dfs(chosen, covered, remaining):
+        if covered == full:
+            return chosen[:]
+        if remaining == 0:
+            return None
+        uncovered = full & ~covered
+        if uncovered.bit_count() > remaining * max_cover:
+            return None
+        u_dom, best_count = 0, n + 1
+        for i in range(n):
+            if uncovered >> i & 1 and cover[i].bit_count() < best_count:
+                best_count, u_dom = cover[i].bit_count(), cover[i]
+        for v in range(n):
+            if u_dom >> v & 1:
+                chosen.append(v)
+                result = dfs(chosen, covered | cover[v], remaining - 1)
+                if result is not None:
+                    return result
+                chosen.pop()
+        return None
+
+    for size in range(1, n + 1):
+        result = dfs([], 0, size)
+        if result is not None:
+            return len(result), sorted(result)
+    return INF, []
+
+
+def dominating_cases():
+    for n in range(2, 6):
+        space = unit_space(n)
+        for kind in GraphKind:
+            yield build_graph(space, kind, "quotient").adj
+            for k in (2, 3):
+                yield build_graph(space, kind, "expanded", alphabet=k).adj
+    rng = random.Random("dominating-stack")
+    for _ in range(200):
+        yield random_rows(rng, rng.randint(1, 24), rng.choice([0.1, 0.3, 0.6]))
+
+
+def test_min_dominating_matches_recursive_reference():
+    """Value and witness, both variants, on every atomic graph with n <= 5
+    (quotient, and expanded at k = 2, 3) and on random graphs, some with an
+    isolated vertex (no total dominating set)."""
+    infinite = 0
+    for rows in dominating_cases():
+        n = len(rows)
+        for total in (False, True):
+            want = recursive_min_dominating(rows, n, total)
+            assert _min_dominating(rows, n, total) == want
+            infinite += want[0] == INF
+    assert infinite >= 10
+
+
+def test_min_dominating_needs_no_recursion_depth():
+    """A perfect matching on 2400 vertices needs 1200 dominators: one stack
+    frame per chosen vertex, far past the recursion limit."""
+    n = 2400
+    rows = tuple(1 << (v ^ 1) for v in range(n))
+    size, witness = _min_dominating(rows, n, total=False)
+    assert size == n // 2 and witness == list(range(0, n, 2))
 
 
 # -- the two DSATUR colourers the single search replaced (slow reference) --------

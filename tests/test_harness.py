@@ -533,6 +533,20 @@ def test_check_times_prints_one_line_per_selected_check(capsys):
     assert lines[-1].endswith(f"total over {len(ids)} checks")
 
 
+def test_check_times_prints_one_line_per_interval_check(capsys):
+    """``--samples N`` times the checks ``mrfgraph sample --samples N``
+    runs, in its order; each interval check makes one passing entry."""
+    assert _script("check_times").main(["--samples", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ids = [check.id for check in applicable_checks(SuiteConfig(backend="interval"))]
+    assert len(ids) == 7
+    assert [line.split()[2] for line in lines[:-1]] == ids
+    assert all(line.endswith("pass/fail/skipped 1/0/0") for line in lines[:-1])
+    assert lines[-1].endswith(f"total over {len(ids)} checks")
+    with pytest.raises(SystemExit):  # one suite per run
+        _script("check_times").main(["--samples", "20", "--atoms", "2..2"])
+
+
 def test_check_times_exits_2_over_the_guard(capsys):
     """n=8 has 6,304 expanded vertices, over the default guard of 5,000: the
     script stops as ``mrfgraph verify`` does, with no traceback."""

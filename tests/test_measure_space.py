@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrfgraph.measure_space import (
+    DIFFERENCE,
+    INTERSECT,
+    SYMDIFF,
+    UNION,
     AtomicSpace,
     BackendMismatchError,
     IntervalSpace,
     MeasurableSet,
+    _null,
     atom_set,
     cell_masks,
     complement,
@@ -21,6 +27,7 @@ from mrfgraph.measure_space import (
     intersect,
     interval_set,
     is_atom,
+    is_disjoint,
     is_null,
     is_subset,
     measure,
@@ -551,3 +558,107 @@ def test_split_at_measure_foreign_denominator():
     part = split_at_measure(INTERVAL_SPACE, iv((0, "1/8"), ("1/2", 1)), Fraction(2, 7))
     assert part == iv((0, "1/8"), ("1/2", Fraction(1, 2) + Fraction(2, 7) - Fraction(1, 8)))
     assert part.den == 56
+
+
+# -- the truth-table sweep against the generic sweep it replaced ---------------
+
+def generic_combine(a, b, op):
+    """The generic merge sweep the truth-table kernel replaced (slow
+    reference): one call of ``op(in_a, in_b)`` per cut of either list, and
+    a cut emitted wherever its value changes, to the end of both lists."""
+    den = math.lcm(a.den, b.den)
+    ca = [c * (den // a.den) for c in a.cuts]
+    cb = [c * (den // b.den) for c in b.cuts]
+    na, nb = len(ca), len(cb)
+    out = []
+    i = j = 0
+    while i < na or j < nb:
+        x = ca[i] if j == nb or (i < na and ca[i] < cb[j]) else cb[j]
+        if i < na and ca[i] == x:
+            i += 1
+        if j < nb and cb[j] == x:
+            j += 1
+        if op(i & 1, j & 1) != len(out) & 1:
+            out.append(x)
+    g = math.gcd(den, *out)
+    return MeasurableSet("interval", den=den // g, cuts=tuple(c // g for c in out))
+
+
+BINARY = {union: (operator.or_, UNION), intersect: (operator.and_, INTERSECT),
+          difference: (operator.gt, DIFFERENCE), symdiff: (operator.xor, SYMDIFF)}
+# Each nullity form, and the operation whose built set it tests.
+NULLITY = {is_disjoint: intersect, is_subset: difference, null_equal: symdiff}
+
+# Every set of cells over thirds and over quarters: empty and full sets,
+# cuts shared by both sides (0, 1, and 1/2 among the quarters), and pairs
+# whose cut lists run out in either order, with and without rescaling.
+GRID = [interval_set((Fraction(i, d), Fraction(i + 1, d)) for i in range(d) if mask >> i & 1)
+        for d in (3, 4) for mask in range(1 << d)]
+
+
+def test_grid_covers_the_sweep_edge_cases():
+    pairs = list(itertools.product(GRID, repeat=2))
+    assert any(not a.cuts and b.cuts for a, b in pairs)
+    assert any(a.cuts and b.cuts and a.cuts[-1] == b.cuts[-1] and a.den == b.den
+               and a.cuts != b.cuts for a, b in pairs)
+    assert any(a.cuts and b.cuts and a.cuts[-1] * b.den < b.cuts[-1] * a.den for a, b in pairs)
+    assert any(a.den != b.den for a, b in pairs)
+
+
+def test_sweep_matches_generic_reference_on_the_grid():
+    for a, b in itertools.product(GRID, repeat=2):
+        for op, (generic, _) in BINARY.items():
+            assert op(INTERVAL_SPACE, a, b) == generic_combine(a, b, generic), (op, a, b)
+
+
+@settings(max_examples=300)
+@given(interval_sets(), interval_sets())
+def test_sweep_matches_generic_reference(a, b):
+    for op, (generic, _) in BINARY.items():
+        out = op(INTERVAL_SPACE, a, b)
+        _assert_canonical(out)
+        assert out == generic_combine(a, b, generic)
+
+
+def _assert_nullity_forms(space, a, b):
+    """Every nullity form against ``is_null`` of the set it stands for."""
+    for form, op in NULLITY.items():
+        assert form(space, a, b) == is_null(space, op(space, a, b)), (form, a, b)
+    for op, (_, table) in BINARY.items():
+        assert _null(space, a, b, table) == is_null(space, op(space, a, b)), (op, a, b)
+
+
+def test_nullity_forms_match_built_sets_on_the_grid():
+    for a, b in itertools.product(GRID, repeat=2):
+        _assert_nullity_forms(INTERVAL_SPACE, a, b)
+
+
+@settings(max_examples=300)
+@given(interval_sets(), interval_sets())
+def test_nullity_forms_match_fraction_reference(a, b):
+    """Over mixed denominators: each nullity form equals ``is_null`` of the
+    built set and the emptiness of the Fraction-pair result."""
+    _assert_nullity_forms(INTERVAL_SPACE, a, b)
+    x, y = a.intervals, b.intervals
+    assert is_disjoint(INTERVAL_SPACE, a, b) == (not _interval_intersect(x, y))
+    assert is_subset(INTERVAL_SPACE, a, b) == (not _interval_intersect(x, _interval_complement(y)))
+    assert null_equal(INTERVAL_SPACE, a, b) == (_canonical(x) == _canonical(y))
+
+
+@given(space_and_sets())
+def test_nullity_forms_match_built_sets_atomic(args):
+    space, a, b = args
+    _assert_nullity_forms(space, a, b)
+    sa, sb = _members(a), _members(b)
+    assert is_disjoint(space, a, b) == (not sa & sb)
+    assert is_subset(space, a, b) == (sa <= sb)
+    assert null_equal(space, a, b) == (sa == sb)
+
+
+def test_nullity_forms_check_their_arguments():
+    space, ok = unit_space(2), atom_set([0])
+    for form in (is_disjoint, is_subset, null_equal):
+        with pytest.raises(ValueError):
+            form(space, ok, atom_set([2]))
+        with pytest.raises(BackendMismatchError):
+            form(INTERVAL_SPACE, iv((0, "1/2")), ok)
