@@ -20,11 +20,11 @@ from mrfgraph.measure_space import IntervalSpace, complement
 from mrfgraph.vertex_universe import ZClass, sample_interval_classes
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="10,25,50")
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     space = IntervalSpace()
     for size in (int(s) for s in args.sizes.split(",")):
         # build_graph drops repeated zero sets, keeping first appearances

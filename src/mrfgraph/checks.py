@@ -41,9 +41,9 @@ from .measure_space import (
     MeasurableSet,
     atom_set,
     complement,
-    difference,
-    intersect,
+    covers,
     is_atom,
+    is_disjoint,
     is_null,
     is_subset,
     measure,
@@ -53,14 +53,12 @@ from .measure_space import (
     union,
 )
 from .vertex_universe import (
-    SAMPLE_MAX_DEPTH,
     ZClass,
     ann_leq,
     class_size,
     enumerate_functions,
     enumerate_zclasses,
     format_zclass,
-    sample_interval_class,
     zclass,
 )
 
@@ -76,18 +74,17 @@ NEEDS_K3 = "needs alphabet >= 3"
 # ---------------------------------------------------------------------------
 
 def expected_comaximal_distance(space, zu, zv) -> int:
-    if is_null(space, intersect(space, zu, zv)):
+    if is_disjoint(space, zu, zv):
         return 1
-    cozu, cozv = complement(space, zu), complement(space, zv)
-    if not is_null(space, intersect(space, cozu, cozv)):
+    if not covers(space, zu, zv):
         return 2
     return 3
 
 
 def expected_comaximal_cycle(space, zu, zv) -> int:
     """Valid when the space is not a union of two atoms (n >= 3)."""
-    zeros_null = is_null(space, intersect(space, zu, zv))
-    cozs_null = is_null(space, intersect(space, complement(space, zu), complement(space, zv)))
+    zeros_null = is_disjoint(space, zu, zv)
+    cozs_null = covers(space, zu, zv)
     if zeros_null and not cozs_null:
         return 3
     if zeros_null == cozs_null:
@@ -96,8 +93,7 @@ def expected_comaximal_cycle(space, zu, zv) -> int:
 
 
 def orthogonal_comaximal(space, zu, zv) -> bool:
-    return (is_null(space, intersect(space, zu, zv))
-            and is_null(space, intersect(space, complement(space, zu), complement(space, zv))))
+    return is_disjoint(space, zu, zv) and covers(space, zu, zv)
 
 
 def orthogonal_annihilator(space, zu, zv) -> bool:
@@ -205,8 +201,7 @@ def check_atom_dichotomy(ctx: RunContext, n: int, k: int):
         for mask in range(1 << n):
             b = MeasurableSet(ATOMIC, mask=mask)
             total += 1
-            if not (is_null(space, intersect(space, atom, b))
-                    or is_null(space, difference(space, atom, b))):
+            if not (is_disjoint(space, atom, b) or is_subset(space, atom, b)):
                 bad += 1
     return Outcome("every (atom, set) pair splits trivially", f"{bad} violations of {total}",
                    bad == 0)
@@ -258,17 +253,16 @@ def check_weight_independence(ctx: RunContext, n: int, k: int):
 @register("measure_core.split_prefix_exact", backend=INTERVAL)
 def check_split_prefix_exact(ctx: RunContext):
     space = ctx.interval_space
-    cases = 2 * ctx.config.sample_count
+    classes = ctx.interval_classes()
+    cases = 2 * len(classes)
     rng = random.Random(f"split:{ctx.config.seed}")
     bad = 0
-    for i in range(cases):
-        zc = sample_interval_class(f"{ctx.config.seed}:split:{i}", i % SAMPLE_MAX_DEPTH + 1)
-        candidate = zc.zero_set if i % 2 == 0 else complement(space, zc.zero_set)
-        total = measure(space, candidate)
-        r = total * Fraction(rng.randrange(0, 101), 100)
-        part = split_at_measure(space, candidate, r)
-        if measure(space, part) != r or not is_subset(space, part, candidate):
-            bad += 1
+    for zc in classes:
+        for candidate in (zc.zero_set, complement(space, zc.zero_set)):
+            r = measure(space, candidate) * Fraction(rng.randrange(0, 101), 100)
+            part = split_at_measure(space, candidate, r)
+            if measure(space, part) != r or not is_subset(space, part, candidate):
+                bad += 1
     return Outcome("every prefix subset has the exact target measure", f"{bad} failures",
                    bad == 0, instance=f"{cases} random (set, target) cases")
 
@@ -287,7 +281,7 @@ def check_sampled_no_atoms(ctx: RunContext):
             left, right = split_nonatom(space, candidate)
             if (is_null(space, left) or is_null(space, right)
                     or union(space, left, right) != candidate
-                    or not is_null(space, intersect(space, left, right))):
+                    or not is_disjoint(space, left, right)):
                 bad += 1
     return Outcome("no atoms; every set splits into two positive-measure parts",
                    f"{bad} failures", bad == 0,
@@ -488,10 +482,7 @@ def check_comaximal_sampled_not_hyper(ctx: RunContext):
     for zc in classes:
         partner = complement(space, zc.zero_set)
         edge = adjacent(GraphKind.COMAXIMAL, space, zc.zero_set, partner)
-        cozs_meet = not is_null(space, intersect(space,
-                                                 complement(space, zc.zero_set),
-                                                 complement(space, partner)))
-        if not edge or cozs_meet:
+        if not edge or not covers(space, zc.zero_set, partner):
             bad += 1
     return Outcome("the edge to the complement class lies on no triangle",
                    f"{bad} failures", bad == 0, instance=f"{len(classes)} sampled vertices")

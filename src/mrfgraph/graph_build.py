@@ -35,7 +35,7 @@ from .measure_space import (
     MeasureSpace,
     atom_set,
     cell_masks,
-    complement,
+    covers,
     is_atom,
     is_disjoint,
     is_null,
@@ -84,7 +84,7 @@ def adjacent(kind: GraphKind, space: MeasureSpace, zu: MeasurableSet, zv: Measur
     if kind is GraphKind.COMAXIMAL:
         return is_disjoint(space, zu, zv)
     if kind is GraphKind.ZERO_DIVISOR:
-        return is_disjoint(space, complement(space, zu), complement(space, zv))
+        return covers(space, zu, zv)
     if kind is GraphKind.ANNIHILATOR:
         return not is_subset(space, zu, zv) and not is_subset(space, zv, zu)
     if kind is GraphKind.WEAKLY_ZD:

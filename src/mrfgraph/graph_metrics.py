@@ -21,10 +21,10 @@ from .measure_space import (
     MeasurableSet,
     MeasureSpace,
     complement,
+    covers,
     intersect,
     is_atom,
     is_disjoint,
-    is_null,
     split_nonatom,
     union,
 )
@@ -202,18 +202,16 @@ def _meeting(q: tuple[int, ...]) -> tuple[int, ...]:
 def comaximal_triangle_zero_sets(space: MeasureSpace, zs: MeasurableSet):
     """Zero sets of two vertices forming a comaximal triangle with the vertex
     whose zero set is ``zs``: split the cozero set and take the halves."""
-    a, b = split_nonatom(space, complement(space, zs))
-    return a, b
+    return split_nonatom(space, complement(space, zs))
 
 
 def annihilator_common_neighbor_zero_set(space: MeasureSpace, zu: MeasurableSet,
                                          zv: MeasurableSet) -> MeasurableSet | None:
     """Zero set of a vertex adjacent to both in the annihilator graph, or
     ``None`` when no common neighbor exists (orthogonal pairs only)."""
-    cozu, cozv = complement(space, zu), complement(space, zv)
-    if not is_disjoint(space, cozu, cozv):
+    if not covers(space, zu, zv):
         return complement(space, union(space, zu, zv))
-    if not is_null(space, intersect(space, zu, zv)):
+    if not is_disjoint(space, zu, zv):
         return complement(space, intersect(space, zu, zv))
     if is_atom(space, zu) or is_atom(space, zv):
         return None
@@ -403,8 +401,6 @@ def _dsatur(rows: tuple[int, ...], n: int, k: int, preset: list[int]) -> list[in
 def _chromatic(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
     if n == 0:
         return 0, []
-    if not any(rows):
-        return 1, [0] * n
     clique_size, clique = _max_clique(rows, n)
     greedy = _dsatur(rows, n, n, [-1] * n)
     ub = max(greedy) + 1

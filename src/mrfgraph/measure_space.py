@@ -9,12 +9,15 @@ Two finitely representable backends share one set-algebra API:
   measurable set is a finite union of half-open rational intervals, held
   as integer cuts over one reduced denominator: the pieces are
   ``[cuts[2i]/den, cuts[2i+1]/den)`` with the cuts strictly increasing, so
-  adjacent pieces are merged and the form is unique.  Union, intersection,
-  difference and symmetric difference are one merge sweep over two cut
-  lists (``_sweep``), the operation a 4-entry truth table on the two
-  memberships.  ``_combine`` canonicalises the cuts it yields; the nullity
-  forms (``is_disjoint``, ``is_subset``, ``null_equal``) stop at its first
-  cut and build no set.  The backend is non-atomic: no set is an atom.
+  adjacent pieces are merged and the form is unique.  The backend is
+  non-atomic: no set is an atom.
+
+Each binary operation is a 4-entry truth table on the two memberships,
+evaluated on atom masks by ``_atoms`` and on intervals by one merge sweep
+over the two cut lists (``_sweep``).  The nullity forms ask whether such a
+set is null without building it: ``is_disjoint``, ``is_subset``,
+``null_equal``, and ``covers`` (the union is X: the complements meet in a
+null set), which is zero-divisor adjacency as ``is_disjoint`` is comaximal.
 
 Weights, measures and split targets are ``fractions.Fraction``; interval
 endpoints are ints over a common denominator, so the interval algebra is
@@ -170,7 +173,7 @@ def _check(space: MeasureSpace, *sets: MeasurableSet) -> None:
 
 
 # The binary operations as truth tables, indexed by 2 * in_a + in_b; each is
-# false on (0, 0), so the region left of every cut lies outside the result.
+# false on (0, 0), so what lies in neither set lies outside the result.
 UNION = (0, 1, 1, 1)
 INTERSECT = (0, 0, 0, 1)
 DIFFERENCE = (0, 0, 1, 0)
@@ -213,8 +216,18 @@ def _sweep(ca: Sequence[int], cb: Sequence[int], table: tuple[int, ...]):
         yield from cb[j:]
 
 
-def _combine(a: MeasurableSet, b: MeasurableSet, table: tuple[int, ...]) -> MeasurableSet:
-    """The interval set where ``table`` holds, in canonical form."""
+def _atoms(x: int, y: int, table: tuple[int, ...]) -> int:
+    """The mask where ``table`` holds on two atom masks: ``table[1]``,
+    ``[2]`` and ``[3]`` pick the atoms in y only, in x only and in both."""
+    return (table[1] and y & ~x) | (table[2] and x & ~y) | (table[3] and x & y)
+
+
+def _combine(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet,
+             table: tuple[int, ...]) -> MeasurableSet:
+    """The set where ``table`` holds; on intervals in canonical form."""
+    _check(space, a, b)
+    if space.backend == ATOMIC:
+        return MeasurableSet(ATOMIC, _atoms(a.mask, b.mask, table))
     ca, cb, den = _rescaled(a, b)
     return _interval(den, [*_sweep(ca, cb, table)])
 
@@ -224,38 +237,25 @@ def _null(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet, table: tuple[
     intervals the sweep stops at its first cut."""
     _check(space, a, b)
     if space.backend == ATOMIC:
-        x, y = a.mask, b.mask  # table[1], [2], [3]: the atoms in b only, a only, both
-        return not (table[1] and y & ~x or table[2] and x & ~y or table[3] and x & y)
+        return not _atoms(a.mask, b.mask, table)
     ca, cb, _ = _rescaled(a, b)
     return next(_sweep(ca, cb, table), None) is None
 
 
 def union(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    _check(space, a, b)
-    if space.backend == ATOMIC:
-        return MeasurableSet(ATOMIC, mask=a.mask | b.mask)
-    return _combine(a, b, UNION)
+    return _combine(space, a, b, UNION)
 
 
 def intersect(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    _check(space, a, b)
-    if space.backend == ATOMIC:
-        return MeasurableSet(ATOMIC, mask=a.mask & b.mask)
-    return _combine(a, b, INTERSECT)
+    return _combine(space, a, b, INTERSECT)
 
 
 def difference(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    _check(space, a, b)
-    if space.backend == ATOMIC:
-        return MeasurableSet(ATOMIC, mask=a.mask & ~b.mask)
-    return _combine(a, b, DIFFERENCE)
+    return _combine(space, a, b, DIFFERENCE)
 
 
 def symdiff(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
-    _check(space, a, b)
-    if space.backend == ATOMIC:
-        return MeasurableSet(ATOMIC, mask=a.mask ^ b.mask)
-    return _combine(a, b, SYMDIFF)
+    return _combine(space, a, b, SYMDIFF)
 
 
 def complement(space: MeasureSpace, a: MeasurableSet) -> MeasurableSet:
@@ -300,6 +300,11 @@ def null_equal(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:
 def is_disjoint(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:
     """The sets meet in a null set."""
     return _null(space, a, b, INTERSECT)
+
+
+def covers(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:
+    """The union is X up to null sets: the complements meet in a null set."""
+    return is_subset(space, complement(space, a), b)
 
 
 def is_atom(space: MeasureSpace, a: MeasurableSet) -> bool:

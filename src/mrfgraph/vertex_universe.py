@@ -27,7 +27,7 @@ from .measure_space import (
     MeasurableSet,
     MeasureSpace,
     _interval,
-    complement,
+    covers,
     format_set,
     is_null,
     is_subset,
@@ -49,11 +49,12 @@ class ZClass:
 
 
 def zclass(space: MeasureSpace, zero_set: MeasurableSet) -> ZClass:
-    """Build a ZClass, enforcing that both the zero set and its complement
-    have positive measure (the zero-divisor condition)."""
+    """Build a ZClass, enforcing the zero-divisor condition: the zero set
+    has positive measure and does not cover X, so its complement (the
+    cozero set) has positive measure too."""
     if is_null(space, zero_set):
         raise ValueError("zero set of a zero-divisor must have positive measure")
-    if is_null(space, complement(space, zero_set)):
+    if covers(space, zero_set, zero_set):
         raise ValueError("cozero set of a zero-divisor must have positive measure")
     return ZClass(zero_set)
 

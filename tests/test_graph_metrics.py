@@ -451,6 +451,8 @@ def test_chromatic_needs_no_recursion_depth():
     chi, coloring = np_metrics(path, ("chromatic",), chromatic_bound=n)["chromatic"]
     assert chi == 2
     assert all(coloring[i] != coloring[i + 1] for i in range(n - 1))
+    for n in (1, 2, 39):
+        assert np_metrics(raw_graph(n, []), ("chromatic",))["chromatic"] == (1, [0] * n)
 
 
 def recursive_max_clique(rows, n):

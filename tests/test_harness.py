@@ -149,6 +149,20 @@ def test_metrics_cache_keys_on_rows():
     assert ctx.graph_metrics(small) is m_small
 
 
+def test_split_prefix_exact_catches_a_part_of_the_wrong_measure(monkeypatch):
+    """Each sampled zero set and its complement is one case; a prefix split
+    that misses its target measure is counted as a failure."""
+    ctx = RunContext(SuiteConfig(backend="interval", sample_count=20))
+    good = mrfgraph.checks.check_split_prefix_exact(ctx)
+    assert good.ok and good.computed == "0 failures"
+    assert good.instance == "40 random (set, target) cases"
+    split = mrfgraph.checks.split_at_measure
+    monkeypatch.setattr(mrfgraph.checks, "split_at_measure",
+                        lambda space, a, r: split(space, a, r / 2))
+    bad = mrfgraph.checks.check_split_prefix_exact(ctx)
+    assert not bad.ok and bad.computed != "0 failures"
+
+
 def test_config_round_trip():
     cfg = SuiteConfig(atoms_min=2, atoms_max=4, suites=("comaximal",))
     assert SuiteConfig.from_dict(cfg.to_dict()) == cfg
@@ -545,6 +559,15 @@ def test_check_times_prints_one_line_per_interval_check(capsys):
     assert lines[-1].endswith(f"total over {len(ids)} checks")
     with pytest.raises(SystemExit):  # one suite per run
         _script("check_times").main(["--samples", "20", "--atoms", "2..2"])
+
+
+def test_explore_nonatomic_iso_prints_one_verdict_per_size(capsys):
+    assert _script("explore_nonatomic_iso").main(["--sizes", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line for line in lines if line.startswith("sample size")]
+    assert len(verdicts) == 1
+    assert verdicts[0].startswith("sample size   5 -> ")
+    assert "complement map verified" in verdicts[0]
 
 
 def test_check_times_exits_2_over_the_guard(capsys):

@@ -22,6 +22,7 @@ from mrfgraph.measure_space import (
     atom_set,
     cell_masks,
     complement,
+    covers,
     difference,
     format_set,
     intersect,
@@ -587,7 +588,9 @@ def generic_combine(a, b, op):
 BINARY = {union: (operator.or_, UNION), intersect: (operator.and_, INTERSECT),
           difference: (operator.gt, DIFFERENCE), symdiff: (operator.xor, SYMDIFF)}
 # Each nullity form, and the operation whose built set it tests.
-NULLITY = {is_disjoint: intersect, is_subset: difference, null_equal: symdiff}
+NULLITY = {is_disjoint: intersect, is_subset: difference, null_equal: symdiff,
+           covers: lambda space, a, b: intersect(space, complement(space, a),
+                                                 complement(space, b))}
 
 # Every set of cells over thirds and over quarters: empty and full sets,
 # cuts shared by both sides (0, 1, and 1/2 among the quarters), and pairs
@@ -643,6 +646,8 @@ def test_nullity_forms_match_fraction_reference(a, b):
     assert is_disjoint(INTERVAL_SPACE, a, b) == (not _interval_intersect(x, y))
     assert is_subset(INTERVAL_SPACE, a, b) == (not _interval_intersect(x, _interval_complement(y)))
     assert null_equal(INTERVAL_SPACE, a, b) == (_canonical(x) == _canonical(y))
+    assert covers(INTERVAL_SPACE, a, b) == (
+        not _interval_intersect(_interval_complement(x), _interval_complement(y)))
 
 
 @given(space_and_sets())
@@ -653,11 +658,12 @@ def test_nullity_forms_match_built_sets_atomic(args):
     assert is_disjoint(space, a, b) == (not sa & sb)
     assert is_subset(space, a, b) == (sa <= sb)
     assert null_equal(space, a, b) == (sa == sb)
+    assert covers(space, a, b) == (sa | sb == set(range(space.n_atoms)))
 
 
 def test_nullity_forms_check_their_arguments():
     space, ok = unit_space(2), atom_set([0])
-    for form in (is_disjoint, is_subset, null_equal):
+    for form in NULLITY:
         with pytest.raises(ValueError):
             form(space, ok, atom_set([2]))
         with pytest.raises(BackendMismatchError):
