@@ -6,7 +6,9 @@ against breadth-first search, parameter identities against exact solvers,
 and constructive witnesses on the sampled interval backend.  Each check
 declares its domain in its ``register`` call and returns one
 :class:`~mrfgraph.harness.Outcome` per instance; the harness walks the
-domain and labels the report entries.
+domain and labels the report entries.  A rule that compares one reading of
+a graph with a closed form on zero sets is a row (``_mismatch_row``,
+``_value_row``) that states only what it compares.
 """
 
 from __future__ import annotations
@@ -101,6 +103,12 @@ def orthogonal_annihilator(space, zu, zv) -> bool:
             and (is_atom(space, zu) or is_atom(space, zv)))
 
 
+def expected_annihilator_cycle(space, zu, zv) -> int:
+    """Valid when the graph has a triangle (alphabet >= 3)."""
+    edge = adjacent(GraphKind.ANNIHILATOR, space, zu, zv)
+    return 3 if edge and not orthogonal_annihilator(space, zu, zv) else 4
+
+
 def _cell_pairs(g):
     """One representative vertex pair (i, j), i < j, per unordered pair of
     cells of the common refinement of zero-set and twin classes, and the
@@ -128,10 +136,52 @@ def _pair_mismatches(g, want, got) -> int:
 
 
 def _vertex_mismatches(g, want, got) -> int:
-    """Vertices i where ``got(i)`` differs from ``want(z)`` on their zero
+    """Vertices i where ``got[i]`` differs from ``want(z)`` on their zero
     set, evaluating ``want`` once per zero-set class."""
     expected = [want(z) for z in g.classes.zero_sets]
-    return sum(1 for i, c in enumerate(g.classes.of) if got(i) != expected[c])
+    return sum(1 for i, c in enumerate(g.classes.of) if got[i] != expected[c])
+
+
+def _row_graph(ctx: RunContext, check_id: str, n: int, mode_k: tuple):
+    """The graph of the kind the id's suite names: a per-mode row's own
+    ``(mode, k)``, any other row's expanded graph at ``(k,)``."""
+    mode, k = mode_k if len(mode_k) == 2 else ("expanded", *mode_k)
+    return ctx.graph(n, GraphKind(check_id.partition(".")[0]), mode, alphabet=k)
+
+
+def _mismatch_row(check_id: str, compare, expected: str, want, got, **domain) -> None:
+    """Register a rule read per vertex (``compare=_vertex_mismatches``) or
+    per vertex pair (``_pair_mismatches``): ``got(ctx, g)`` is the graph's
+    side, ``want(space, z)`` or ``want(space, zu, zv)`` the closed form on
+    zero sets.  ``expected`` may name ``{total}``, the vertex-pair count."""
+    def check(ctx: RunContext, n: int, *mode_k) -> Outcome:
+        g = _row_graph(ctx, check_id, n, mode_k)
+        bad = compare(g, partial(want, ctx.space(n)), got(ctx, g))
+        return Outcome(expected.format(total=g.n_vertices * (g.n_vertices - 1) // 2),
+                       f"{bad} mismatches", bad == 0)
+    register(check_id, **domain)(check)
+
+
+def _value_row(check_id: str, expected: str, want, got, **domain) -> None:
+    """Register a rule comparing one value ``got(ctx, g)`` of the graph with
+    ``want(n)``; ``expected`` formats ``want(n)``."""
+    def check(ctx: RunContext, n: int, *mode_k) -> Outcome:
+        value = got(ctx, _row_graph(ctx, check_id, n, mode_k))
+        return Outcome(expected.format(want(n)), value, value == want(n))
+    register(check_id, **domain)(check)
+
+
+def _orthogonal(ctx: RunContext, g):
+    pairs = set(complementation_profile(g).orthogonal_pairs)
+    return lambda i, j: (i, j) in pairs
+
+
+def _cycle_ranks(ctx: RunContext, g):
+    return partial(cycle_rank, g, max_len=ctx.config.max_cycle_len)
+
+
+def _is_complete_bipartite(ctx: RunContext, g) -> bool:
+    return partiteness(g).is_complete_bipartite
 
 
 def _solve(ctx: RunContext, g, *which: str) -> dict:
@@ -237,11 +287,8 @@ def check_ann_preorder(ctx: RunContext, n: int, k: int):
 @register("measure_core.weight_independence", label="n={n}")
 def check_weight_independence(ctx: RunContext, n: int, k: int):
     ok = True
-    modes = [("quotient", None)]
-    if n <= max(4, ctx.config.oracle_atoms_max):
-        modes.append(("expanded", k))
     for kind in KINDS:
-        for mode, alpha in modes:
+        for mode, alpha in (("quotient", None), ("expanded", k)):
             unit = ctx.graph(n, kind, mode, alphabet=alpha, policy="unit")
             rand = ctx.graph(n, kind, mode, alphabet=alpha, policy="random-positive")
             if unit.adj != rand.adj or unit.zero_sets != rand.zero_sets:
@@ -292,9 +339,7 @@ def check_sampled_no_atoms(ctx: RunContext):
 # comaximal suite
 # ---------------------------------------------------------------------------
 
-@register("comaximal.adjacency_oracle", n_min=1)
-def check_comaximal_oracle(ctx: RunContext, n: int, k: int):
-    return _oracle_check(ctx, n, k, GraphKind.COMAXIMAL)
+register("comaximal.adjacency_oracle", n_min=1)(partial(_oracle_check, kind=GraphKind.COMAXIMAL))
 
 
 @register("comaximal.unit_witness", oracle_capped=True)
@@ -313,47 +358,29 @@ def check_comaximal_unit_witness(ctx: RunContext, n: int, k: int):
                    f"{bad} mismatches", bad == 0)
 
 
-@register("comaximal.distance_formula", per_mode=True)
-def check_comaximal_distance(ctx: RunContext, n: int, mode: str, k: int | None):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
-    bad = _pair_mismatches(g, partial(expected_comaximal_distance, space),
-                           ctx.graph_metrics(g).distance)
-    total = g.n_vertices * (g.n_vertices - 1) // 2
-    return Outcome(f"{total} pairwise distances follow the three-case rule",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("comaximal.distance_formula", _pair_mismatches,
+              "{total} pairwise distances follow the three-case rule",
+              expected_comaximal_distance, lambda ctx, g: ctx.graph_metrics(g).distance,
+              per_mode=True)
 
 
-@register("comaximal.eccentricity_formula",
-          needs_k3="eccentricity formula needs classes of size >= 2 (alphabet >= 3)")
-def check_comaximal_eccentricity(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    summary = ctx.graph_metrics(g)
-    bad = _vertex_mismatches(g, lambda z: 2 if is_atom(space, z) else 3,
-                             lambda i: summary.eccentricity[i])
-    return Outcome("eccentricity 2 exactly at atomic zero sets, else 3",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("comaximal.eccentricity_formula", _vertex_mismatches,
+              "eccentricity 2 exactly at atomic zero sets, else 3",
+              lambda space, z: 2 if is_atom(space, z) else 3,
+              lambda ctx, g: ctx.graph_metrics(g).eccentricity,
+              needs_k3="eccentricity formula needs classes of size >= 2 (alphabet >= 3)")
 
 
-@register("comaximal.diameter_girth", needs_k3=NEEDS_K3)
-def check_comaximal_diameter_girth(ctx: RunContext, n: int, k: int):
-    g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    summary = ctx.graph_metrics(g)
-    want = (2, 4) if n == 2 else (3, 3)
-    got = (summary.diameter, summary.girth)
-    return Outcome(f"(diameter, girth) = {want}", got, got == want)
+_value_row("comaximal.diameter_girth", "(diameter, girth) = {}",
+           lambda n: (2, 4) if n == 2 else (3, 3),
+           lambda ctx, g: (ctx.graph_metrics(g).diameter, ctx.graph_metrics(g).girth),
+           needs_k3=NEEDS_K3)
 
 
-@register("comaximal.triangle_vertex_rule", per_mode=True)
-def check_comaximal_triangle_vertices(ctx: RunContext, n: int, mode: str, k: int | None):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
-    profile = triangle_profile(g)
-    bad = _vertex_mismatches(g, lambda z: not is_atom(space, complement(space, z)),
-                             lambda i: profile.vertex_flags[i])
-    return Outcome("on a triangle iff the cozero set is not an atom",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("comaximal.triangle_vertex_rule", _vertex_mismatches,
+              "on a triangle iff the cozero set is not an atom",
+              lambda space, z: not is_atom(space, complement(space, z)),
+              lambda ctx, g: triangle_profile(g).vertex_flags, per_mode=True)
 
 
 @register("comaximal.hypertriangulated_never", per_mode=True)
@@ -399,26 +426,14 @@ def check_comaximal_complemented(ctx: RunContext, n: int, mode: str, k: int | No
                    "confirmed" if ok else "violated", ok)
 
 
-@register("comaximal.orthogonality_rule")
-def check_comaximal_orthogonality(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    pairs = set(complementation_profile(g).orthogonal_pairs)
-    bad = _pair_mismatches(g, partial(orthogonal_comaximal, space),
-                           lambda i, j: (i, j) in pairs)
-    return Outcome("orthogonal iff zero sets and cozero sets are both almost disjoint",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("comaximal.orthogonality_rule", _pair_mismatches,
+              "orthogonal iff zero sets and cozero sets are both almost disjoint",
+              orthogonal_comaximal, _orthogonal)
 
 
-@register("comaximal.cycle_rank_cases", n_min=3, n_max=4, needs_k3=NEEDS_K3)
-def check_comaximal_cycle_rank(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    bad = _pair_mismatches(g, partial(expected_comaximal_cycle, space),
-                           partial(cycle_rank, g, max_len=ctx.config.max_cycle_len))
-    total = g.n_vertices * (g.n_vertices - 1) // 2
-    return Outcome(f"{total} smallest-cycle ranks in {{3,4,6}} per the four-case rule",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("comaximal.cycle_rank_cases", _pair_mismatches,
+              "{total} smallest-cycle ranks in {{3,4,6}} per the four-case rule",
+              expected_comaximal_cycle, _cycle_ranks, n_min=3, n_max=4, needs_k3=NEEDS_K3)
 
 
 @register("comaximal.class_stability")
@@ -431,23 +446,13 @@ def check_comaximal_class_stability(ctx: RunContext, n: int, k: int):
                    "confirmed" if ok else "violated", ok)
 
 
-@register("comaximal.complete_bipartite_rule", per_mode=True)
-def check_comaximal_complete_bipartite(ctx: RunContext, n: int, mode: str, k: int | None):
-    g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
-    shape = partiteness(g)
-    want = n == 2
-    return Outcome(f"complete bipartite: {want}", str(shape.is_complete_bipartite),
-                   shape.is_complete_bipartite == want)
+_value_row("comaximal.complete_bipartite_rule", "complete bipartite: {}",
+           lambda n: n == 2, _is_complete_bipartite, per_mode=True)
 
 
-@register("comaximal.neighborhood_rule")
-def check_comaximal_neighborhoods(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    bad = _pair_mismatches(g, partial(null_equal, space),
-                           lambda i, j: g.adj[i] == g.adj[j])
-    return Outcome("equal neighborhoods exactly within one class",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("comaximal.neighborhood_rule", _pair_mismatches,
+              "equal neighborhoods exactly within one class",
+              null_equal, lambda ctx, g: lambda i, j: g.adj[i] == g.adj[j])
 
 
 @register("comaximal.sampled_triangulated", backend=INTERVAL)
@@ -492,40 +497,24 @@ def check_comaximal_sampled_not_hyper(ctx: RunContext):
 # zero_divisor suite
 # ---------------------------------------------------------------------------
 
-@register("zero_divisor.adjacency_oracle", n_min=1)
-def check_zero_divisor_oracle(ctx: RunContext, n: int, k: int):
-    return _oracle_check(ctx, n, k, GraphKind.ZERO_DIVISOR)
+register("zero_divisor.adjacency_oracle", n_min=1)(
+    partial(_oracle_check, kind=GraphKind.ZERO_DIVISOR))
 
 
-@register("zero_divisor.complete_bipartite_rule", per_mode=True)
-def check_zero_divisor_complete_bipartite(ctx: RunContext, n: int, mode: str, k: int | None):
-    g = ctx.graph(n, GraphKind.ZERO_DIVISOR, mode, alphabet=k)
-    shape = partiteness(g)
-    want = n == 2
-    return Outcome(f"complete bipartite: {want}", str(shape.is_complete_bipartite),
-                   shape.is_complete_bipartite == want)
+_value_row("zero_divisor.complete_bipartite_rule", "complete bipartite: {}",
+           lambda n: n == 2, _is_complete_bipartite, per_mode=True)
 
 
-@register("zero_divisor.triangle_vertex_rule")
-def check_zero_divisor_triangles(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.ZERO_DIVISOR, "expanded", alphabet=k)
-    profile = triangle_profile(g)
-    bad = _vertex_mismatches(g, lambda z: not is_atom(space, z),
-                             lambda i: profile.vertex_flags[i])
-    return Outcome("on a triangle iff the zero set is not an atom",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("zero_divisor.triangle_vertex_rule", _vertex_mismatches,
+              "on a triangle iff the zero set is not an atom",
+              lambda space, z: not is_atom(space, z),
+              lambda ctx, g: triangle_profile(g).vertex_flags)
 
 
-@register("zero_divisor.eccentricity_formula", needs_k3=NEEDS_K3)
-def check_zero_divisor_eccentricity(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.ZERO_DIVISOR, "expanded", alphabet=k)
-    summary = ctx.graph_metrics(g)
-    bad = _vertex_mismatches(g, lambda z: 2 if is_atom(space, complement(space, z)) else 3,
-                             lambda i: summary.eccentricity[i])
-    return Outcome("eccentricity 2 exactly at atomic cozero sets, else 3",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("zero_divisor.eccentricity_formula", _vertex_mismatches,
+              "eccentricity 2 exactly at atomic cozero sets, else 3",
+              lambda space, z: 2 if is_atom(space, complement(space, z)) else 3,
+              lambda ctx, g: ctx.graph_metrics(g).eccentricity, needs_k3=NEEDS_K3)
 
 
 @register("zero_divisor.equality_rule_two_atoms")
@@ -542,9 +531,8 @@ def check_zero_divisor_equality(ctx: RunContext, n: int, k: int):
 # annihilator suite
 # ---------------------------------------------------------------------------
 
-@register("annihilator.adjacency_oracle", n_min=1)
-def check_annihilator_oracle(ctx: RunContext, n: int, k: int):
-    return _oracle_check(ctx, n, k, GraphKind.ANNIHILATOR)
+register("annihilator.adjacency_oracle", n_min=1)(
+    partial(_oracle_check, kind=GraphKind.ANNIHILATOR))
 
 
 @register("annihilator.eccentricity_two", needs_k3=NEEDS_K3)
@@ -598,13 +586,8 @@ def check_annihilator_subgraphs(ctx: RunContext, n: int, k: int):
                    "confirmed" if ok else "violated", ok, witness=witness)
 
 
-@register("annihilator.complete_bipartite_rule")
-def check_annihilator_complete_bipartite(ctx: RunContext, n: int, k: int):
-    g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
-    shape = partiteness(g)
-    want = n == 2
-    return Outcome(f"complete bipartite: {want}", str(shape.is_complete_bipartite),
-                   shape.is_complete_bipartite == want)
+_value_row("annihilator.complete_bipartite_rule", "complete bipartite: {}",
+           lambda n: n == 2, _is_complete_bipartite)
 
 
 @register("annihilator.complemented_rule", per_mode=True)
@@ -621,48 +604,24 @@ def check_annihilator_complemented(ctx: RunContext, n: int, mode: str, k: int | 
         ok)
 
 
-@register("annihilator.orthogonal_complement_rule")
-def check_annihilator_orthogonal_complements(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
-    profile = complementation_profile(g)
-    bad = _vertex_mismatches(g, lambda z: is_atom(space, z) or is_atom(space, complement(space, z)),
-                             lambda i: profile.has_complement[i])
-    return Outcome("orthogonal partner exists iff zero set or cozero set is an atom",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("annihilator.orthogonal_complement_rule", _vertex_mismatches,
+              "orthogonal partner exists iff zero set or cozero set is an atom",
+              lambda space, z: is_atom(space, z) or is_atom(space, complement(space, z)),
+              lambda ctx, g: complementation_profile(g).has_complement)
 
 
-@register("annihilator.orthogonality_rule")
-def check_annihilator_orthogonality(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
-    pairs = set(complementation_profile(g).orthogonal_pairs)
-    bad = _pair_mismatches(g, partial(orthogonal_annihilator, space),
-                           lambda i, j: (i, j) in pairs)
-    return Outcome("orthogonal iff disjoint zero sets, disjoint cozero sets, one side atomic",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("annihilator.orthogonality_rule", _pair_mismatches,
+              "orthogonal iff disjoint zero sets, disjoint cozero sets, one side atomic",
+              orthogonal_annihilator, _orthogonal)
 
 
-@register("annihilator.cycle_rank_cases", oracle_capped=True, needs_k3=NEEDS_K3)
-def check_annihilator_cycle_rank(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
-    g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
-
-    def want(zu, zv):
-        edge = adjacent(GraphKind.ANNIHILATOR, space, zu, zv)
-        return 3 if edge and not orthogonal_annihilator(space, zu, zv) else 4
-
-    bad = _pair_mismatches(g, want, partial(cycle_rank, g, max_len=ctx.config.max_cycle_len))
-    total = g.n_vertices * (g.n_vertices - 1) // 2
-    return Outcome(f"{total} ranks: 3 on non-orthogonal edges, else 4",
-                   f"{bad} mismatches", bad == 0)
+_mismatch_row("annihilator.cycle_rank_cases", _pair_mismatches,
+              "{total} ranks: 3 on non-orthogonal edges, else 4",
+              expected_annihilator_cycle, _cycle_ranks, oracle_capped=True, needs_k3=NEEDS_K3)
 
 
-@register("annihilator.girth_rule", needs_k3=NEEDS_K3)
-def check_annihilator_girth(ctx: RunContext, n: int, k: int):
-    summary = ctx.graph_metrics(ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k))
-    want = 4 if n == 2 else 3
-    return Outcome(f"girth {want}", summary.girth, summary.girth == want)
+_value_row("annihilator.girth_rule", "girth {}", lambda n: 4 if n == 2 else 3,
+           lambda ctx, g: ctx.graph_metrics(g).girth, needs_k3=NEEDS_K3)
 
 
 @register("annihilator.edge_triangle_rule")
@@ -735,9 +694,7 @@ def check_annihilator_sampled_hyper(ctx: RunContext):
 # weakly_zd suite
 # ---------------------------------------------------------------------------
 
-@register("weakly_zd.adjacency_oracle", n_min=1)
-def check_weakly_oracle(ctx: RunContext, n: int, k: int):
-    return _oracle_check(ctx, n, k, GraphKind.WEAKLY_ZD)
+register("weakly_zd.adjacency_oracle", n_min=1)(partial(_oracle_check, kind=GraphKind.WEAKLY_ZD))
 
 
 @register("weakly_zd.trichotomy_oracle", oracle_capped=True,
@@ -791,12 +748,8 @@ def check_weakly_multipartite(ctx: RunContext, n: int, k: int):
         "confirmed" if ok else "violated", ok)
 
 
-@register("weakly_zd.bipartite_rule")
-def check_weakly_bipartite(ctx: RunContext, n: int, k: int):
-    g = ctx.graph(n, GraphKind.WEAKLY_ZD, "expanded", alphabet=k)
-    shape = partiteness(g)
-    want = n == 2
-    return Outcome(f"bipartite: {want}", str(shape.is_bipartite), shape.is_bipartite == want)
+_value_row("weakly_zd.bipartite_rule", "bipartite: {}", lambda n: n == 2,
+           lambda ctx, g: partiteness(g).is_bipartite)
 
 
 @register("weakly_zd.three_atom_properties", n_min=3)

@@ -73,6 +73,11 @@ class SuiteConfig:
         for name in ("clique_bound", "chromatic_bound", "dominating_bound", "iso_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be at least 0")
+        for name in ("suites", "kinds"):
+            if isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a list of names, got {getattr(self, name)!r}")
+        if not self.suites:
+            raise ValueError("suites must name at least one suite")
         bad = [s for s in self.suites if s not in SUITES]
         if bad:
             raise ValueError(f"unknown suites {bad}")

@@ -79,6 +79,22 @@ def test_weight_policy_changes_nothing():
     assert not unit.failed and not rand.failed
 
 
+def test_weight_independence_compares_expanded_graphs_at_every_n(monkeypatch):
+    """Both weight policies are compared in both modes past the oracle
+    bound too: at n=5 each kind's random-positive expanded graph is built."""
+    requested = []
+    graph = RunContext.graph
+
+    def spy(self, n, kind, mode, alphabet=None, policy=None):
+        requested.append((n, kind, mode, alphabet, policy))
+        return graph(self, n, kind, mode, alphabet=alphabet, policy=policy)
+
+    monkeypatch.setattr(RunContext, "graph", spy)
+    ctx = RunContext(SuiteConfig(atoms_min=5, atoms_max=5))
+    assert REGISTRY["measure_core.weight_independence"].fn(ctx, 5, 3).ok
+    assert {(5, kind, "expanded", 3, "random-positive") for kind in GraphKind} <= set(requested)
+
+
 def test_only_filter_runs_single_check():
     report = run_suite(SuiteConfig(atoms_min=2, atoms_max=3,
                                    only="comaximal.distance_formula"))
@@ -131,6 +147,11 @@ def test_config_validation():
     for name, value in (("seed", True), ("iso_budget", "9"), ("alphabet", 3.0)):
         with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
             SuiteConfig(**{name: value})
+    for name in ("suites", "kinds"):  # a string would be read as its characters
+        with pytest.raises(TypeError, match=f"{name} must be a list of names, got 'comaximal'"):
+            SuiteConfig.from_dict({name: "comaximal"})
+    with pytest.raises(ValueError, match="suites must name at least one suite"):
+        SuiteConfig(suites=())
 
 
 def test_metrics_cache_keys_on_rows():
@@ -346,6 +367,10 @@ def test_failing_entry_repro_line_runs(argv, check_id, force, monkeypatch, capsy
         assert unnarrowed(rerun["config"]) == unnarrowed(report["config"])
 
 
+_TRIANGLE_ROWS = {"comaximal.triangle_vertex_rule", "zero_divisor.triangle_vertex_rule",
+                  "annihilator.orthogonal_complement_rule", "weakly_zd.bipartite_rule"}
+
+
 def _flip_orthogonal_edge(ctx, n, kind, k):
     """Replace the cached expanded graph with one whose edge between the first
     members of the classes Z={0} and its complement is toggled."""
@@ -354,10 +379,11 @@ def _flip_orthogonal_edge(ctx, n, kind, k):
 
 def _toggle_edge(ctx, n, kind, k, zu, zv):
     """Replace the cached expanded graph with one whose edge between the first
-    members of the classes with zero sets ``zu`` and ``zv`` is toggled."""
+    members of the classes with zero sets ``zu`` and ``zv`` (the first two
+    when ``zu == zv``) is toggled."""
     g = ctx.graph(n, kind, "expanded", alphabet=k)
     i = g.classes.members[g.classes.index[zu]][0]
-    j = g.classes.members[g.classes.index[zv]][0]
+    j = next(v for v in g.classes.members[g.classes.index[zv]] if v != i)
     adj = list(g.adj)
     adj[i] ^= 1 << j
     adj[j] ^= 1 << i
@@ -374,23 +400,39 @@ def _toggle_edge(ctx, n, kind, k, zu, zv):
     ("comaximal.orthogonality_rule", GraphKind.COMAXIMAL, (3, 3)),
     ("comaximal.complemented_unique", GraphKind.COMAXIMAL, (3, "expanded", 3)),
     ("comaximal.class_stability", GraphKind.COMAXIMAL, (3, 3)),
+    # the other rule rows at n=2, where all four graphs are K(2,2)
+    ("comaximal.eccentricity_formula", GraphKind.COMAXIMAL, (2, 3)),
+    ("comaximal.diameter_girth", GraphKind.COMAXIMAL, (2, 3)),
+    ("comaximal.triangle_vertex_rule", GraphKind.COMAXIMAL, (2, "expanded", 3)),
+    ("comaximal.complete_bipartite_rule", GraphKind.COMAXIMAL, (2, "expanded", 3)),
+    ("zero_divisor.complete_bipartite_rule", GraphKind.ZERO_DIVISOR, (2, "expanded", 3)),
+    ("zero_divisor.triangle_vertex_rule", GraphKind.ZERO_DIVISOR, (2, 3)),
+    ("zero_divisor.eccentricity_formula", GraphKind.ZERO_DIVISOR, (2, 3)),
+    ("annihilator.complete_bipartite_rule", GraphKind.ANNIHILATOR, (2, 3)),
+    ("annihilator.orthogonal_complement_rule", GraphKind.ANNIHILATOR, (2, 3)),
+    ("annihilator.girth_rule", GraphKind.ANNIHILATOR, (2, 3)),
+    ("weakly_zd.bipartite_rule", GraphKind.WEAKLY_ZD, (2, 3)),
 ])
 def test_rule_checks_read_the_computed_side_per_vertex_pair(check_id, kind, args):
     """The expected side is constant on zero-set class pairs, but the
     computed side is shared at most within a class of identical adjacency
     rows: one flipped edge between two members of a class pair moves them
-    to row classes (and cells) of their own and is a mismatch."""
+    to row classes (and cells) of their own and is a mismatch.  Each row
+    reads the graph of its own kind, so the edge is toggled there only.
+    Rows on triangles or odd cycles get an edge inside the class Z={0}."""
     fn = REGISTRY[check_id].fn
     ctx = RunContext(SuiteConfig())
-    assert fn(ctx, *args).ok
+    good = fn(ctx, *args)
+    assert good.ok
     ctx = RunContext(SuiteConfig())
-    _flip_orthogonal_edge(ctx, 3, kind, 3)
+    n = args[0]
+    if check_id in _TRIANGLE_ROWS:
+        _toggle_edge(ctx, n, kind, 3, atom_set([0]), atom_set([0]))
+    else:
+        _flip_orthogonal_edge(ctx, n, kind, 3)
     outcome = fn(ctx, *args)
     assert not outcome.ok
-    if check_id in ("comaximal.complemented_unique", "comaximal.class_stability"):
-        assert outcome.computed == "violated"
-    else:
-        assert int(outcome.computed.split()[0]) >= 1
+    assert outcome.computed != good.computed
 
 
 def test_edge_triangle_rule_reads_each_edge():
@@ -517,12 +559,14 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "[1, 2]", "null", '"x"', '{"alphabet": 3.0}', '{"max_cycle_len": 8.5}',
     '{"oracle_atoms_max": 2.5}', '{"atoms_max": 3.0}', '{"sample_count": true}',
-    '{"seed": {"a": 1}}', '{"output": "xml"}',
+    '{"seed": {"a": 1}}', '{"output": "xml"}', '{"kinds": "comaximal"}', '{"suites": ""}',
+    '{"suites": []}',
 ])
 def test_cli_ill_typed_config_exits_2(text, tmp_path, capsys):
+    """No ``--suite`` flag, so the config's own ``suites`` is the one read."""
     cfg = tmp_path / "run.json"
     cfg.write_text(text)
-    assert _exit_code(["verify", "--suite", "measure_core", "--config", str(cfg)]) == 2
+    assert _exit_code(["verify", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid configuration: ")
@@ -548,14 +592,16 @@ def test_check_times_prints_one_line_per_selected_check(capsys):
 
 
 def test_check_times_prints_one_line_per_interval_check(capsys):
-    """``--samples N`` times the checks ``mrfgraph sample --samples N``
-    runs, in its order; each interval check makes one passing entry."""
+    """``--samples N`` times the shared class draw first, then the checks
+    ``mrfgraph sample --samples N`` runs, in its order; each interval check
+    makes one passing entry."""
     assert _script("check_times").main(["--samples", "20"]) == 0
     lines = capsys.readouterr().out.splitlines()
     ids = [check.id for check in applicable_checks(SuiteConfig(backend="interval"))]
     assert len(ids) == 7
-    assert [line.split()[2] for line in lines[:-1]] == ids
-    assert all(line.endswith("pass/fail/skipped 1/0/0") for line in lines[:-1])
+    assert lines[0].split()[2:] == ["RunContext.interval_classes", "20", "sampled", "classes"]
+    assert [line.split()[2] for line in lines[1:-1]] == ids
+    assert all(line.endswith("pass/fail/skipped 1/0/0") for line in lines[1:-1])
     assert lines[-1].endswith(f"total over {len(ids)} checks")
     with pytest.raises(SystemExit):  # one suite per run
         _script("check_times").main(["--samples", "20", "--atoms", "2..2"])
@@ -595,15 +641,24 @@ def test_default_atomic_report_is_pinned():
     assert render_report(report, "text") == (ROOT / "reports" / "atomic.txt").read_text()
 
 
-@pytest.mark.parametrize("atoms,digest", [
-    ("2..6", "2c768ba92c8034ef172a3f737209b8e676986035a8053d7d42ecf3224f0e4285"),
-    ("7..7", "75d60e2c059fafedcb12a7a1bfa28f1ea72d4782fe993d171122d52dd59ebe0b"),
-], ids=["2..6", "7..7"])
-def test_larger_atomic_reports_are_pinned(atoms, digest, capsys):
-    """The n=6 and n=7 runs, which reports/atomic.json (n up to 5) does not
-    reach."""
-    assert main(["verify", "--atoms", atoms, "--alphabet", "3", "--seed", "7",
-                 "--format", "json"]) == 0
+@pytest.mark.parametrize("argv,digest", [
+    (["--atoms", "2..6", "--alphabet", "3"],
+     "2c768ba92c8034ef172a3f737209b8e676986035a8053d7d42ecf3224f0e4285"),
+    (["--atoms", "7..7", "--alphabet", "3"],
+     "75d60e2c059fafedcb12a7a1bfa28f1ea72d4782fe993d171122d52dd59ebe0b"),
+    (["--atoms", "2..4", "--alphabet", "2"],
+     "78198540fa168045e7c0f1dd00c56d8485fcb57a5f63491c6f75b65fc0d891ac"),
+    (["--atoms", "2..4", "--alphabet", "4"],
+     "53f16bc79eab0817d3657c9f0cc380cc2debf59d2b08ad5378694fc43e3a7f63"),
+    (["--atoms", "2..5", "--weights", "random-positive"],
+     "5ecd2a4046435c8eb688d03ed7fbe0bc22535373ee6db761f3cb9f1669c1229a"),
+], ids=["2..6", "7..7", "2..4-alphabet-2", "2..4-alphabet-4", "2..5-random-positive"])
+def test_larger_atomic_reports_are_pinned(argv, digest, capsys):
+    """The runs reports/atomic.json (n up to 5, k=3, unit weights) does not
+    cover: n=6 and n=7; k=2, where the ``needs_k3`` checks skip and
+    ``alphabets=(2,)`` adds nothing; k=4, past the oracle's alphabet bound;
+    and random positive weights."""
+    assert main(["verify", *argv, "--seed", "7", "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

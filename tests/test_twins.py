@@ -21,13 +21,14 @@ import pytest
 from mrfgraph import checks, graph_metrics
 from mrfgraph.checks import (
     _pair_mismatches,
+    expected_annihilator_cycle,
     expected_comaximal_cycle,
     expected_comaximal_distance,
     orthogonal_annihilator,
     orthogonal_comaximal,
 )
 from mrfgraph.cli import main
-from mrfgraph.graph_build import Graph, GraphKind, adjacent, build_graph, zero_set_classes
+from mrfgraph.graph_build import Graph, GraphKind, build_graph, zero_set_classes
 from mrfgraph.graph_metrics import (
     SOLVERS,
     Partiteness,
@@ -40,7 +41,7 @@ from mrfgraph.graph_metrics import (
     partiteness,
     triangle_profile,
 )
-from mrfgraph.harness import RunContext, SuiteConfig
+from mrfgraph.harness import REGISTRY, RunContext, SuiteConfig
 from mrfgraph.measure_space import IntervalSpace, atom_set, null_equal, unit_space
 from mrfgraph.vertex_universe import ZClass, sample_interval_classes
 
@@ -342,10 +343,6 @@ def rule_comparisons(g: Graph, space):
     """The (want, got) of every rule check that calls ``_pair_mismatches``.
     Both cycle-rank checks read one table of ``cycle_rank`` per vertex pair,
     built up to n=4; at n=5 it would take about 4 s more."""
-    def annihilator_cycle(zu, zv):
-        edge = adjacent(GraphKind.ANNIHILATOR, space, zu, zv)
-        return 3 if edge and not orthogonal_annihilator(space, zu, zv) else 4
-
     pairs = set(complementation_profile(g).orthogonal_pairs)
     orthogonal = lambda i, j: (i, j) in pairs  # noqa: E731
     yield partial(expected_comaximal_distance, space), metrics(g).distance
@@ -356,7 +353,7 @@ def rule_comparisons(g: Graph, space):
         ranks = {(i, j): cycle_rank(g, i, j, MAX_LEN)
                  for i in range(g.n_vertices) for j in range(i + 1, g.n_vertices)}
         yield partial(expected_comaximal_cycle, space), lambda i, j: ranks[i, j]
-        yield annihilator_cycle, lambda i, j: ranks[i, j]
+        yield partial(expected_annihilator_cycle, space), lambda i, j: ranks[i, j]
 
 
 def flip_first_and_last(g: Graph) -> Graph:
@@ -415,6 +412,6 @@ def test_searches_run_once_per_twin_class(monkeypatch):
     monkeypatch.setattr(checks, "cycle_rank", counted("cycle_rank", checks.cycle_rank))
     metrics(g)
     assert 0 < calls["_levels"] <= classes
-    outcome = checks.check_comaximal_cycle_rank(ctx, 4, 3)
+    outcome = REGISTRY["comaximal.cycle_rank_cases"].fn(ctx, 4, 3)
     assert outcome.ok
     assert 0 < calls["cycle_rank"] <= classes * classes
