@@ -16,13 +16,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 from .graph_build import (
     GraphKind,
+    _AnnihilatorTable,
+    _members,
+    _oracle_row,
     adjacent,
     build_graph,
     check_oracle_bounds,
     oracle_adjacent,
+    oracle_row,
     weakly_adjacent_all,
     zero_set_classes,
 )
@@ -210,14 +215,12 @@ def _oracle_check(ctx: RunContext, n: int, k: int, kind: GraphKind) -> Outcome:
     space = ctx.space(n)
     g = ctx.graph(n, kind, "expanded", alphabet=k)
     mismatches = []
-    total = 0
-    for i in range(g.n_vertices):
-        for j in range(i + 1, g.n_vertices):
-            total += 1
-            closed = g.is_edge(i, j)
-            brute = oracle_adjacent(kind, space, k, g.vertices[i], g.vertices[j])
-            if closed != brute:
-                mismatches.append((g.vertex_label(i), g.vertex_label(j), closed, brute))
+    for i, f in enumerate(g.vertices):
+        closed = g.adj[i] >> i + 1
+        for j in _members(oracle_row(kind, space, k, f, g.vertices[i + 1:]) ^ closed):
+            edge = bool(closed >> j & 1)
+            mismatches.append((g.vertex_label(i), g.vertex_label(i + 1 + j), edge, not edge))
+    total = g.n_vertices * (g.n_vertices - 1) // 2
     return Outcome(f"{total}/{total} pairs agree", f"{total - len(mismatches)}/{total} pairs agree",
                    not mismatches, witness=mismatches[:5] or None)
 
@@ -344,16 +347,13 @@ register("comaximal.adjacency_oracle", n_min=1)(partial(_oracle_check, kind=Grap
 
 @register("comaximal.unit_witness", oracle_capped=True)
 def check_comaximal_unit_witness(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    bad = 0
-    for i in range(g.n_vertices):
-        for j in range(i + 1, g.n_vertices):
-            values = tuple(a * a + b * b for a, b in
-                           zip(g.vertices[i].values, g.vertices[j].values))
-            unit = is_null(space, atom_set(p for p, v in enumerate(values) if v == 0))
-            if unit != g.is_edge(i, j):
-                bad += 1
+    # the oracle's comaximal row, whose sum-of-squares test is this witness;
+    # it reads only the a.e. memo, never the k^n candidates, so this check
+    # keeps running past the oracle's alphabet bound
+    table = _AnnihilatorTable(ctx.space(n), k)
+    bad = sum((_oracle_row(GraphKind.COMAXIMAL, table, f, g.vertices[i + 1:])
+               ^ g.adj[i] >> i + 1).bit_count() for i, f in enumerate(g.vertices))
     return Outcome("sum of squares is a unit up to null sets exactly on edges",
                    f"{bad} mismatches", bad == 0)
 
@@ -654,39 +654,37 @@ def check_annihilator_iso(ctx: RunContext, n: int, k: int):
 
 @register("annihilator.sampled_hypertriangulated", backend=INTERVAL)
 def check_annihilator_sampled_hyper(ctx: RunContext):
+    """The first ``sample_count`` annihilator edges among the sampled classes,
+    in pair order, each on a constructed triangle.  s classes hold at most
+    s(s-1)/2 edges: a sample with fewer edges has every one tested, and a
+    sample with none is skipped."""
     space = ctx.interval_space
-    classes = ctx.interval_classes()
-    target = ctx.config.sample_count
-    bad = 0
-    found = 0
+    zsets = [zc.zero_set for zc in ctx.interval_classes()]
+    edges = ((zu, zv) for a, zu in enumerate(zsets) for zv in zsets[a + 1:]
+             if adjacent(GraphKind.ANNIHILATOR, space, zu, zv))
+    found = bad = 0
     witness = None
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            if found >= target:
-                break
-            zu, zv = classes[a].zero_set, classes[b].zero_set
-            if not adjacent(GraphKind.ANNIHILATOR, space, zu, zv):
-                continue
-            found += 1
-            zh = annihilator_common_neighbor_zero_set(space, zu, zv)
-            if zh is None:
-                bad += 1
-                continue
-            try:
-                zclass(space, zh)
-            except ValueError:
-                bad += 1
-                continue
-            if not (adjacent(GraphKind.ANNIHILATOR, space, zu, zh)
-                    and adjacent(GraphKind.ANNIHILATOR, space, zv, zh)):
-                bad += 1
-            elif witness is None:
-                witness = ["Z=" + str(zu), "Z=" + str(zv), "Z=" + str(zh)]
-        if found >= target:
-            break
-    ok = bad == 0 and found >= target
-    return Outcome(f"{target} sampled edges each on a constructed triangle",
-                   f"{found} edges, {bad} failures", ok, witness=witness,
+    for zu, zv in islice(edges, ctx.config.sample_count):
+        found += 1
+        zh = annihilator_common_neighbor_zero_set(space, zu, zv)
+        if zh is None:
+            bad += 1
+            continue
+        try:
+            zclass(space, zh)
+        except ValueError:
+            bad += 1
+            continue
+        if not (adjacent(GraphKind.ANNIHILATOR, space, zu, zh)
+                and adjacent(GraphKind.ANNIHILATOR, space, zv, zh)):
+            bad += 1
+        elif witness is None:
+            witness = ["Z=" + str(zu), "Z=" + str(zv), "Z=" + str(zh)]
+    if not found:
+        raise BoundExceededError("a single sampled class has no class pairs" if len(zsets) < 2
+                                 else f"no pair of the {len(zsets)} sampled classes is an edge")
+    return Outcome(f"{found} sampled edges each on a constructed triangle",
+                   f"{found} edges, {bad} failures", bad == 0, witness=witness,
                    instance=f"{found} sampled edges")
 
 
@@ -703,17 +701,19 @@ def check_weakly_trichotomy(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     check_oracle_bounds(space, k)
     divisors = enumerate_functions(space, k)
+    classes = zero_set_classes([f.zero_set for f in divisors])
+    zsets, members = classes.zero_sets, classes.masks
+    # the closed side once per zero-set pair: the vertex mask of the classes
+    # adjacent to each class, and the self-pair of each class
+    reach = [sum(members[d] for d, zv in enumerate(zsets) if weakly_adjacent_all(space, zu, zv))
+             for zu in zsets]
+    self_adjacent = [weakly_adjacent_all(space, z, z, same_vertex=True) for z in zsets]
     bad = 0
-    total = 0
     for i, f in enumerate(divisors):
-        for j in range(i, len(divisors)):
-            g = divisors[j]
-            total += 1
-            brute = oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, g)
-            want = weakly_adjacent_all(space, f.zero_set, g.zero_set,
-                                       same_vertex=(i == j))
-            if brute != want:
-                bad += 1
+        c = classes.of[i]
+        want = reach[c] >> i & ~1 | self_adjacent[c]
+        bad += (oracle_row(GraphKind.WEAKLY_ZD, space, k, f, divisors[i:]) ^ want).bit_count()
+    total = len(divisors) * (len(divisors) + 1) // 2
     return Outcome(f"{total} pairs (self-pairs included) follow the three-case rule",
                    f"{bad} mismatches", bad == 0)
 

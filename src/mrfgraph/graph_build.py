@@ -12,11 +12,13 @@ Adjacency is decided by closed-form nullity predicates on zero sets:
 
 A build tests them on cell masks, where a set is null exactly when its mask
 is 0, so both backends share one int kernel; ``adjacent`` is the exact
-reference.  ``oracle_adjacent`` recomputes the same relations from the
-ring-theoretic definitions alone (pointwise products; annihilator ideals as
-bitsets over the k^n candidate functions; one cached table per space and
-alphabet, which also memoises the a.e. test per value tuple) so that the
-closed forms can be cross-validated exhaustively.
+reference.  ``oracle_row`` recomputes the same relations from the
+ring-theoretic definitions alone, one row per vertex: the adjacency of f to
+each function of a list, as a bitmask (pointwise products; annihilator
+ideals as bitsets over the k^n candidate functions; one cached table per
+space and alphabet, which also memoises the a.e. test per value tuple), so
+that the closed forms can be cross-validated exhaustively by comparing
+rows.  ``oracle_adjacent`` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import add, mul, not_
 from typing import Iterable, Sequence
 
 from .measure_space import (
@@ -70,8 +73,9 @@ class GraphTooLargeError(ValueError):
 
 
 class BoundExceededError(ValueError):
-    """Input exceeds a bound on exhaustive work: the oracle's atom or
-    alphabet bound, a solver's vertex bound, or a check's own cap."""
+    """Input lies outside what a check can decide: past a bound on
+    exhaustive work (the oracle's atom or alphabet bound, a solver's vertex
+    bound, a check's own cap) or short of the cases it compares."""
 
 
 # Largest space and alphabet the brute-force oracle enumerates.
@@ -105,46 +109,56 @@ def weakly_adjacent_all(space: MeasureSpace, zu: MeasurableSet, zv: MeasurableSe
     return not is_atom(space, zu)
 
 
+class _Memo(dict):
+    """A dict that computes a missing value with ``fn`` on first lookup and
+    keeps it, so a hit costs one dict lookup and no Python call."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 @lru_cache(maxsize=8)
 class _AnnihilatorTable:
-    """The oracle's memo for one space and alphabet.  ``vanishes(p)`` is the
-    a.e. test, kept per value tuple p.  ``ann(p)`` is ann(p) as a bitset over
-    the k^n candidate functions: bit c is set when candidates[c] * p vanishes
-    a.e.  ``reach(p)`` is the union of ann(h) over the candidates h in ann(p)
-    that do not vanish a.e.; ``nonzero`` marks those candidates.  Each is
-    computed on first use per value tuple."""
+    """The oracle's memo for one space and alphabet, each entry computed on
+    first lookup of a value tuple p.  ``vanishes[p]`` is the a.e. test.
+    ``ann[p]`` is ann(p) as a bitset over the k^n candidate functions: bit c
+    is set when candidates[c] * p vanishes a.e.  ``reach[p]`` is the union of
+    ann(h) over the candidates h in ann(p) that do not vanish a.e.;
+    ``nonzero`` marks those candidates.  The candidates are enumerated on
+    first use, so rows that ask only ``vanishes`` never list them."""
 
     def __init__(self, space: AtomicSpace, k: int):
         self.space = space
-        self.candidates = list(itertools.product(range(k), repeat=space.n_atoms))
-        self._vanishes: dict[tuple[int, ...], bool] = {}
-        self._ann: dict[tuple[int, ...], int] = {}
-        self._reach: dict[tuple[int, ...], int] = {}
-        self.nonzero = sum(1 << c for c, h in enumerate(self.candidates)
-                           if not self.vanishes(h))
+        self.k = k
+        self.vanishes = _Memo(self._vanishes)
+        self.ann = _Memo(self._ann)
+        self.reach = _Memo(self._reach)
 
-    def vanishes(self, p: tuple[int, ...]) -> bool:
-        hit = self._vanishes.get(p)
-        if hit is None:
-            hit = self._vanishes[p] = is_null(
-                self.space, atom_set(i for i, v in enumerate(p) if v != 0))
-        return hit
+    @cached_property
+    def candidates(self) -> list[tuple[int, ...]]:
+        return list(itertools.product(range(self.k), repeat=self.space.n_atoms))
 
-    def ann(self, p: tuple[int, ...]) -> int:
-        mask = self._ann.get(p)
-        if mask is None:
-            mask = self._ann[p] = sum(
-                1 << c for c, h in enumerate(self.candidates)
-                if self.vanishes(tuple(a * b for a, b in zip(h, p))))
-        return mask
+    @cached_property
+    def nonzero(self) -> int:
+        vanishes = self.vanishes
+        return sum(1 << c for c, h in enumerate(self.candidates) if not vanishes[h])
 
-    def reach(self, p: tuple[int, ...]) -> int:
-        mask = self._reach.get(p)
-        if mask is None:
-            mask = 0
-            for c in _members(self.ann(p) & self.nonzero):
-                mask |= self.ann(self.candidates[c])
-            self._reach[p] = mask
+    def _vanishes(self, p: tuple[int, ...]) -> bool:
+        return is_null(self.space, atom_set(i for i, v in enumerate(p) if v != 0))
+
+    def _ann(self, p: tuple[int, ...]) -> int:
+        vanishes = self.vanishes
+        return sum(1 << c for c, h in enumerate(self.candidates) if vanishes[tuple(map(mul, h, p))])
+
+    def _reach(self, p: tuple[int, ...]) -> int:
+        mask = 0
+        for c in _members(self.ann[p] & self.nonzero):
+            mask |= self.ann[self.candidates[c]]
         return mask
 
 
@@ -157,9 +171,10 @@ def check_oracle_bounds(space: AtomicSpace, k: int) -> None:
         raise BoundExceededError(f"oracle bound exceeded: alphabet {k} > {ORACLE_MAX_ALPHABET}")
 
 
-def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
-                    f: ExpandedFunction, g: ExpandedFunction) -> bool:
-    """Definition-level brute-force adjacency, no closed forms.
+def oracle_row(kind: GraphKind, space: AtomicSpace, k: int,
+               f: ExpandedFunction, gs: Sequence[ExpandedFunction]) -> int:
+    """Definition-level brute-force adjacency of ``f`` to each of ``gs``, no
+    closed forms: bit j is set when f is adjacent to ``gs[j]``.
 
     zero-divisor: the product f.g vanishes a.e.
     comaximal:    f^2 + g^2 is a unit up to null sets (its pointwise zero
@@ -172,23 +187,42 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
                   h2 ranges over the union of ann(h1) for the nonzero h1 in
                   ann(f), so the test is one intersection with ann(g).
 
-    Raises :class:`BoundExceededError` past ``check_oracle_bounds``, before
-    any table is built.
+    Every bit comes from value tuples alone.  The bounds are checked and the
+    kind dispatched once per row; raises :class:`BoundExceededError` past
+    ``check_oracle_bounds``, before any table is built.
     """
     check_oracle_bounds(space, k)
-    table = _AnnihilatorTable(space, k)
-    fv, gv = f.values, g.values
+    return _oracle_row(kind, _AnnihilatorTable(space, k), f, gs)
+
+
+def _oracle_row(kind: GraphKind, table: _AnnihilatorTable, f: ExpandedFunction,
+                gs: Sequence[ExpandedFunction]) -> int:
+    """:func:`oracle_row` on the given table, with no bound check."""
+    fv = f.values
+    values = [g.values for g in gs]
+    vanishes, ann = table.vanishes, table.ann
     if kind is GraphKind.ZERO_DIVISOR:
-        return table.vanishes(tuple(a * b for a, b in zip(fv, gv)))
-    if kind is GraphKind.COMAXIMAL:
-        witness = tuple(a * a + b * b for a, b in zip(fv, gv))
-        return table.vanishes(tuple(1 if w == 0 else 0 for w in witness))
-    ann_g = table.ann(gv)
-    if kind is GraphKind.ANNIHILATOR:
-        return bool(table.ann(tuple(a * b for a, b in zip(fv, gv))) & ~table.ann(fv) & ~ann_g)
-    if kind is GraphKind.WEAKLY_ZD:
-        return bool(table.reach(fv) & ann_g & table.nonzero)
-    raise ValueError(f"unknown graph kind {kind!r}")
+        tests = [vanishes[tuple(map(mul, fv, gv))] for gv in values]
+    elif kind is GraphKind.COMAXIMAL:
+        # the indicator of the pointwise zero set of f^2 + g^2 vanishes a.e.
+        squares = tuple(map(mul, fv, fv))
+        tests = [vanishes[tuple(map(not_, map(add, squares, map(mul, gv, gv))))]
+                 for gv in values]
+    elif kind is GraphKind.ANNIHILATOR:
+        outside_f = ~ann[fv]
+        tests = [ann[tuple(map(mul, fv, gv))] & outside_f & ~ann[gv] for gv in values]
+    elif kind is GraphKind.WEAKLY_ZD:
+        reach = table.reach[fv] & table.nonzero
+        tests = [reach & ann[gv] for gv in values]
+    else:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    return sum(1 << j for j, t in enumerate(tests) if t)
+
+
+def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
+                    f: ExpandedFunction, g: ExpandedFunction) -> bool:
+    """:func:`oracle_row` for the single pair (f, g)."""
+    return oracle_row(kind, space, k, f, (g,)) == 1
 
 
 def _members(mask: int):

@@ -281,7 +281,7 @@ class RunContext:
         self.config = config
         self._spaces: dict[tuple, AtomicSpace] = {}
         self._graphs: dict[tuple, Graph] = {}
-        self._metrics: dict[tuple[int, ...], MetricsSummary] = {}
+        self._metrics: dict[int, tuple[Graph, MetricsSummary]] = {}
         self._interval_space = IntervalSpace()
         self._interval_classes: list[ZClass] | None = None
 
@@ -311,11 +311,13 @@ class RunContext:
         return self._graphs[key]
 
     def graph_metrics(self, g: Graph) -> MetricsSummary:
-        """Metrics depend on the adjacency rows alone, so they are cached by
-        them: two sampled graphs share a kind, mode and space but not rows."""
-        if g.adj not in self._metrics:
-            self._metrics[g.adj] = metrics(g)
-        return self._metrics[g.adj]
+        """Metrics cached per graph object, keyed by ``id(g)`` so that a
+        lookup never hashes the rows; the entry holds ``g``, so its id cannot
+        be reused while it is cached."""
+        entry = self._metrics.get(id(g))
+        if entry is None:
+            entry = self._metrics[id(g)] = (g, metrics(g))
+        return entry[1]
 
 
 def applicable_checks(config: SuiteConfig) -> list[CheckDef]:
@@ -380,7 +382,10 @@ def _check_entries(check: CheckDef, ctx: RunContext) -> list[ReportEntry]:
     if check.needs_k3 is not None and config.alphabet < 3:
         return [_skip(check.id, "all", check.needs_k3)]
     if check.backend == INTERVAL:
-        return [_entry(config, check.id, None, None, check.fn(ctx))]
+        try:
+            return [_entry(config, check.id, None, None, check.fn(ctx))]
+        except BoundExceededError as exc:
+            return [_skip(check.id, "all", str(exc))]
     entries = []
     for n, mode, k in check.instances(config):
         try:

@@ -17,6 +17,7 @@ from mrfgraph.graph_build import (
     build_graph,
     export_graph,
     oracle_adjacent,
+    oracle_row,
     weakly_adjacent_all,
     zero_set_classes,
 )
@@ -150,13 +151,18 @@ ORACLE_CASES = [(n, k) for n in (1, 2, 3) for k in (2, 3, 4)] + [(4, 3)]
 @pytest.mark.parametrize("n,k", ORACLE_CASES, ids=[f"n{n}k{k}" for n, k in ORACLE_CASES])
 def test_oracle_matches_slow_reference(n, k, weights):
     """The annihilator table answers every ordered pair of zero-divisors,
-    self-pairs included, as the per-pair oracle does, for all four kinds."""
+    self-pairs included, as the per-pair oracle does, for all four kinds:
+    both one pair at a time and as bit j of the row of f over all divisors."""
     space = AtomicSpace(make_weights(n, weights, 5))
     divisors = enumerate_functions(space, k)
     for kind in KINDS:
-        for f, g in itertools.product(divisors, repeat=2):
-            assert oracle_adjacent(kind, space, k, f, g) == \
-                slow_oracle_adjacent(kind, space, k, f, g), (kind, f, g)
+        for f in divisors:
+            row = oracle_row(kind, space, k, f, divisors)
+            assert row >> len(divisors) == 0
+            for j, g in enumerate(divisors):
+                slow = slow_oracle_adjacent(kind, space, k, f, g)
+                assert oracle_adjacent(kind, space, k, f, g) == slow, (kind, f, g)
+                assert bool(row >> j & 1) == slow, (kind, f, g)
 
 
 def test_oracle_table_cache_is_isolated():
@@ -193,6 +199,9 @@ def test_oracle_bounds():
         with pytest.raises(BoundExceededError):
             oracle_adjacent(kind, unit_space(2), ORACLE_MAX_ALPHABET + 1,
                             ExpandedFunction((0, 1)), ExpandedFunction((1, 0)))
+        for gs in ((), (f,)):  # a row checks the bounds even when it is empty
+            with pytest.raises(BoundExceededError):
+                oracle_row(kind, space, 3, f, gs)
     assert _AnnihilatorTable.cache_info().currsize == 0
 
 

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 import mrfgraph.checks  # noqa: F401  (populates REGISTRY)
 from mrfgraph.cli import main
-from mrfgraph.graph_build import GraphKind, build_graph
+from mrfgraph.graph_build import GraphKind, build_graph, oracle_adjacent, weakly_adjacent_all
 from mrfgraph.harness import (
     REGISTRY,
     Outcome,
@@ -25,8 +26,8 @@ from mrfgraph.harness import (
     render_report,
     run_suite,
 )
-from mrfgraph.measure_space import atom_set, complement
-from mrfgraph.vertex_universe import sample_interval_classes
+from mrfgraph.measure_space import atom_set, complement, null_equal
+from mrfgraph.vertex_universe import enumerate_functions, sample_interval_classes
 
 SMALL = SuiteConfig(atoms_min=2, atoms_max=3)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -168,6 +169,32 @@ def test_metrics_cache_keys_on_rows():
     assert len(m_large.eccentricity) == large.n_vertices
     assert ctx.graph_metrics(large) is m_large
     assert ctx.graph_metrics(small) is m_small
+
+
+def test_metrics_cache_hits_the_same_graph_object(monkeypatch):
+    """A second lookup of the same graph object computes nothing."""
+    ctx = RunContext(SuiteConfig())
+    g = ctx.graph(3, GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    first = ctx.graph_metrics(g)
+    monkeypatch.setattr(mrfgraph.harness, "metrics", lambda g: pytest.fail("recomputed"))
+    assert ctx.graph_metrics(g) is first
+    assert ctx.graph_metrics(ctx.graph(3, GraphKind.COMAXIMAL, "expanded", alphabet=3)) is first
+
+
+def test_metrics_cache_misses_a_replaced_graph():
+    """A ``dataclasses.replace`` copy with other rows is another object, so
+    it gets its own metrics, and the original keeps its entry."""
+    ctx = RunContext(SuiteConfig())
+    g = ctx.graph(3, GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    before = ctx.graph_metrics(g)
+    adj = list(g.adj)
+    adj[0], adj[1] = adj[0] ^ 2, adj[1] ^ 1  # toggle the pair (0, 1)
+    broken = dataclasses.replace(g, adj=tuple(adj))
+    after = ctx.graph_metrics(broken)
+    assert after is not before
+    assert after.distance(0, 1) != before.distance(0, 1)
+    assert ctx.graph_metrics(g) is before
+    assert ctx.graph_metrics(broken) is after
 
 
 def test_split_prefix_exact_catches_a_part_of_the_wrong_measure(monkeypatch):
@@ -384,9 +411,16 @@ def _toggle_edge(ctx, n, kind, k, zu, zv):
     g = ctx.graph(n, kind, "expanded", alphabet=k)
     i = g.classes.members[g.classes.index[zu]][0]
     j = next(v for v in g.classes.members[g.classes.index[zv]] if v != i)
+    _flip_pairs(ctx, g, [(i, j)])
+    return min(i, j), max(i, j)
+
+
+def _flip_pairs(ctx, g, pairs):
+    """Replace the cached graph ``g`` with one whose edges ``pairs`` are toggled."""
     adj = list(g.adj)
-    adj[i] ^= 1 << j
-    adj[j] ^= 1 << i
+    for i, j in pairs:
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
     key = next(key for key, cached in ctx._graphs.items() if cached is g)
     ctx._graphs[key] = dataclasses.replace(g, adj=tuple(adj))
 
@@ -435,6 +469,100 @@ def test_rule_checks_read_the_computed_side_per_vertex_pair(check_id, kind, args
     assert outcome.computed != good.computed
 
 
+def _per_pair_oracle_outcome(ctx, n, k, kind):
+    """The adjacency oracle check one vertex pair at a time: the reference for
+    the row comparison, witnesses and counts included."""
+    space = ctx.space(n)
+    g = ctx.graph(n, kind, "expanded", alphabet=k)
+    mismatches = []
+    total = 0
+    for i in range(g.n_vertices):
+        for j in range(i + 1, g.n_vertices):
+            total += 1
+            closed = g.is_edge(i, j)
+            brute = oracle_adjacent(kind, space, k, g.vertices[i], g.vertices[j])
+            if closed != brute:
+                mismatches.append((g.vertex_label(i), g.vertex_label(j), closed, brute))
+    return Outcome(f"{total}/{total} pairs agree", f"{total - len(mismatches)}/{total} pairs agree",
+                   not mismatches, witness=mismatches[:5] or None)
+
+
+@pytest.mark.parametrize("check_id", [
+    "comaximal.adjacency_oracle", "zero_divisor.adjacency_oracle",
+    "annihilator.adjacency_oracle", "weakly_zd.adjacency_oracle", "comaximal.unit_witness"])
+def test_definition_checks_report_one_flipped_edge(check_id):
+    """One planted flipped edge is exactly one mismatch, named by its pair."""
+    kind = GraphKind(check_id.partition(".")[0])
+    n, k = 3, 3
+    ctx = RunContext(SuiteConfig())
+    assert REGISTRY[check_id].fn(ctx, n, k).ok
+    zu = atom_set([0])
+    zv = atom_set([1]) if kind is GraphKind.WEAKLY_ZD else complement(ctx.space(n), zu)
+    i, j = _toggle_edge(ctx, n, kind, k, zu, zv)
+    g = ctx.graph(n, kind, "expanded", alphabet=k)
+    outcome = REGISTRY[check_id].fn(ctx, n, k)
+    assert not outcome.ok
+    if check_id == "comaximal.unit_witness":
+        assert outcome.computed == "1 mismatches"
+        return
+    total = g.n_vertices * (g.n_vertices - 1) // 2
+    assert outcome.computed == f"{total - 1}/{total} pairs agree"
+    closed = g.is_edge(i, j)
+    assert outcome.witness == [(g.vertex_label(i), g.vertex_label(j), closed, not closed)]
+    assert outcome == _per_pair_oracle_outcome(ctx, n, k, kind)
+
+
+@pytest.mark.parametrize("kind", list(GraphKind))
+def test_oracle_check_matches_the_per_pair_path(kind):
+    """Seven flipped pairs, edges and non-edges, drawn at random: the row
+    comparison reports the per-pair path's count and its first five
+    witnesses in the same (i, j) order."""
+    ctx = RunContext(SuiteConfig())
+    g = ctx.graph(3, kind, "expanded", alphabet=3)
+    pairs = random.Random(kind.value).sample(
+        [(i, j) for i in range(g.n_vertices) for j in range(i + 1, g.n_vertices)], 7)
+    _flip_pairs(ctx, g, pairs)
+    outcome = REGISTRY[f"{kind.value}.adjacency_oracle"].fn(ctx, 3, 3)
+    assert outcome == _per_pair_oracle_outcome(ctx, 3, 3, kind)
+    total = g.n_vertices * (g.n_vertices - 1) // 2
+    assert outcome.computed == f"{total - 7}/{total} pairs agree"
+    assert len(outcome.witness) == 5
+
+
+def _within_class_forgotten(space, zu, zv, same_vertex=False):
+    return not null_equal(space, zu, zv)
+
+
+def _one_class_pair_flipped(space, zu, zv, same_vertex=False):
+    flip = zu == atom_set([0]) and zv == atom_set([1, 2])
+    return weakly_adjacent_all(space, zu, zv, same_vertex) != flip
+
+
+def _self_pairs_flipped(space, zu, zv, same_vertex=False):
+    return weakly_adjacent_all(space, zu, zv, same_vertex) != same_vertex
+
+
+@pytest.mark.parametrize("closed", [weakly_adjacent_all, _within_class_forgotten,
+                                    _one_class_pair_flipped, _self_pairs_flipped])
+def test_weakly_trichotomy_counts_the_per_pair_mismatches(closed, monkeypatch):
+    """With the closed form replaced by a faulty one, the row comparison
+    counts the mismatches that comparing each pair i <= j (self-pairs
+    included, the ordered pair (f, g) for i < j) one at a time counts."""
+    n, k = 3, 3
+    ctx = RunContext(SuiteConfig())
+    space = ctx.space(n)
+    divisors = enumerate_functions(space, k)
+    want = sum(
+        oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, g)
+        != closed(space, f.zero_set, g.zero_set, same_vertex=i == j)
+        for i, f in enumerate(divisors) for j, g in enumerate(divisors) if i <= j)
+    assert (want == 0) == (closed is weakly_adjacent_all)
+    monkeypatch.setattr(mrfgraph.checks, "weakly_adjacent_all", closed)
+    outcome = REGISTRY["weakly_zd.trichotomy_oracle"].fn(ctx, n, k)
+    assert outcome.computed == f"{want} mismatches"
+    assert outcome.ok == (want == 0)
+
+
 def test_edge_triangle_rule_reads_each_edge():
     """At n=3 the annihilator graph joins Z={0} to Z={1,2} and Z={2}, and
     Z={0,1} to the same two classes, but not Z={0} to Z={0,1}; the edges to
@@ -464,6 +592,31 @@ def test_cli_sample(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["backend"] == "interval"
     assert doc["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("samples,seed,status,instance", [
+    (1, 7, "skipped", "all"),
+    (2, 7, "pass", "1 sampled edges"),
+    (3, 7, "pass", "3 sampled edges"),
+    (2, 2, "skipped", "all"),          # the one class pair is not an edge
+    (3, 3, "pass", "1 sampled edges"),  # one of the three pairs is an edge
+], ids=["s1", "s2", "s3", "s2-no-edge", "s3-one-edge"])
+def test_cli_sample_few_classes(samples, seed, status, instance, capsys):
+    """s classes hold at most s(s-1)/2 edges: a small sample tests every
+    edge it has and skips, rather than fails, when it has none."""
+    assert main(["sample", "--samples", str(samples), "--seed", str(seed),
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"]["fail"] == 0
+    [entry] = [e for e in doc["entries"] if e["check"] == "annihilator.sampled_hypertriangulated"]
+    assert (entry["status"], entry["instance"]) == (status, instance)
+    if status == "skipped":
+        assert entry["note"] in ("a single sampled class has no class pairs",
+                                 f"no pair of the {samples} sampled classes is an edge")
+    else:
+        edges = instance.split()[0]
+        assert entry["expected"] == f"{edges} sampled edges each on a constructed triangle"
+        assert entry["computed"] == f"{edges} edges, 0 failures"
 
 
 def test_cli_config_file(tmp_path, capsys):
