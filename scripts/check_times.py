@@ -8,13 +8,14 @@ or of the interval suites over a sample.
 Runs the checks that ``mrfgraph verify --atoms LO..HI`` (or ``mrfgraph
 sample --samples N``) selects, in the same order, through the harness's own
 instance loop on one ``RunContext``, and prints one line per check: wall
-seconds, then its pass/fail/skipped entry counts.  A check's time includes
-the graph builds and metrics it is the first to request; later checks find
-them cached, as in a real run.  The interval checks share one class
-sample, so ``--samples`` draws it first, timed on a line of its own rather
-than charged to whichever check asks first.  The last line is the total.
-Nothing is written into a report, and the report of the same run is
-unaffected.  A graph over the size guard or a bound error ends the run as
+seconds, then its pass/fail/skipped entry counts.  Work that several checks
+share is done first, timed on a line of its own rather than charged to
+whichever check asks first: ``--atoms`` builds each n's four expanded graphs
+(which share one vertex universe), ``--samples`` draws the interval class
+sample.  A check's time still includes the other graph builds and metrics
+it is the first to request; later checks find them cached, as in a real
+run.  The last line is the total.  Nothing is written into a report, and
+the report of the same run is unaffected.  A graph over the size guard or a bound error ends the run as
 it ends ``mrfgraph verify``: a ``mrfgraph:`` line on stderr and exit status
 2.
 """
@@ -24,7 +25,7 @@ import sys
 import time
 
 from mrfgraph.cli import _atom_range, _int_at_least
-from mrfgraph.graph_build import BoundExceededError, GraphTooLargeError
+from mrfgraph.graph_build import BoundExceededError, GraphKind, GraphTooLargeError
 from mrfgraph.harness import RunContext, SuiteConfig, _check_entries, applicable_checks
 from mrfgraph.measure_space import INTERVAL
 
@@ -43,21 +44,24 @@ def main(argv=None) -> int:
     ctx = RunContext(config)
     checks = applicable_checks(config)
     start = time.perf_counter()
-    if args.samples is not None:
-        drawn = len(ctx.interval_classes())
-        print(f"{time.perf_counter() - start:8.3f} s  {'RunContext.interval_classes':45s} "
-              f"{drawn} sampled classes")
-    for check in checks:
-        t0 = time.perf_counter()
-        try:
+    try:
+        if args.samples is None:
+            built = [ctx.graph(n, kind, "expanded", alphabet=config.alphabet)
+                     for n in range(config.atoms_min, config.atoms_max + 1) for kind in GraphKind]
+            shared = "RunContext.graph", f"{len(built)} expanded graphs"
+        else:
+            shared = "RunContext.interval_classes", f"{len(ctx.interval_classes())} sampled classes"
+        print(f"{time.perf_counter() - start:8.3f} s  {shared[0]:45s} {shared[1]}")
+        for check in checks:
+            t0 = time.perf_counter()
             entries = _check_entries(check, ctx)
-        except (BoundExceededError, GraphTooLargeError) as exc:
-            sys.stderr.write(f"mrfgraph: {exc}\n")
-            return 2
-        elapsed = time.perf_counter() - t0
-        statuses = [e.status for e in entries]
-        counts = "/".join(str(statuses.count(s)) for s in ("pass", "fail", "skipped"))
-        print(f"{elapsed:8.3f} s  {check.id:45s} pass/fail/skipped {counts}")
+            elapsed = time.perf_counter() - t0
+            statuses = [e.status for e in entries]
+            counts = "/".join(str(statuses.count(s)) for s in ("pass", "fail", "skipped"))
+            print(f"{elapsed:8.3f} s  {check.id:45s} pass/fail/skipped {counts}")
+    except (BoundExceededError, GraphTooLargeError) as exc:
+        sys.stderr.write(f"mrfgraph: {exc}\n")
+        return 2
     total = time.perf_counter() - start
     print(f"{total:8.3f} s  total over {len(checks)} checks")
     return 0

@@ -10,9 +10,13 @@ Adjacency is decided by closed-form nullity predicates on zero sets:
 * weakly-zd        -- on vertices whose zero set is an atom: the zero sets
                       differ by a set of positive measure.
 
-A build tests them on cell masks, where a set is null exactly when its mask
-is 0, so both backends share one int kernel; ``adjacent`` is the exact
-reference.  ``oracle_row`` recomputes the same relations from the
+The four kinds share one vertex set, so an expanded build takes its
+functions, their zero sets and their zero-set partition from one cached
+universe per space and alphabet; a build then only fills the adjacency, and
+weakly-zd keeps the members of the classes whose zero set is an atom.  A
+build tests the predicates on cell masks, where a set is null exactly when
+its mask is 0, so both backends share one int kernel; ``adjacent`` is the
+exact reference.  ``oracle_row`` recomputes the same relations from the
 ring-theoretic definitions alone, one row per vertex: the adjacency of f to
 each function of a list, as a bitmask (pointwise products; annihilator
 ideals as bitsets over the k^n candidate functions; one cached table per
@@ -375,6 +379,19 @@ def _vertex_count(n: int, kind: GraphKind, mode: str, alphabet: int | None) -> i
     return alphabet ** n - (alphabet - 1) ** n - 1
 
 
+@lru_cache(maxsize=8)
+class _ExpandedUniverse:
+    """The expanded vertices of one space and alphabet, enumerated once for
+    all four graph kinds: the functions of :func:`enumerate_functions` as a
+    tuple, their zero sets and their zero-set partition.  Keyed by the space,
+    not by n, so a space with other weights enumerates its own."""
+
+    def __init__(self, space: AtomicSpace, k: int):
+        self.functions = tuple(enumerate_functions(space, k))
+        self.zero_sets = tuple(f.zero_set for f in self.functions)
+        self.classes = zero_set_classes(self.zero_sets)
+
+
 def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
                 alphabet: int | None = None, sample: Iterable[ZClass] | None = None,
                 max_vertices: int = 5000) -> Graph:
@@ -402,14 +419,19 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
         if mode == "quotient":
             alphabet = None
             payloads = enumerate_zclasses(space)
-        else:
-            payloads = enumerate_functions(space, alphabet)
-    if kind is GraphKind.WEAKLY_ZD:
-        payloads = [p for p in payloads if is_atom(space, p.zero_set)]
+    if mode == "expanded":
+        universe = _ExpandedUniverse(space, alphabet)
+        payloads, zero_sets, classes = universe.functions, universe.zero_sets, universe.classes
+    else:
+        zero_sets = tuple(p.zero_set for p in payloads)
+        classes = zero_set_classes(zero_sets)
+    if kind is GraphKind.WEAKLY_ZD:  # the members of the atom classes, in vertex order
+        keep = [vs for z, vs in zip(classes.zero_sets, classes.members) if is_atom(space, z)]
+        payloads = [payloads[v] for v in sorted(itertools.chain.from_iterable(keep))]
+        zero_sets = tuple(p.zero_set for p in payloads)
+        classes = zero_set_classes(zero_sets)
     if len(payloads) > max_vertices:
         raise GraphTooLargeError(f"{len(payloads)} vertices exceed guard {max_vertices}")
-    zero_sets = tuple(p.zero_set for p in payloads)
-    classes = zero_set_classes(zero_sets)
     g = Graph(kind, mode, alphabet, space, tuple(payloads), zero_sets,
               _fill_adjacency(kind, space, classes))
     vars(g)["classes"] = classes  # the cached property, computed once

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .measure_space import (
     ATOMIC,
@@ -74,6 +75,13 @@ class ExpandedFunction:
         if self.zero_set is None:
             mask = sum(1 << i for i, v in enumerate(self.values) if v == 0)
             object.__setattr__(self, "zero_set", MeasurableSet(ATOMIC, mask=mask))
+
+    @cached_property
+    def label(self) -> str:
+        """``f=[v0,...]``, formatted on first use and kept, so graphs that
+        share the function share the string; not a field, so it stays out
+        of equality, hashing and ``repr``."""
+        return "f=[" + ",".join(map(str, self.values)) + "]"
 
     def __str__(self) -> str:
         return format_function(self)
@@ -169,5 +177,5 @@ def format_zclass(zc: ZClass) -> str:
 
 
 def format_function(f: ExpandedFunction) -> str:
-    return "f=[" + ",".join(str(v) for v in f.values) + "]"
+    return f.label
 

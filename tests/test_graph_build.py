@@ -1,6 +1,7 @@
 """Graph construction: closed-form adjacency vs definition-level oracles."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from mrfgraph.graph_build import (
     BoundExceededError,
     GraphKind,
     _AnnihilatorTable,
+    _ExpandedUniverse,
     _fill_adjacency,
     adjacent,
     build_graph,
@@ -31,6 +33,7 @@ from mrfgraph.measure_space import (
     difference,
     intersect,
     interval_set,
+    is_atom,
     is_null,
     null_equal,
     symdiff,
@@ -279,6 +282,101 @@ def test_guard_fires_before_enumeration(monkeypatch):
             build_graph(unit_space(12), kind, "expanded", alphabet=3)
     with pytest.raises(GraphTooLargeError, match="^4094 vertices exceed guard 5$"):
         build_graph(unit_space(12), GraphKind.COMAXIMAL, "quotient", max_vertices=5)
+
+
+@pytest.fixture
+def fresh_universes():
+    """An empty expanded-universe cache, before and after, for tests that
+    count enumerations or patch the enumerator."""
+    _ExpandedUniverse.cache_clear()
+    yield
+    _ExpandedUniverse.cache_clear()
+
+
+def spy_enumerations(monkeypatch):
+    """Record every list ``graph_build`` gets from ``enumerate_functions``."""
+    from mrfgraph import graph_build
+
+    calls = []
+
+    def spy(space, k):
+        calls.append((space, k, enumerate_functions(space, k)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(graph_build, "enumerate_functions", spy)
+    return calls
+
+
+def test_expanded_kinds_enumerate_once_per_space(monkeypatch, fresh_universes):
+    """The four kinds on one (space, k) enumerate once and share the
+    vertices; other weights or another alphabet enumerate again."""
+    calls = spy_enumerations(monkeypatch)
+    unit, weighted = (AtomicSpace(make_weights(4, policy, 7))
+                      for policy in ("unit", "random-positive"))
+    assert unit != weighted
+    graphs = [build_graph(unit, kind, "expanded", alphabet=3) for kind in KINDS]
+    assert [c[:2] for c in calls] == [(unit, 3)]
+    assert all(g.vertices is graphs[0].vertices for g in graphs[:3])
+    for kind in KINDS:
+        build_graph(weighted, kind, "expanded", alphabet=3)
+        build_graph(unit, kind, "expanded", alphabet=2)
+    assert [c[:2] for c in calls] == [(unit, 3), (weighted, 3), (unit, 2)]
+
+
+def uncached_expanded_build(space, kind, k):
+    """Reference build: a fresh enumeration, the per-function atom filter
+    for weakly-zd, a fresh partition and the adjacency kernel."""
+    vertices = enumerate_functions(space, k)
+    if kind is GraphKind.WEAKLY_ZD:
+        vertices = [f for f in vertices if is_atom(space, f.zero_set)]
+    zero_sets = tuple(f.zero_set for f in vertices)
+    classes = zero_set_classes(zero_sets)
+    return tuple(vertices), zero_sets, classes, _fill_adjacency(kind, space, classes)
+
+
+UNIVERSE_CASES = [(2, 2), (3, 3), (4, 3), (5, 4), (6, 3)]
+
+
+@pytest.mark.parametrize("weights", ["unit", "random-positive"])
+@pytest.mark.parametrize("n,k", UNIVERSE_CASES, ids=[f"n{n}k{k}" for n, k in UNIVERSE_CASES])
+def test_shared_universe_builds_match_uncached_reference(n, k, weights, fresh_universes):
+    space = AtomicSpace(make_weights(n, weights, 7))
+    for kind in KINDS:
+        g = build_graph(space, kind, "expanded", alphabet=k)
+        assert (g.vertices, g.zero_sets, g.classes, g.adj) == \
+            uncached_expanded_build(space, kind, k), g.name()
+
+
+def test_mutating_an_enumerated_list_leaves_later_builds_unchanged(monkeypatch, fresh_universes):
+    """The universe keeps its own tuple: emptying the list the enumerator
+    handed it, or one handed to any caller, changes no later build."""
+    calls = spy_enumerations(monkeypatch)
+    space = unit_space(3)
+    first = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    calls[0][2].clear()
+    enumerate_functions(space, 3).reverse()
+    for kind in KINDS:
+        g = build_graph(space, kind, "expanded", alphabet=3)
+        assert g.vertices == uncached_expanded_build(space, kind, 3)[0]
+    assert build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=3).adj == first.adj
+    assert len(calls) == 1
+
+
+def test_expanded_build_workload_output_is_pinned():
+    """The eight graphs of the benchmark's ``expanded_build`` workload, at
+    seeds 7 and 11: names, vertex labels and hex rows hash to the recorded
+    digest, so a change of label or vertex order fails here."""
+    for seed in (7, 11):
+        h = hashlib.sha256()
+        for n, k in ((6, 3), (5, 4)):
+            space = AtomicSpace(make_weights(n, "random-positive", seed))
+            for kind in GraphKind:
+                g = build_graph(space, kind, "expanded", alphabet=k)
+                h.update(f"{g.name()}:{g.n_vertices}\n".encode())
+                for i in range(g.n_vertices):
+                    h.update(f"{g.vertex_label(i)} {g.adj[i]:x}\n".encode())
+        assert h.hexdigest() == \
+            "f1920d1c8a057de0d00f77e07e1b1f7e88ecb80bfa04a2e2defbacb5f4a0f89b", seed
 
 
 def test_interval_guard_counts_the_deduped_sample():

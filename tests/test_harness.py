@@ -737,10 +737,14 @@ def _default_suite_script():
 
 
 def test_check_times_prints_one_line_per_selected_check(capsys):
-    assert _script("check_times").main(["--atoms", "2..2"]) == 0
+    """``--atoms LO..HI`` builds each n's four expanded graphs first, timed
+    on a line of its own, then times the checks ``mrfgraph verify`` runs, in
+    its order."""
+    assert _script("check_times").main(["--atoms", "2..3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    ids = [check.id for check in applicable_checks(SuiteConfig(atoms_min=2, atoms_max=2))]
-    assert [line.split()[2] for line in lines[:-1]] == ids
+    ids = [check.id for check in applicable_checks(SuiteConfig(atoms_min=2, atoms_max=3))]
+    assert lines[0].split()[2:] == ["RunContext.graph", "8", "expanded", "graphs"]
+    assert [line.split()[2] for line in lines[1:-1]] == ids
     assert lines[-1].endswith(f"total over {len(ids)} checks")
 
 
