@@ -21,12 +21,10 @@ from itertools import islice
 from .graph_build import (
     GraphKind,
     _AnnihilatorTable,
-    _members,
-    _oracle_row,
     adjacent,
     build_graph,
     check_oracle_bounds,
-    oracle_adjacent,
+    oracle_mismatches,
     oracle_row,
     weakly_adjacent_all,
     zero_set_classes,
@@ -42,7 +40,7 @@ from .graph_metrics import (
     triangle_profile,
 )
 from .harness import INTERVAL, Outcome, RunContext, register
-from .isomorphism import NOT_ISOMORPHIC, are_isomorphic, complement_iso, verify_mapping
+from .isomorphism import INCONCLUSIVE, NOT_ISOMORPHIC, are_isomorphic, complement_iso, verify_mapping
 from .measure_space import (
     ATOMIC,
     MeasurableSet,
@@ -59,18 +57,7 @@ from .measure_space import (
     split_nonatom,
     union,
 )
-from .vertex_universe import (
-    ZClass,
-    ann_leq,
-    class_size,
-    enumerate_functions,
-    enumerate_zclasses,
-    format_zclass,
-    zclass,
-)
-
-KINDS = (GraphKind.ZERO_DIVISOR, GraphKind.COMAXIMAL,
-         GraphKind.ANNIHILATOR, GraphKind.WEAKLY_ZD)
+from .vertex_universe import ZClass, ann_leq, class_size, enumerate_zclasses, zclass
 
 NEEDS_K3 = "needs alphabet >= 3"
 
@@ -181,8 +168,13 @@ def _orthogonal(ctx: RunContext, g):
     return lambda i, j: (i, j) in pairs
 
 
-def _cycle_ranks(ctx: RunContext, g):
-    return partial(cycle_rank, g, max_len=ctx.config.max_cycle_len)
+def _cycle_ranks(ctx: RunContext, g, need: int):
+    """Smallest-cycle ranks within the run's cap, which must reach ``need``,
+    the largest rank the rule predicts: a lower cap skips the instance."""
+    cap = ctx.config.max_cycle_len
+    if cap < need:
+        raise BoundExceededError(f"the rule needs cycle ranks up to {need}; max_cycle_len is {cap}")
+    return partial(cycle_rank, g, max_len=cap)
 
 
 def _is_complete_bipartite(ctx: RunContext, g) -> bool:
@@ -194,6 +186,16 @@ def _solve(ctx: RunContext, g, *which: str) -> dict:
     c = ctx.config
     return np_metrics(g, which, clique_bound=c.clique_bound,
                       chromatic_bound=c.chromatic_bound, dominating_bound=c.dominating_bound)
+
+
+def _iso_verdict(ctx: RunContext, search, g1, g2):
+    """``search(g1, g2)`` within the run's node budget; an inconclusive
+    verdict is neither answer, so it skips the instance."""
+    verdict = search(g1, g2, budget=ctx.config.iso_budget)
+    if verdict.outcome == INCONCLUSIVE:
+        raise BoundExceededError(f"isomorphism search inconclusive within budget "
+                                 f"{ctx.config.iso_budget} nodes")
+    return verdict
 
 
 def _first_member(g, zero_set) -> int:
@@ -213,13 +215,11 @@ def _oracle_check(ctx: RunContext, n: int, k: int, kind: GraphKind) -> Outcome:
     if n > ctx.config.oracle_atoms_max:
         raise BoundExceededError(f"oracle bound is {ctx.config.oracle_atoms_max} atoms")
     space = ctx.space(n)
+    check_oracle_bounds(space, k)
     g = ctx.graph(n, kind, "expanded", alphabet=k)
-    mismatches = []
-    for i, f in enumerate(g.vertices):
-        closed = g.adj[i] >> i + 1
-        for j in _members(oracle_row(kind, space, k, f, g.vertices[i + 1:]) ^ closed):
-            edge = bool(closed >> j & 1)
-            mismatches.append((g.vertex_label(i), g.vertex_label(i + 1 + j), edge, not edge))
+    mismatches = [(g.vertex_label(i), g.vertex_label(j), g.is_edge(i, j), not g.is_edge(i, j))
+                  for i, j in oracle_mismatches(kind, _AnnihilatorTable(space, k),
+                                                g.vertices, g.adj)]
     total = g.n_vertices * (g.n_vertices - 1) // 2
     return Outcome(f"{total}/{total} pairs agree", f"{total - len(mismatches)}/{total} pairs agree",
                    not mismatches, witness=mismatches[:5] or None)
@@ -290,7 +290,7 @@ def check_ann_preorder(ctx: RunContext, n: int, k: int):
 @register("measure_core.weight_independence", label="n={n}")
 def check_weight_independence(ctx: RunContext, n: int, k: int):
     ok = True
-    for kind in KINDS:
+    for kind in GraphKind:
         for mode, alpha in (("quotient", None), ("expanded", k)):
             unit = ctx.graph(n, kind, mode, alphabet=alpha, policy="unit")
             rand = ctx.graph(n, kind, mode, alphabet=alpha, policy="random-positive")
@@ -348,12 +348,11 @@ register("comaximal.adjacency_oracle", n_min=1)(partial(_oracle_check, kind=Grap
 @register("comaximal.unit_witness", oracle_capped=True)
 def check_comaximal_unit_witness(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    # the oracle's comaximal row, whose sum-of-squares test is this witness;
-    # it reads only the a.e. memo, never the k^n candidates, so this check
+    # the oracle's comaximal rows, whose sum-of-squares test is this witness;
+    # they read only the a.e. memo, never the k^n candidates, so this check
     # keeps running past the oracle's alphabet bound
-    table = _AnnihilatorTable(ctx.space(n), k)
-    bad = sum((_oracle_row(GraphKind.COMAXIMAL, table, f, g.vertices[i + 1:])
-               ^ g.adj[i] >> i + 1).bit_count() for i, f in enumerate(g.vertices))
+    bad = len(oracle_mismatches(GraphKind.COMAXIMAL, _AnnihilatorTable(ctx.space(n), k),
+                                g.vertices, g.adj))
     return Outcome("sum of squares is a unit up to null sets exactly on edges",
                    f"{bad} mismatches", bad == 0)
 
@@ -433,7 +432,8 @@ _mismatch_row("comaximal.orthogonality_rule", _pair_mismatches,
 
 _mismatch_row("comaximal.cycle_rank_cases", _pair_mismatches,
               "{total} smallest-cycle ranks in {{3,4,6}} per the four-case rule",
-              expected_comaximal_cycle, _cycle_ranks, n_min=3, n_max=4, needs_k3=NEEDS_K3)
+              expected_comaximal_cycle, partial(_cycle_ranks, need=6),
+              n_min=3, n_max=4, needs_k3=NEEDS_K3)
 
 
 @register("comaximal.class_stability")
@@ -473,7 +473,7 @@ def check_comaximal_sampled_triangulated(ctx: RunContext):
                 and adjacent(GraphKind.COMAXIMAL, space, za, zb)):
             bad += 1
         elif witness is None:
-            witness = [format_zclass(zc), "Z=" + str(za), "Z=" + str(zb)]
+            witness = [zc.label, "Z=" + str(za), "Z=" + str(zb)]
     return Outcome("every sampled vertex sits on a constructed triangle",
                    f"{bad} failures", bad == 0, witness=witness,
                    instance=f"{len(classes)} sampled vertices")
@@ -617,7 +617,7 @@ _mismatch_row("annihilator.orthogonality_rule", _pair_mismatches,
 
 _mismatch_row("annihilator.cycle_rank_cases", _pair_mismatches,
               "{total} ranks: 3 on non-orthogonal edges, else 4",
-              expected_annihilator_cycle, _cycle_ranks, oracle_capped=True, needs_k3=NEEDS_K3)
+              expected_annihilator_cycle, partial(_cycle_ranks, need=4), oracle_capped=True, needs_k3=NEEDS_K3)
 
 
 _value_row("annihilator.girth_rule", "girth {}", lambda n: 4 if n == 2 else 3,
@@ -641,7 +641,7 @@ def check_annihilator_edge_triangles(ctx: RunContext, n: int, k: int):
 def check_annihilator_iso(ctx: RunContext, n: int, k: int):
     ga = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
     gc = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    verdict = are_isomorphic(ga, gc, budget=ctx.config.iso_budget)
+    verdict = _iso_verdict(ctx, are_isomorphic, ga, gc)
     want = n == 2
     ok = verdict.is_isomorphic == want
     if n == 3 and verdict.outcome == NOT_ISOMORPHIC:
@@ -700,20 +700,17 @@ register("weakly_zd.adjacency_oracle", n_min=1)(partial(_oracle_check, kind=Grap
 def check_weakly_trichotomy(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     check_oracle_bounds(space, k)
-    divisors = enumerate_functions(space, k)
-    classes = zero_set_classes([f.zero_set for f in divisors])
-    zsets, members = classes.zero_sets, classes.masks
+    g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)  # every zero-divisor
+    zsets, members = g.classes.zero_sets, g.classes.masks
     # the closed side once per zero-set pair: the vertex mask of the classes
-    # adjacent to each class, and the self-pair of each class
+    # adjacent to each class, and the self-pair of each class on the diagonal
     reach = [sum(members[d] for d, zv in enumerate(zsets) if weakly_adjacent_all(space, zu, zv))
              for zu in zsets]
     self_adjacent = [weakly_adjacent_all(space, z, z, same_vertex=True) for z in zsets]
-    bad = 0
-    for i, f in enumerate(divisors):
-        c = classes.of[i]
-        want = reach[c] >> i & ~1 | self_adjacent[c]
-        bad += (oracle_row(GraphKind.WEAKLY_ZD, space, k, f, divisors[i:]) ^ want).bit_count()
-    total = len(divisors) * (len(divisors) + 1) // 2
+    closed = [reach[c] & ~(1 << i) | self_adjacent[c] << i for i, c in enumerate(g.classes.of)]
+    bad = len(oracle_mismatches(GraphKind.WEAKLY_ZD, _AnnihilatorTable(space, k),
+                                g.vertices, closed, start=0))
+    total = g.n_vertices * (g.n_vertices + 1) // 2
     return Outcome(f"{total} pairs (self-pairs included) follow the three-case rule",
                    f"{bad} mismatches", bad == 0)
 
@@ -722,11 +719,9 @@ def check_weakly_trichotomy(ctx: RunContext, n: int, k: int):
 def check_weakly_self_adjacency(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     check_oracle_bounds(space, k)
-    bad = 0
-    for f in enumerate_functions(space, k):
-        brute = oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, f)
-        if brute != (not is_atom(space, f.zero_set)):
-            bad += 1
+    g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)  # every zero-divisor
+    brute = [oracle_row(GraphKind.WEAKLY_ZD, space, k, f, (f,)) == 1 for f in g.vertices]
+    bad = _vertex_mismatches(g, lambda z: not is_atom(space, z), brute)
     return Outcome("self-adjacent iff the zero set is not an atom", f"{bad} mismatches",
                    bad == 0)
 
@@ -799,7 +794,7 @@ def check_weakly_interval_empty(ctx: RunContext):
 def check_quotient_complement_iso(ctx: RunContext, n: int, k: int):
     g1 = ctx.graph(n, GraphKind.ZERO_DIVISOR, "quotient")
     g2 = ctx.graph(n, GraphKind.COMAXIMAL, "quotient")
-    verdict = complement_iso(g1, g2, budget=ctx.config.iso_budget)
+    verdict = _iso_verdict(ctx, complement_iso, g1, g2)
     mapping = verdict.mapping
     ok = (verdict.is_isomorphic and verify_mapping(g1, g2, mapping)
           and all(mapping[mapping[i]] == i for i in range(len(mapping))))
@@ -892,25 +887,21 @@ def check_iso_dichotomy(ctx: RunContext, n: int, k: int):
         raise BoundExceededError(f"expanded graphs beyond {ctx.config.oracle_atoms_max} atoms")
     g1 = ctx.graph(n, GraphKind.ZERO_DIVISOR, "expanded", alphabet=k)
     g2 = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    verdict = complement_iso(g1, g2, budget=ctx.config.iso_budget)
+    verdict = _iso_verdict(ctx, complement_iso, g1, g2)
     want = k == 2 or n == 2
     ok = verdict.is_isomorphic == want
     if verdict.is_isomorphic:
         ok = ok and verify_mapping(g1, g2, verdict.mapping)
     elif verdict.certificate is not None and verdict.certificate["kind"] == "eccentricity-class-count":
-        left = ctx.graph_metrics(g1).eccentricity_histogram()
-        right = ctx.graph_metrics(g2).eccentricity_histogram()
-        recount = {str(key): value for key, value in sorted(left.items())}
-        recount_r = {str(key): value for key, value in sorted(right.items())}
-        ok = ok and verdict.certificate["left"] == recount \
-            and verdict.certificate["right"] == recount_r
+        recount = [ctx.graph_metrics(g).eccentricity_json() for g in (g1, g2)]
+        ok = ok and [verdict.certificate["left"], verdict.certificate["right"]] == recount
     return Outcome(f"isomorphic: {want}", verdict.outcome, ok, witness=verdict.certificate)
 
 
 @register("iso.self_identity", n_max=3, oracle_capped=True)
 def check_iso_self_identity(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)
-    verdict = are_isomorphic(g, g, budget=ctx.config.iso_budget)
+    verdict = _iso_verdict(ctx, are_isomorphic, g, g)
     return Outcome("isomorphic to itself", verdict.outcome, verdict.is_isomorphic)
 
 
@@ -921,7 +912,7 @@ def check_iso_sampled_probe(ctx: RunContext):
     closed = [ZClass(z) for zc in base for z in (zc.zero_set, complement(space, zc.zero_set))]
     g1 = build_graph(space, GraphKind.ZERO_DIVISOR, sample=closed)
     g2 = build_graph(space, GraphKind.COMAXIMAL, sample=closed)
-    verdict = complement_iso(g1, g2, budget=ctx.config.iso_budget)
+    verdict = _iso_verdict(ctx, complement_iso, g1, g2)
     ok = verdict.is_isomorphic and verdict.nodes_explored == 0  # the complement map itself
     return Outcome("complement map is an isomorphism of the sampled subgraphs",
                    "verified" if ok else "failed", ok,

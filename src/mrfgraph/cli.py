@@ -99,8 +99,7 @@ def cmd_metrics(args) -> int:
         "connected": summary.connected,
         "diameter": _jsonable(summary.diameter),
         "girth": _jsonable(summary.girth),
-        "eccentricity_histogram": {str(k): v for k, v in
-                                   sorted(summary.eccentricity_histogram().items())},
+        "eccentricity_histogram": summary.eccentricity_json(),
         "triangulated": triangles.is_triangulated,
         "hypertriangulated": triangles.is_hypertriangulated,
         "bipartite": shape.is_bipartite,
@@ -164,7 +163,7 @@ def _config_from_args(args, backend: str) -> SuiteConfig:
     overrides["backend"] = backend
     for name, text in (("suites", args.suite if args.suite != "all" else None),
                        ("kinds", args.kinds)):
-        overrides[name] = tuple(s.strip() for s in text.split(",")) if text else None
+        overrides[name] = tuple(s.strip() for s in text.split(",")) if text is not None else None
     merged = dict(base)
     for key, value in overrides.items():
         if value is not None:

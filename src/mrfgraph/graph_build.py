@@ -11,8 +11,8 @@ Adjacency is decided by closed-form nullity predicates on zero sets:
                       differ by a set of positive measure.
 
 The four kinds share one vertex set, so an expanded build takes its
-functions, their zero sets and their zero-set partition from one cached
-universe per space and alphabet; a build then only fills the adjacency, and
+functions and their zero-set partition from one cached universe per space
+and alphabet; a build then only fills the adjacency, and
 weakly-zd keeps the members of the classes whose zero set is an atom.  A
 build tests the predicates on cell masks, where a set is null exactly when
 its mask is 0, so both backends share one int kernel; ``adjacent`` is the
@@ -22,14 +22,15 @@ each function of a list, as a bitmask (pointwise products; annihilator
 ideals as bitsets over the k^n candidate functions; one cached table per
 space and alphabet, which also memoises the a.e. test per value tuple), so
 that the closed forms can be cross-validated exhaustively by comparing
-rows.  ``oracle_adjacent`` is its one-pair case.
+rows; ``oracle_mismatches`` lists the pairs where a vertex list's oracle rows
+differ from given rows.  ``oracle_adjacent`` is its one-pair case.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from operator import add, mul, not_
@@ -54,8 +55,6 @@ from .vertex_universe import (
     ZClass,
     enumerate_functions,
     enumerate_zclasses,
-    format_function,
-    format_zclass,
     zclass,
 )
 
@@ -229,6 +228,21 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
     return oracle_row(kind, space, k, f, (g,)) == 1
 
 
+def oracle_mismatches(kind: GraphKind, table: _AnnihilatorTable,
+                      vertices: Sequence[ExpandedFunction], closed: Sequence[int],
+                      start: int = 1) -> list[tuple[int, int]]:
+    """The pairs (i, j), j >= i + ``start``, ascending, where the oracle row
+    of ``vertices[i]`` on ``table`` differs from the row ``closed[i]``.  No
+    bound is checked: callers run :func:`check_oracle_bounds` first unless
+    the kind's rows never list the k^n candidates (comaximal)."""
+    out = []
+    for i, f in enumerate(vertices):
+        lo = i + start
+        diff = _oracle_row(kind, table, f, vertices[lo:]) ^ closed[i] >> lo
+        out.extend((i, lo + j) for j in _members(diff))
+    return out
+
+
 def _members(mask: int):
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -283,7 +297,7 @@ class Graph:
     alphabet: int | None
     space: MeasureSpace
     vertices: tuple
-    zero_sets: tuple[MeasurableSet, ...]
+    classes: ZeroSetClasses = field(repr=False, compare=False)  # determined by the vertices
     adj: tuple[int, ...]
 
     @property
@@ -291,9 +305,9 @@ class Graph:
         return len(self.vertices)
 
     @cached_property
-    def classes(self) -> ZeroSetClasses:
-        """The vertices grouped by zero set."""
-        return zero_set_classes(self.zero_sets)
+    def zero_sets(self) -> tuple[MeasurableSet, ...]:
+        """The zero set of each vertex."""
+        return tuple(v.zero_set for v in self.vertices)
 
     @cached_property
     def twins(self) -> ZeroSetClasses:
@@ -326,8 +340,7 @@ class Graph:
         return sum(self.degree(i) for i in range(self.n_vertices)) // 2
 
     def vertex_label(self, i: int) -> str:
-        v = self.vertices[i]
-        return format_function(v) if isinstance(v, ExpandedFunction) else format_zclass(v)
+        return self.vertices[i].label
 
     def name(self) -> str:
         parts = [self.kind.value, self.mode]
@@ -383,13 +396,12 @@ def _vertex_count(n: int, kind: GraphKind, mode: str, alphabet: int | None) -> i
 class _ExpandedUniverse:
     """The expanded vertices of one space and alphabet, enumerated once for
     all four graph kinds: the functions of :func:`enumerate_functions` as a
-    tuple, their zero sets and their zero-set partition.  Keyed by the space,
-    not by n, so a space with other weights enumerates its own."""
+    tuple and their zero-set partition.  Keyed by the space, not by n, so a
+    space with other weights enumerates its own."""
 
     def __init__(self, space: AtomicSpace, k: int):
         self.functions = tuple(enumerate_functions(space, k))
-        self.zero_sets = tuple(f.zero_set for f in self.functions)
-        self.classes = zero_set_classes(self.zero_sets)
+        self.classes = zero_set_classes([f.zero_set for f in self.functions])
 
 
 def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
@@ -421,21 +433,17 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
             payloads = enumerate_zclasses(space)
     if mode == "expanded":
         universe = _ExpandedUniverse(space, alphabet)
-        payloads, zero_sets, classes = universe.functions, universe.zero_sets, universe.classes
+        payloads, classes = universe.functions, universe.classes
     else:
-        zero_sets = tuple(p.zero_set for p in payloads)
-        classes = zero_set_classes(zero_sets)
+        classes = zero_set_classes([p.zero_set for p in payloads])
     if kind is GraphKind.WEAKLY_ZD:  # the members of the atom classes, in vertex order
         keep = [vs for z, vs in zip(classes.zero_sets, classes.members) if is_atom(space, z)]
         payloads = [payloads[v] for v in sorted(itertools.chain.from_iterable(keep))]
-        zero_sets = tuple(p.zero_set for p in payloads)
-        classes = zero_set_classes(zero_sets)
+        classes = zero_set_classes([p.zero_set for p in payloads])
     if len(payloads) > max_vertices:
         raise GraphTooLargeError(f"{len(payloads)} vertices exceed guard {max_vertices}")
-    g = Graph(kind, mode, alphabet, space, tuple(payloads), zero_sets,
-              _fill_adjacency(kind, space, classes))
-    vars(g)["classes"] = classes  # the cached property, computed once
-    return g
+    return Graph(kind, mode, alphabet, space, tuple(payloads), classes,
+                 _fill_adjacency(kind, space, classes))
 
 
 def export_graph(g: Graph, fmt: str) -> str:

@@ -60,6 +60,10 @@ class MetricsSummary:
             hist[e] = hist.get(e, 0) + 1
         return hist
 
+    def eccentricity_json(self) -> dict[str, int]:
+        """The histogram as a JSON object: string keys, ascending."""
+        return {str(e): count for e, count in sorted(self.eccentricity_histogram().items())}
+
 
 def _levels(adj: tuple[int, ...], source: int) -> tuple[list[int], int, float]:
     """Breadth-first search from ``source`` as level masks: each level is the

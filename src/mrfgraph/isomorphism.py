@@ -98,11 +98,10 @@ def are_isomorphic(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
     if n == 0:
         return IsoVerdict(ISOMORPHIC, mapping=())
     m1, m2 = metrics(g1), metrics(g2)
-    ecc_left, ecc_right = m1.eccentricity_histogram(), m2.eccentricity_histogram()
-    if ecc_left != ecc_right:
-        fmt = lambda h: {str(key): value for key, value in sorted(h.items())}
+    if m1.eccentricity_histogram() != m2.eccentricity_histogram():
         return IsoVerdict(NOT_ISOMORPHIC, certificate={
-            "kind": "eccentricity-class-count", "left": fmt(ecc_left), "right": fmt(ecc_right)})
+            "kind": "eccentricity-class-count",
+            "left": m1.eccentricity_json(), "right": m2.eccentricity_json()})
     if g1.n_edges() != g2.n_edges():
         return IsoVerdict(NOT_ISOMORPHIC, certificate={
             "kind": "edge-count", "left": g1.n_edges(), "right": g2.n_edges()})

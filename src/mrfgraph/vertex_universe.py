@@ -45,8 +45,13 @@ class ZClass:
 
     zero_set: MeasurableSet
 
+    @property
+    def label(self) -> str:
+        """``Z={...}``, the zero set in set notation."""
+        return "Z=" + format_set(self.zero_set)
+
     def __str__(self) -> str:
-        return format_zclass(self)
+        return self.label
 
 
 def zclass(space: MeasureSpace, zero_set: MeasurableSet) -> ZClass:
@@ -84,7 +89,7 @@ class ExpandedFunction:
         return "f=[" + ",".join(map(str, self.values)) + "]"
 
     def __str__(self) -> str:
-        return format_function(self)
+        return self.label
 
 
 def enumerate_zclasses(space: AtomicSpace) -> list[ZClass]:
@@ -170,12 +175,3 @@ def sample_interval_classes(seed, count: int) -> list[ZClass]:
         sample_interval_class(f"{seed}:{i}", i % SAMPLE_MAX_DEPTH + 1)
         for i in range(count)
     ]
-
-
-def format_zclass(zc: ZClass) -> str:
-    return "Z=" + format_set(zc.zero_set)
-
-
-def format_function(f: ExpandedFunction) -> str:
-    return f.label
-

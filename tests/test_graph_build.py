@@ -19,6 +19,7 @@ from mrfgraph.graph_build import (
     build_graph,
     export_graph,
     oracle_adjacent,
+    oracle_mismatches,
     oracle_row,
     weakly_adjacent_all,
     zero_set_classes,
@@ -166,6 +167,35 @@ def test_oracle_matches_slow_reference(n, k, weights):
                 slow = slow_oracle_adjacent(kind, space, k, f, g)
                 assert oracle_adjacent(kind, space, k, f, g) == slow, (kind, f, g)
                 assert bool(row >> j & 1) == slow, (kind, f, g)
+
+
+KERNEL_CASES = [(2, 3), (3, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("n,k", KERNEL_CASES, ids=[f"n{n}k{k}" for n, k in KERNEL_CASES])
+def test_oracle_mismatches_match_the_per_pair_reference(n, k, start):
+    """Closed rows with planted flips, diagonal bits and bits below the start
+    included: the kernel lists, as a list in ascending order, exactly the
+    pairs j >= i + start where a per-pair ``oracle_adjacent`` call differs
+    from bit j of row i."""
+    space = unit_space(n)
+    divisors = tuple(enumerate_functions(space, k))
+    count = len(divisors)
+    rng = random.Random(f"kernel:{n}:{k}:{start}")
+    for kind in KINDS:
+        brute = [[oracle_adjacent(kind, space, k, f, g) for g in divisors] for f in divisors]
+        closed = [sum(1 << j for j, edge in enumerate(row) if edge) for row in brute]
+        flips = {(0, 0), (count - 1, count - 1), (count - 1, 0)}
+        flips |= set(rng.sample([(i, j) for i in range(count) for j in range(count)], 9))
+        for i, j in flips:
+            closed[i] ^= 1 << j
+        want = [(i, j) for i in range(count) for j in range(i + start, count)
+                if brute[i][j] != bool(closed[i] >> j & 1)]
+        got = oracle_mismatches(kind, _AnnihilatorTable(space, k), divisors, closed, start)
+        assert type(got) is list
+        assert got == want == sorted((i, j) for i, j in flips if j >= i + start), kind
+        assert ((0, 0) in got) == (start == 0)
 
 
 def test_oracle_table_cache_is_isolated():
@@ -362,6 +392,36 @@ def test_mutating_an_enumerated_list_leaves_later_builds_unchanged(monkeypatch, 
     assert len(calls) == 1
 
 
+def test_expanded_build_holds_the_universe_partition(fresh_universes):
+    """An expanded build holds its universe's vertex tuple and zero-set
+    partition objects (weakly-zd its own partition of the atom classes); the
+    partition stays out of equality and hashing."""
+    space = unit_space(4)
+    universe = _ExpandedUniverse(space, 3)
+    for kind in KINDS:
+        g = build_graph(space, kind, "expanded", alphabet=3)
+        if kind is GraphKind.WEAKLY_ZD:
+            assert g.classes == zero_set_classes(g.zero_sets)
+        else:
+            assert g.vertices is universe.functions and g.classes is universe.classes
+        bare = dataclasses.replace(g, classes=None)
+        assert bare == g and hash(bare) == hash(g) and "classes" not in repr(g)
+
+
+def test_definition_checks_read_the_shared_vertices(monkeypatch, fresh_universes):
+    """The seven definition-level checks take their functions from the run's
+    expanded graphs: one enumeration for the (space, k) they share."""
+    calls = spy_enumerations(monkeypatch)
+    ctx = RunContext(SuiteConfig())
+    for check_id in ("comaximal.adjacency_oracle", "zero_divisor.adjacency_oracle",
+                     "annihilator.adjacency_oracle", "weakly_zd.adjacency_oracle",
+                     "comaximal.unit_witness", "weakly_zd.trichotomy_oracle",
+                     "weakly_zd.self_adjacency_rule"):
+        assert REGISTRY[check_id].fn(ctx, 3, 3).ok, check_id
+    assert [c[:2] for c in calls] == [(ctx.space(3), 3)]
+    assert not hasattr(mrfgraph.checks, "enumerate_functions")
+
+
 def test_expanded_build_workload_output_is_pinned():
     """The eight graphs of the benchmark's ``expanded_build`` workload, at
     seeds 7 and 11: names, vertex labels and hex rows hash to the recorded
@@ -435,8 +495,8 @@ def test_expanded_build_beyond_alphabet_four(kind, n, k):
     want = [v for v in zero_divisor_values(n, k)
             if kind is not GraphKind.WEAKLY_ZD or v.count(0) == 1]
     assert [f.values for f in g.vertices] == want
-    derived = tuple(ExpandedFunction(f.values).zero_set for f in g.vertices)
-    assert g.adj == pairwise_adjacency(dataclasses.replace(g, zero_sets=derived))
+    derived = tuple(ExpandedFunction(f.values) for f in g.vertices)  # zero sets from the values
+    assert g.adj == pairwise_adjacency(dataclasses.replace(g, vertices=derived))
 
 
 def test_two_atom_build_at_alphabet_2501():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrfgraph.graph_build import Graph, GraphKind, build_graph
+from mrfgraph.graph_build import Graph, GraphKind, build_graph, zero_set_classes
 from mrfgraph.graph_metrics import (
     BoundExceededError,
     _dsatur,
@@ -45,8 +45,8 @@ def raw_graph(n: int, edges) -> Graph:
         rows[j] |= 1 << i
     space = unit_space(max(n, 2))
     payload = tuple(ZClass(atom_set([0])) for _ in range(n))
-    zero_sets = tuple(p.zero_set for p in payload)
-    return Graph(GraphKind.COMAXIMAL, "quotient", None, space, payload, zero_sets, tuple(rows))
+    classes = zero_set_classes([p.zero_set for p in payload])
+    return Graph(GraphKind.COMAXIMAL, "quotient", None, space, payload, classes, tuple(rows))
 
 
 @st.composite

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import mrfgraph.checks  # noqa: F401  (populates REGISTRY)
+from mrfgraph import graph_build
 from mrfgraph.cli import main
 from mrfgraph.graph_build import GraphKind, build_graph, oracle_adjacent, weakly_adjacent_all
 from mrfgraph.harness import (
@@ -26,7 +27,8 @@ from mrfgraph.harness import (
     render_report,
     run_suite,
 )
-from mrfgraph.measure_space import atom_set, complement, null_equal
+from mrfgraph.isomorphism import INCONCLUSIVE, IsoVerdict
+from mrfgraph.measure_space import atom_set, complement, is_atom, null_equal
 from mrfgraph.vertex_universe import enumerate_functions, sample_interval_classes
 
 SMALL = SuiteConfig(atoms_min=2, atoms_max=3)
@@ -294,9 +296,8 @@ def _suite_config(argv):
     return _config_from_args(make_parser().parse_args(["verify", *argv]), "atomic")
 
 
-@pytest.mark.parametrize("argv", [["--suite", "all"], ["--suite", ""], ["--kinds", ""]])
-def test_cli_empty_and_all_name_lists_keep_defaults(argv):
-    assert _suite_config(argv) == SuiteConfig()
+def test_cli_suite_all_keeps_defaults():
+    assert _suite_config(["--suite", "all"]) == SuiteConfig()
 
 
 def test_cli_kinds_all_is_not_a_kind(capsys):
@@ -333,17 +334,28 @@ def test_cli_verify_alphabet_two_skips_girth_rule(capsys):
 
 
 def test_cli_verify_alphabet_beyond_oracle_skips(capsys, monkeypatch):
-    """The oracle checks skip on the alphabet bound before they enumerate
-    anything."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerated functions past the oracle bound")
+    """The oracle checks skip on the alphabet bound before they pay the k^n
+    cost: no oracle table lists its candidate functions past the bound, while
+    the unit witness, which reads only the a.e. memo, still runs there."""
+    table = graph_build._AnnihilatorTable
+    listed = table.__wrapped__.candidates.func
 
-    monkeypatch.setattr(mrfgraph.checks, "enumerate_functions", refuse)
-    assert main(["verify", "--atoms", "2..2", "--alphabet", "5", "--format", "json"]) == 0
+    def guarded(self):
+        assert self.k <= graph_build.ORACLE_MAX_ALPHABET, "listed candidates past the oracle bound"
+        return listed(self)
+
+    table.cache_clear()
+    monkeypatch.setattr(table.__wrapped__, "candidates", property(guarded))
+    try:
+        assert main(["verify", "--atoms", "2..2", "--alphabet", "5", "--format", "json"]) == 0
+    finally:
+        table.cache_clear()
     captured = capsys.readouterr()
     assert captured.err == ""
     doc = json.loads(captured.out)
     assert doc["summary"]["fail"] == 0
+    witness = [e for e in doc["entries"] if e["check"] == "comaximal.unit_witness"]
+    assert [(e["instance"], e["status"]) for e in witness] == [("n=2 k=5 expanded", "pass")]
     oracle = [e for e in doc["entries"] if "oracle bound exceeded" in e.get("note", "")]
     assert {e["check"] for e in oracle} == {
         "comaximal.adjacency_oracle", "zero_divisor.adjacency_oracle",
@@ -368,7 +380,7 @@ def test_cli_verify_one_atom_huge_alphabet(capsys):
     (["verify", "--atoms", "2..3", "--kinds", "comaximal,annihilator", "--budget", "999",
       "--clique-bound", "100", "--chromatic-bound", "101", "--dominating-bound", "102"],
      "quotient.k2_rule", True),
-    (["verify", "--atoms", "3..3", "--max-cycle-len", "3"], "comaximal.cycle_rank_cases", False),
+    (["verify", "--atoms", "3..3", "--max-cycle-len", "3"], "comaximal.cycle_rank_cases", True),
 ], ids=["atomic", "interval", "atomic-settings", "max-cycle-len"])
 def test_failing_entry_repro_line_runs(argv, check_id, force, monkeypatch, capsys):
     """The repro line of a failing entry reruns it under the same settings:
@@ -392,6 +404,57 @@ def test_failing_entry_repro_line_runs(argv, check_id, force, monkeypatch, capsy
         rerun = json.loads(capsys.readouterr().out)
         assert entry in rerun["entries"]
         assert unnarrowed(rerun["config"]) == unnarrowed(report["config"])
+
+
+ISO_CHECKS = [(["verify", "--atoms", "2..3"], "annihilator.iso_comaximal_rule"),
+              (["verify", "--atoms", "2..3"], "quotient.complement_isomorphism"),
+              (["verify", "--atoms", "2..3"], "iso.expanded_complement_dichotomy"),
+              (["verify", "--atoms", "2..3"], "iso.self_identity"),
+              (["sample", "--samples", "20"], "iso.sampled_complement_probe")]
+
+
+def test_cli_verify_budget_zero_skips_inconclusive_searches(capsys):
+    """A search that runs out of budget is neither answer: its instance is
+    skipped, with a note naming the budget, and the run exits 0."""
+    assert main(["verify", "--atoms", "2..3", "--budget", "0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    skipped = [(e["check"], e["instance"], e["note"]) for e in doc["entries"]
+               if e["status"] == "skipped"]
+    note = "isomorphism search inconclusive within budget 0 nodes"
+    assert skipped == [("annihilator.iso_comaximal_rule", "n=2 k=3", note),
+                       ("iso.self_identity", "n=2 k=3", note),
+                       ("iso.self_identity", "n=3 k=3", note)]
+    assert doc["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("argv,check_id", ISO_CHECKS, ids=[c for _, c in ISO_CHECKS])
+def test_inconclusive_verdict_skips_every_instance(argv, check_id, monkeypatch, capsys):
+    """Every check that reads an isomorphism verdict skips on an inconclusive
+    one, including the instances that expect ``not isomorphic``."""
+    def inconclusive(g1, g2, budget):
+        return IsoVerdict(INCONCLUSIVE, nodes_explored=budget + 1)
+
+    for name in ("are_isomorphic", "complement_iso"):
+        monkeypatch.setattr(mrfgraph.checks, name, inconclusive)
+    assert main(argv + ["--budget", "7", "--only", check_id, "--format", "json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries and all(e["status"] == "skipped" for e in entries)
+    assert {e["note"] for e in entries} == {"isomorphism search inconclusive within budget 7 nodes"}
+
+
+@pytest.mark.parametrize("check_id,need", [("comaximal.cycle_rank_cases", 6),
+                                           ("annihilator.cycle_rank_cases", 4)])
+def test_cycle_cap_below_the_rule_skips(check_id, need, capsys):
+    """A cycle cap below the largest rank a rule predicts skips the rule's
+    instances; at that rank the rule runs and passes."""
+    argv = ["verify", "--atoms", "2..4", "--only", check_id, "--format", "json"]
+    assert main(argv + ["--max-cycle-len", str(need - 1)]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries and {(e["status"], e["note"]) for e in entries} == {
+        ("skipped", f"the rule needs cycle ranks up to {need}; max_cycle_len is {need - 1}")}
+    assert main(argv + ["--max-cycle-len", str(need)]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries and all(e["status"] == "pass" for e in entries)
 
 
 _TRIANGLE_ROWS = {"comaximal.triangle_vertex_rule", "zero_divisor.triangle_vertex_rule",
@@ -563,6 +626,27 @@ def test_weakly_trichotomy_counts_the_per_pair_mismatches(closed, monkeypatch):
     assert outcome.ok == (want == 0)
 
 
+def _only_first_atom(space, z):
+    return z == atom_set([0])
+
+
+@pytest.mark.parametrize("atom_test", [is_atom, _only_first_atom])
+def test_weakly_self_adjacency_counts_the_per_function_mismatches(atom_test, monkeypatch):
+    """With the atom test replaced by a faulty one, the rule counts the
+    functions whose oracle self-pair disagrees with it: the computed side is
+    the oracle's, never the closed form."""
+    n, k = 3, 3
+    ctx = RunContext(SuiteConfig())
+    space = ctx.space(n)
+    want = sum(oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, f) == atom_test(space, f.zero_set)
+               for f in enumerate_functions(space, k))
+    assert (want == 0) == (atom_test is is_atom)
+    monkeypatch.setattr(mrfgraph.checks, "is_atom", atom_test)
+    outcome = REGISTRY["weakly_zd.self_adjacency_rule"].fn(ctx, n, k)
+    assert outcome.computed == f"{want} mismatches"
+    assert outcome.ok == (want == 0)
+
+
 def test_edge_triangle_rule_reads_each_edge():
     """At n=3 the annihilator graph joins Z={0} to Z={1,2} and Z={2}, and
     Z={0,1} to the same two classes, but not Z={0} to Z={0,1}; the edges to
@@ -687,6 +771,8 @@ def _exit_code(argv) -> int:
       "--dominating-bound", "-1"], "--dominating-bound: must be at least 0, got -1"),
     (["iso", "--left", "comaximal", "--right", "zero_divisor", "--atoms", "2",
       "--budget", "-1"], "--budget: must be at least 0, got -1"),
+    (["verify", "--suite", ""], "invalid configuration: unknown suites ['']"),
+    (["verify", "--kinds", ""], "invalid configuration: unknown kinds ['']"),
 ], ids=["atoms-0", "alphabet-1", "missing-config", "bound-exceeded", "graph-too-large",
         "class-partition-too-large",
         "atoms-malformed", "max-cycle-len-0", "samples-0", "out-unwritable", "only-unknown",
@@ -694,7 +780,7 @@ def _exit_code(argv) -> int:
         "verify-clique-bound-negative", "verify-chromatic-bound-negative",
         "verify-dominating-bound-negative", "metrics-clique-bound-negative",
         "metrics-chromatic-bound-negative", "metrics-dominating-bound-negative",
-        "iso-budget-negative"])
+        "iso-budget-negative", "suite-empty", "kinds-empty"])
 def test_cli_input_errors_exit_2(argv, message, capsys):
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()

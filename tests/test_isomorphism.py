@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mrfgraph.graph_build import Graph, GraphKind, build_graph
+from mrfgraph.graph_build import Graph, GraphKind, build_graph, zero_set_classes
 from mrfgraph.isomorphism import (
     INCONCLUSIVE,
     ISOMORPHIC,
@@ -26,7 +26,7 @@ def raw_graph(n, edges):
     space = unit_space(2)
     payload = tuple(ZClass(atom_set([0])) for _ in range(n))
     return Graph(GraphKind.COMAXIMAL, "quotient", None, space,
-                 payload, tuple(p.zero_set for p in payload), tuple(rows))
+                 payload, zero_set_classes([p.zero_set for p in payload]), tuple(rows))
 
 
 def zd_comaximal(n, mode="quotient", k=None):

@@ -203,9 +203,9 @@ def test_cli_sampled_metrics_print_row_flags(capsys):
 
 def test_metrics_read_rows_only():
     """Every function of ``graph_metrics`` that takes a graph answers the
-    same with its zero sets and space taken away."""
+    same with its vertex payloads, zero-set classes and space taken away."""
     for g in (*atomic_graphs(3), *sampled_graphs(7, 20)):
-        bare = dataclasses.replace(g, zero_sets=None, space=None)
+        bare = dataclasses.replace(g, vertices=(None,) * g.n_vertices, classes=None, space=None)
         last = g.n_vertices - 1
         for fn in (triangle_profile, complementation_profile, partiteness,
                    partial(np_metrics, which=tuple(SOLVERS)),
@@ -222,7 +222,7 @@ def raw_graph(rows) -> Graph:
     zero set, so ``classes`` is one class whatever the rows are."""
     payload = tuple(ZClass(atom_set([0])) for _ in rows)
     return Graph(GraphKind.COMAXIMAL, "quotient", None, unit_space(2), payload,
-                 tuple(z.zero_set for z in payload), tuple(rows))
+                 zero_set_classes([z.zero_set for z in payload]), tuple(rows))
 
 
 def planted_twins(rng: random.Random, m: int, p: float):

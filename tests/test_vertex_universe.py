@@ -15,8 +15,6 @@ from mrfgraph.vertex_universe import (
     class_size,
     enumerate_functions,
     enumerate_zclasses,
-    format_function,
-    format_zclass,
     sample_interval_class,
     sample_interval_classes,
     zclass,
@@ -168,22 +166,22 @@ def test_sample_interval_class_invariants():
 
 def test_function_and_class_literals():
     f = ExpandedFunction((0, 2, 1))
-    assert format_function(f) == "f=[0,2,1]"
+    assert f.label == str(f) == "f=[0,2,1]"
     zc = ZClass(atom_set([0, 2]))
-    assert format_zclass(zc) == "Z={0,2}"
+    assert zc.label == str(zc) == "Z={0,2}"
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 5)])
 def test_function_label_matches_joined_values(n, k):
     for f in enumerate_functions(unit_space(n), k):
-        assert format_function(f) == "f=[" + ",".join(str(v) for v in f.values) + "]"
+        assert f.label == "f=[" + ",".join(str(v) for v in f.values) + "]"
 
 
 def test_function_label_is_kept_but_not_compared():
     """The label is formatted once and kept on the function, outside its
     fields: equality, hashing and ``repr`` see the values alone."""
     f, g = ExpandedFunction((0, 2, 1)), ExpandedFunction((0, 2, 1))
-    assert format_function(f) is format_function(f)
+    assert f.label is f.label
     assert "label" in vars(f) and "label" not in vars(g)
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert "label" not in repr(f)
