@@ -10,14 +10,15 @@ sample --samples N``) selects, in the same order, through the harness's own
 instance loop on one ``RunContext``, and prints one line per check: wall
 seconds, then its pass/fail/skipped entry counts.  Work that several checks
 share is done first, timed on a line of its own rather than charged to
-whichever check asks first: ``--atoms`` builds each n's four expanded graphs
-(which share one vertex universe), ``--samples`` draws the interval class
-sample.  A check's time still includes the other graph builds and metrics
-it is the first to request; later checks find them cached, as in a real
-run.  The last line is the total.  Nothing is written into a report, and
-the report of the same run is unaffected.  A graph over the size guard or a bound error ends the run as
-it ends ``mrfgraph verify``: a ``mrfgraph:`` line on stderr and exit status
-2.
+whichever check asks first: ``--atoms`` builds each n's four quotient and
+four expanded graphs (the expanded ones share one vertex universe), the
+graphs that checks request at the run's alphabet; ``--samples`` draws the
+interval class sample.  A check's time still includes the metrics and the
+graphs at other alphabets that it is the first to request; later checks
+find them cached, as in a real run.  The last line is the total.  Nothing
+is written into a report, and the report of the same run is unaffected.  A
+graph over the size guard or a bound error ends the run as it ends
+``mrfgraph verify``: a ``mrfgraph:`` line on stderr and exit status 2.
 """
 
 import argparse
@@ -46,9 +47,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         if args.samples is None:
-            built = [ctx.graph(n, kind, "expanded", alphabet=config.alphabet)
-                     for n in range(config.atoms_min, config.atoms_max + 1) for kind in GraphKind]
-            shared = "RunContext.graph", f"{len(built)} expanded graphs"
+            built = [ctx.graph(n, kind, mode, alphabet=alpha)
+                     for n in range(config.atoms_min, config.atoms_max + 1) for kind in GraphKind
+                     for mode, alpha in (("quotient", None), ("expanded", config.alphabet))]
+            shared = "RunContext.graph", f"{len(built)} quotient and expanded graphs"
         else:
             shared = "RunContext.interval_classes", f"{len(ctx.interval_classes())} sampled classes"
         print(f"{time.perf_counter() - start:8.3f} s  {shared[0]:45s} {shared[1]}")

@@ -20,7 +20,6 @@ from itertools import islice
 
 from .graph_build import (
     GraphKind,
-    _AnnihilatorTable,
     adjacent,
     build_graph,
     check_oracle_bounds,
@@ -39,10 +38,11 @@ from .graph_metrics import (
     partiteness,
     triangle_profile,
 )
-from .harness import INTERVAL, Outcome, RunContext, register
+from .harness import INTERVAL, Outcome, RunContext, make_weights, register
 from .isomorphism import INCONCLUSIVE, NOT_ISOMORPHIC, are_isomorphic, complement_iso, verify_mapping
 from .measure_space import (
     ATOMIC,
+    AtomicSpace,
     MeasurableSet,
     atom_set,
     complement,
@@ -57,7 +57,7 @@ from .measure_space import (
     split_nonatom,
     union,
 )
-from .vertex_universe import ZClass, ann_leq, class_size, enumerate_zclasses, zclass
+from .vertex_universe import UNIT_INTERVAL, ZClass, ann_leq, class_size, enumerate_zclasses, zclass
 
 NEEDS_K3 = "needs alphabet >= 3"
 
@@ -218,8 +218,7 @@ def _oracle_check(ctx: RunContext, n: int, k: int, kind: GraphKind) -> Outcome:
     check_oracle_bounds(space, k)
     g = ctx.graph(n, kind, "expanded", alphabet=k)
     mismatches = [(g.vertex_label(i), g.vertex_label(j), g.is_edge(i, j), not g.is_edge(i, j))
-                  for i, j in oracle_mismatches(kind, _AnnihilatorTable(space, k),
-                                                g.vertices, g.adj)]
+                  for i, j in oracle_mismatches(kind, space, k, g.vertices, g.adj)]
     total = g.n_vertices * (g.n_vertices - 1) // 2
     return Outcome(f"{total}/{total} pairs agree", f"{total - len(mismatches)}/{total} pairs agree",
                    not mismatches, witness=mismatches[:5] or None)
@@ -287,22 +286,26 @@ def check_ann_preorder(ctx: RunContext, n: int, k: int):
                    "laws hold" if ok else "law violated", ok)
 
 
+def _same_graph(g, h) -> bool:
+    return g.adj == h.adj and g.zero_sets == h.zero_sets
+
+
 @register("measure_core.weight_independence", label="n={n}")
 def check_weight_independence(ctx: RunContext, n: int, k: int):
-    ok = True
-    for kind in GraphKind:
-        for mode, alpha in (("quotient", None), ("expanded", k)):
-            unit = ctx.graph(n, kind, mode, alphabet=alpha, policy="unit")
-            rand = ctx.graph(n, kind, mode, alphabet=alpha, policy="random-positive")
-            if unit.adj != rand.adj or unit.zero_sets != rand.zero_sets:
-                ok = False
+    # each of the run's graphs against one built here under the other policy,
+    # never cached: a comparison graph is dropped before the next is built
+    other = "random-positive" if ctx.config.weights == "unit" else "unit"
+    space = AtomicSpace(make_weights(n, other, ctx.config.seed))
+    ok = all(_same_graph(ctx.graph(n, kind, mode, alphabet=alpha),
+                         build_graph(space, kind, mode, alphabet=alpha))
+             for kind in GraphKind for mode, alpha in (("quotient", None), ("expanded", k)))
     return Outcome("identical graphs under unit and random positive weights",
                    "identical" if ok else "graphs differ", ok)
 
 
 @register("measure_core.split_prefix_exact", backend=INTERVAL)
 def check_split_prefix_exact(ctx: RunContext):
-    space = ctx.interval_space
+    space = UNIT_INTERVAL
     classes = ctx.interval_classes()
     cases = 2 * len(classes)
     rng = random.Random(f"split:{ctx.config.seed}")
@@ -319,7 +322,7 @@ def check_split_prefix_exact(ctx: RunContext):
 
 @register("measure_core.sampled_no_atoms", backend=INTERVAL)
 def check_sampled_no_atoms(ctx: RunContext):
-    space = ctx.interval_space
+    space = UNIT_INTERVAL
     bad = 0
     checked = 0
     for zc in ctx.interval_classes():
@@ -351,8 +354,7 @@ def check_comaximal_unit_witness(ctx: RunContext, n: int, k: int):
     # the oracle's comaximal rows, whose sum-of-squares test is this witness;
     # they read only the a.e. memo, never the k^n candidates, so this check
     # keeps running past the oracle's alphabet bound
-    bad = len(oracle_mismatches(GraphKind.COMAXIMAL, _AnnihilatorTable(ctx.space(n), k),
-                                g.vertices, g.adj))
+    bad = len(oracle_mismatches(GraphKind.COMAXIMAL, ctx.space(n), k, g.vertices, g.adj))
     return Outcome("sum of squares is a unit up to null sets exactly on edges",
                    f"{bad} mismatches", bad == 0)
 
@@ -457,7 +459,7 @@ _mismatch_row("comaximal.neighborhood_rule", _pair_mismatches,
 
 @register("comaximal.sampled_triangulated", backend=INTERVAL)
 def check_comaximal_sampled_triangulated(ctx: RunContext):
-    space = ctx.interval_space
+    space = UNIT_INTERVAL
     bad = 0
     classes = ctx.interval_classes()
     witness = None
@@ -481,7 +483,7 @@ def check_comaximal_sampled_triangulated(ctx: RunContext):
 
 @register("comaximal.sampled_not_hypertriangulated", backend=INTERVAL)
 def check_comaximal_sampled_not_hyper(ctx: RunContext):
-    space = ctx.interval_space
+    space = UNIT_INTERVAL
     bad = 0
     classes = ctx.interval_classes()
     for zc in classes:
@@ -658,7 +660,7 @@ def check_annihilator_sampled_hyper(ctx: RunContext):
     in pair order, each on a constructed triangle.  s classes hold at most
     s(s-1)/2 edges: a sample with fewer edges has every one tested, and a
     sample with none is skipped."""
-    space = ctx.interval_space
+    space = UNIT_INTERVAL
     zsets = [zc.zero_set for zc in ctx.interval_classes()]
     edges = ((zu, zv) for a, zu in enumerate(zsets) for zv in zsets[a + 1:]
              if adjacent(GraphKind.ANNIHILATOR, space, zu, zv))
@@ -708,8 +710,7 @@ def check_weakly_trichotomy(ctx: RunContext, n: int, k: int):
              for zu in zsets]
     self_adjacent = [weakly_adjacent_all(space, z, z, same_vertex=True) for z in zsets]
     closed = [reach[c] & ~(1 << i) | self_adjacent[c] << i for i, c in enumerate(g.classes.of)]
-    bad = len(oracle_mismatches(GraphKind.WEAKLY_ZD, _AnnihilatorTable(space, k),
-                                g.vertices, closed, start=0))
+    bad = len(oracle_mismatches(GraphKind.WEAKLY_ZD, space, k, g.vertices, closed, start=0))
     total = g.n_vertices * (g.n_vertices + 1) // 2
     return Outcome(f"{total} pairs (self-pairs included) follow the three-case rule",
                    f"{bad} mismatches", bad == 0)
@@ -781,7 +782,7 @@ def check_weakly_parameters(ctx: RunContext, n: int, k: int):
 
 @register("weakly_zd.interval_empty", backend=INTERVAL)
 def check_weakly_interval_empty(ctx: RunContext):
-    g = build_graph(ctx.interval_space, GraphKind.WEAKLY_ZD, sample=ctx.interval_classes())
+    g = build_graph(UNIT_INTERVAL, GraphKind.WEAKLY_ZD, sample=ctx.interval_classes())
     return Outcome("empty vertex set (no atomic zero sets exist)", f"{g.n_vertices} vertices",
                    g.n_vertices == 0, instance=f"{len(ctx.interval_classes())} sampled classes")
 
@@ -907,7 +908,7 @@ def check_iso_self_identity(ctx: RunContext, n: int, k: int):
 
 @register("iso.sampled_complement_probe", backend=INTERVAL)
 def check_iso_sampled_probe(ctx: RunContext):
-    space = ctx.interval_space
+    space = UNIT_INTERVAL
     base = ctx.interval_classes()[: max(10, ctx.config.sample_count // 4)]
     closed = [ZClass(z) for zc in base for z in (zc.zero_set, complement(space, zc.zero_set))]
     g1 = build_graph(space, GraphKind.ZERO_DIVISOR, sample=closed)

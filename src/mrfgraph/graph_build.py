@@ -228,13 +228,14 @@ def oracle_adjacent(kind: GraphKind, space: AtomicSpace, k: int,
     return oracle_row(kind, space, k, f, (g,)) == 1
 
 
-def oracle_mismatches(kind: GraphKind, table: _AnnihilatorTable,
+def oracle_mismatches(kind: GraphKind, space: AtomicSpace, k: int,
                       vertices: Sequence[ExpandedFunction], closed: Sequence[int],
                       start: int = 1) -> list[tuple[int, int]]:
     """The pairs (i, j), j >= i + ``start``, ascending, where the oracle row
-    of ``vertices[i]`` on ``table`` differs from the row ``closed[i]``.  No
-    bound is checked: callers run :func:`check_oracle_bounds` first unless
-    the kind's rows never list the k^n candidates (comaximal)."""
+    of ``vertices[i]`` differs from the row ``closed[i]``.  No bound is
+    checked: callers run :func:`check_oracle_bounds` first unless the kind's
+    rows never list the k^n candidates (comaximal)."""
+    table = _AnnihilatorTable(space, k)
     out = []
     for i, f in enumerate(vertices):
         lo = i + start

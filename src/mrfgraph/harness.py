@@ -17,7 +17,7 @@ from typing import Callable
 
 from .graph_build import Graph, GraphKind, build_graph
 from .graph_metrics import BoundExceededError, MetricsSummary, metrics
-from .measure_space import ATOMIC, INTERVAL, AtomicSpace, IntervalSpace
+from .measure_space import ATOMIC, INTERVAL, AtomicSpace
 from .vertex_universe import ZClass, sample_interval_classes
 
 SUITES = ("measure_core", "comaximal", "zero_divisor", "annihilator",
@@ -275,26 +275,20 @@ def make_weights(n: int, policy: str, seed) -> tuple[Fraction, ...]:
 
 
 class RunContext:
-    """Per-run caches for spaces, graphs and metrics."""
+    """Per-run caches for spaces, graphs and metrics, all under the run's
+    weight policy."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
-        self._spaces: dict[tuple, AtomicSpace] = {}
+        self._spaces: dict[int, AtomicSpace] = {}
         self._graphs: dict[tuple, Graph] = {}
         self._metrics: dict[int, tuple[Graph, MetricsSummary]] = {}
-        self._interval_space = IntervalSpace()
         self._interval_classes: list[ZClass] | None = None
 
-    def space(self, n: int, policy: str | None = None) -> AtomicSpace:
-        policy = policy or self.config.weights
-        key = (n, policy)
-        if key not in self._spaces:
-            self._spaces[key] = AtomicSpace(make_weights(n, policy, self.config.seed))
-        return self._spaces[key]
-
-    @property
-    def interval_space(self) -> IntervalSpace:
-        return self._interval_space
+    def space(self, n: int) -> AtomicSpace:
+        if n not in self._spaces:
+            self._spaces[n] = AtomicSpace(make_weights(n, self.config.weights, self.config.seed))
+        return self._spaces[n]
 
     def interval_classes(self) -> list[ZClass]:
         if self._interval_classes is None:
@@ -302,12 +296,10 @@ class RunContext:
                 self.config.seed, self.config.sample_count)
         return self._interval_classes
 
-    def graph(self, n: int, kind: GraphKind, mode: str,
-              alphabet: int | None = None, policy: str | None = None) -> Graph:
-        key = (n, kind, mode, alphabet, policy or self.config.weights)
+    def graph(self, n: int, kind: GraphKind, mode: str, alphabet: int | None = None) -> Graph:
+        key = (n, kind, mode, alphabet)
         if key not in self._graphs:
-            self._graphs[key] = build_graph(self.space(n, policy), kind, mode,
-                                            alphabet=alphabet)
+            self._graphs[key] = build_graph(self.space(n), kind, mode, alphabet=alphabet)
         return self._graphs[key]
 
     def graph_metrics(self, g: Graph) -> MetricsSummary:

@@ -192,7 +192,7 @@ def test_oracle_mismatches_match_the_per_pair_reference(n, k, start):
             closed[i] ^= 1 << j
         want = [(i, j) for i in range(count) for j in range(i + start, count)
                 if brute[i][j] != bool(closed[i] >> j & 1)]
-        got = oracle_mismatches(kind, _AnnihilatorTable(space, k), divisors, closed, start)
+        got = oracle_mismatches(kind, space, k, divisors, closed, start)
         assert type(got) is list
         assert got == want == sorted((i, j) for i, j in flips if j >= i + start), kind
         assert ((0, 0) in got) == (start == 0)

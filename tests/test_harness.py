@@ -10,6 +10,7 @@ import random
 import shlex
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -24,12 +25,13 @@ from mrfgraph.harness import (
     RunContext,
     SuiteConfig,
     applicable_checks,
+    make_weights,
     render_report,
     run_suite,
 )
 from mrfgraph.isomorphism import INCONCLUSIVE, IsoVerdict
-from mrfgraph.measure_space import atom_set, complement, is_atom, null_equal
-from mrfgraph.vertex_universe import enumerate_functions, sample_interval_classes
+from mrfgraph.measure_space import AtomicSpace, atom_set, complement, is_atom, null_equal
+from mrfgraph.vertex_universe import UNIT_INTERVAL, enumerate_functions, sample_interval_classes
 
 SMALL = SuiteConfig(atoms_min=2, atoms_max=3)
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -82,20 +84,66 @@ def test_weight_policy_changes_nothing():
     assert not unit.failed and not rand.failed
 
 
+def _spy_build(monkeypatch, built, plant=None):
+    """Record each graph ``checks`` builds itself, as (space, kind, mode,
+    alphabet), and hand back ``plant(g)`` in place of the graph ``g``.  No
+    graph handed back may still be alive when the next is built."""
+    build = mrfgraph.checks.build_graph
+    handed = []
+
+    def spy(space, kind, mode="quotient", alphabet=None, **kwargs):
+        assert all(ref() is None for ref in handed), "a built graph outlived its comparison"
+        built.append((space, kind, mode, alphabet))
+        g = build(space, kind, mode, alphabet=alphabet, **kwargs)
+        g = g if plant is None else plant(g)
+        handed.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(mrfgraph.checks, "build_graph", spy)
+
+
 def test_weight_independence_compares_expanded_graphs_at_every_n(monkeypatch):
-    """Both weight policies are compared in both modes past the oracle
-    bound too: at n=5 each kind's random-positive expanded graph is built."""
-    requested = []
-    graph = RunContext.graph
+    """Past the oracle bound too, at n=5, the check builds every kind's graph
+    under the other weight policy, in both modes, on that policy's space,
+    drops each before the next build and leaves none in the run's cache."""
+    built = []
+    _spy_build(monkeypatch, built)
+    for policy, other in (("unit", "random-positive"), ("random-positive", "unit")):
+        built.clear()
+        ctx = RunContext(SuiteConfig(atoms_min=5, atoms_max=5, weights=policy))
+        assert REGISTRY["measure_core.weight_independence"].fn(ctx, 5, 3).ok
+        space = AtomicSpace(make_weights(5, other, 7))
+        assert space != ctx.space(5)
+        assert built == [(space, kind, mode, alpha) for kind in GraphKind
+                         for mode, alpha in (("quotient", None), ("expanded", 3))]
+        assert len(ctx._graphs) == 8
+        assert all(g.space is ctx.space(5) for g in ctx._graphs.values())
 
-    def spy(self, n, kind, mode, alphabet=None, policy=None):
-        requested.append((n, kind, mode, alphabet, policy))
-        return graph(self, n, kind, mode, alphabet=alphabet, policy=policy)
 
-    monkeypatch.setattr(RunContext, "graph", spy)
-    ctx = RunContext(SuiteConfig(atoms_min=5, atoms_max=5))
-    assert REGISTRY["measure_core.weight_independence"].fn(ctx, 5, 3).ok
-    assert {(5, kind, "expanded", 3, "random-positive") for kind in GraphKind} <= set(requested)
+def _flip_first_edge(g):
+    adj = list(g.adj)
+    adj[0], adj[1] = adj[0] ^ 2, adj[1] ^ 1  # toggle the pair (0, 1)
+    return dataclasses.replace(g, adj=tuple(adj))
+
+
+def _rotate_vertices(g):
+    """The same rows on the vertex list rotated by one: other zero sets."""
+    h = dataclasses.replace(g, vertices=g.vertices[1:] + g.vertices[:1])
+    assert h.zero_sets != g.zero_sets and h.adj == g.adj
+    return h
+
+
+@pytest.mark.parametrize("fault", [_flip_first_edge, _rotate_vertices], ids=["edge", "zero-sets"])
+@pytest.mark.parametrize("target", [(GraphKind.COMAXIMAL, "expanded"),
+                                    (GraphKind.WEAKLY_ZD, "quotient")],
+                         ids=["comaximal-expanded", "weakly_zd-quotient"])
+def test_weight_independence_catches_one_differing_graph(monkeypatch, fault, target):
+    """One comparison graph with one edge flipped, or with other zero sets,
+    fails the check."""
+    _spy_build(monkeypatch, [], lambda g: fault(g) if (g.kind, g.mode) == target else g)
+    ctx = RunContext(SuiteConfig(atoms_min=3, atoms_max=3))
+    outcome = REGISTRY["measure_core.weight_independence"].fn(ctx, 3, 3)
+    assert not outcome.ok and outcome.computed == "graphs differ"
 
 
 def test_only_filter_runs_single_check():
@@ -161,7 +209,7 @@ def test_metrics_cache_keys_on_rows():
     """Every sampled graph has the same kind, mode and (equal) interval
     space, so only the rows tell two of them apart."""
     ctx = RunContext(SuiteConfig(backend="interval"))
-    small, large = (build_graph(ctx.interval_space, GraphKind.COMAXIMAL,
+    small, large = (build_graph(UNIT_INTERVAL, GraphKind.COMAXIMAL,
                                 sample=sample_interval_classes(7, count))
                     for count in (10, 30))
     assert small.n_vertices < large.n_vertices
@@ -818,18 +866,15 @@ def _script(name):
     return script
 
 
-def _default_suite_script():
-    return _script("run_default_suite")
-
-
 def test_check_times_prints_one_line_per_selected_check(capsys):
-    """``--atoms LO..HI`` builds each n's four expanded graphs first, timed
-    on a line of its own, then times the checks ``mrfgraph verify`` runs, in
-    its order."""
+    """``--atoms LO..HI`` builds each n's four quotient and four expanded
+    graphs first, timed on a line of its own, then times the checks
+    ``mrfgraph verify`` runs, in its order."""
     assert _script("check_times").main(["--atoms", "2..3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     ids = [check.id for check in applicable_checks(SuiteConfig(atoms_min=2, atoms_max=3))]
-    assert lines[0].split()[2:] == ["RunContext.graph", "8", "expanded", "graphs"]
+    assert lines[0].split()[2:] == ["RunContext.graph", "16", "quotient", "and", "expanded",
+                                    "graphs"]
     assert [line.split()[2] for line in lines[1:-1]] == ids
     assert lines[-1].endswith(f"total over {len(ids)} checks")
 
@@ -867,21 +912,21 @@ def test_check_times_exits_2_over_the_guard(capsys):
     assert err == "mrfgraph: 6304 vertices exceed guard 5000\n"
 
 
-def test_sample_cli_matches_default_suite_script(capsys):
-    """scripts/run_default_suite.py writes reports/interval.* with the same
-    bytes as the CLI command its docstring names."""
-    expected = render_report(run_suite(_default_suite_script().CONFIGS["interval"]), "json")
-    assert main(["sample", "--samples", "100", "--seed", "7", "--format", "json"]) == 0
-    assert capsys.readouterr().out == expected
-    assert (ROOT / "reports" / "interval.json").read_text() == expected
+def _assert_renders_reports(argv, name, capsys):
+    """``argv`` renders reports/<name>.json and reports/<name>.txt byte for
+    byte, the commands the README gives with ``--out``."""
+    for fmt, suffix in (("json", "json"), ("text", "txt")):
+        assert main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == (ROOT / "reports" / f"{name}.{suffix}").read_text()
 
 
-def test_default_atomic_report_is_pinned():
-    """The full default atomic run renders reports/atomic.json and
-    reports/atomic.txt byte for byte."""
-    report = run_suite(_default_suite_script().CONFIGS["atomic"])
-    assert render_report(report, "json") == (ROOT / "reports" / "atomic.json").read_text()
-    assert render_report(report, "text") == (ROOT / "reports" / "atomic.txt").read_text()
+def test_default_atomic_report_is_pinned(capsys):
+    _assert_renders_reports(["verify", "--atoms", "2..5", "--alphabet", "3", "--seed", "7"],
+                            "atomic", capsys)
+
+
+def test_default_interval_report_is_pinned(capsys):
+    _assert_renders_reports(["sample", "--samples", "100", "--seed", "7"], "interval", capsys)
 
 
 @pytest.mark.parametrize("argv,digest", [

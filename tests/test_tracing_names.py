@@ -77,7 +77,7 @@ def test_stats_keys_name_library_functions():
 
 def test_profile_functions_are_public_functions():
     names = _tuple_constant(_tree(), "PROFILE_FUNCTIONS")
-    # recorded as stale in ROADMAP item 3: the tracer still names it, the
+    # recorded as stale in ROADMAP item 1: the tracer still names it, the
     # library no longer has it; once the tracer drops the name, drop this
     stale = "zero_divisor_triangle_zero_sets"
     assert stale in names and stale not in vars(importlib.import_module("mrfgraph.graph_metrics"))
