@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import fields
 
-from .graph_build import KIND_BY_NAME, GraphKind, GraphTooLargeError, build_graph, export_graph
+from .graph_build import KIND_BY_NAME, GraphKind, build_graph, export_graph
 from .graph_metrics import SOLVERS, BoundExceededError, metrics, np_metrics, partiteness, triangle_profile
 from .harness import SUITES, SuiteConfig, make_weights, render_report, run_suite
 from .isomorphism import are_isomorphic
@@ -169,6 +169,9 @@ def _config_from_args(args, backend: str) -> SuiteConfig:
         if value is not None:
             merged[key] = value
     try:
+        if isinstance(merged.get("kinds"), list | tuple):  # --kind's names, weakly-zd too
+            merged["kinds"] = [KIND_BY_NAME[k].value if isinstance(k, str) and k in KIND_BY_NAME
+                               else k for k in merged["kinds"]]
         return SuiteConfig.from_dict(merged)
     except (ValueError, TypeError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
@@ -272,7 +275,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except (BoundExceededError, GraphTooLargeError, OSError) as exc:
+    except (BoundExceededError, OSError) as exc:
         sys.stderr.write(f"mrfgraph: {exc}\n")
         return 2
 

@@ -71,17 +71,14 @@ KIND_BY_NAME = {k.value: k for k in GraphKind}
 KIND_BY_NAME.update({"zero-divisor": GraphKind.ZERO_DIVISOR, "weakly-zd": GraphKind.WEAKLY_ZD})
 
 
-class GraphTooLargeError(ValueError):
-    """Requested graph exceeds the configured vertex guard rail."""
-
-
 class BoundExceededError(ValueError):
-    """Input lies outside what a check can decide: past a bound on
-    exhaustive work (the oracle's atom or alphabet bound, a solver's vertex
-    bound, a check's own cap) or short of the cases it compares."""
+    """Input lies outside what a check can decide: past a bound on exhaustive
+    work (the vertex guard, the oracle's atom or alphabet bound, a solver's
+    vertex bound, a check's own cap) or short of the cases it compares."""
 
 
-# Largest space and alphabet the brute-force oracle enumerates.
+# The vertex guard, read at each build; the brute-force oracle's largest n and k.
+MAX_VERTICES = 5000
 ORACLE_MAX_ATOMS = 5
 ORACLE_MAX_ALPHABET = 4
 
@@ -406,8 +403,7 @@ class _ExpandedUniverse:
 
 
 def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
-                alphabet: int | None = None, sample: Iterable[ZClass] | None = None,
-                max_vertices: int = 5000) -> Graph:
+                alphabet: int | None = None, sample: Iterable[ZClass] | None = None) -> Graph:
     """Construct one graph with a deterministic vertex order.
 
     Atomic backend: ``quotient`` enumerates one class per proper nonempty
@@ -427,8 +423,8 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
         if mode == "expanded" and (alphabet is None or alphabet < 2):
             raise ValueError("expanded mode needs an alphabet size k >= 2")
         count = _vertex_count(space.n_atoms, kind, mode, alphabet)
-        if count > max_vertices:
-            raise GraphTooLargeError(f"{count} vertices exceed guard {max_vertices}")
+        if count > MAX_VERTICES:
+            raise BoundExceededError(f"{count} vertices exceed guard {MAX_VERTICES}")
         if mode == "quotient":
             alphabet = None
             payloads = enumerate_zclasses(space)
@@ -441,8 +437,8 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
         keep = [vs for z, vs in zip(classes.zero_sets, classes.members) if is_atom(space, z)]
         payloads = [payloads[v] for v in sorted(itertools.chain.from_iterable(keep))]
         classes = zero_set_classes([p.zero_set for p in payloads])
-    if len(payloads) > max_vertices:
-        raise GraphTooLargeError(f"{len(payloads)} vertices exceed guard {max_vertices}")
+    if len(payloads) > MAX_VERTICES:
+        raise BoundExceededError(f"{len(payloads)} vertices exceed guard {MAX_VERTICES}")
     return Graph(kind, mode, alphabet, space, tuple(payloads), classes,
                  _fill_adjacency(kind, space, classes))
 

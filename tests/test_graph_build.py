@@ -277,30 +277,32 @@ def test_build_errors():
         build_graph(unit_space(2), GraphKind.COMAXIMAL, "diagonal")
 
 
-def test_build_guard_rail():
-    from mrfgraph.graph_build import GraphTooLargeError
-    with pytest.raises(GraphTooLargeError):
-        build_graph(unit_space(4), GraphKind.COMAXIMAL, "expanded", alphabet=3,
-                    max_vertices=10)
+def test_build_guard_rail(monkeypatch):
+    from mrfgraph import graph_build
+    monkeypatch.setattr(graph_build, "MAX_VERTICES", 10)
+    with pytest.raises(BoundExceededError):
+        build_graph(unit_space(4), GraphKind.COMAXIMAL, "expanded", alphabet=3)
 
 
-def test_guard_counts_are_exact():
-    from mrfgraph.graph_build import GraphTooLargeError
+def test_guard_counts_are_exact(monkeypatch):
+    from mrfgraph import graph_build
     for n in range(1, 5):
         for k in (2, 3):
             for kind in GraphKind:
                 for mode in ("quotient", "expanded"):
                     space = unit_space(n)
                     size = build_graph(space, kind, mode, alphabet=k).n_vertices
-                    build_graph(space, kind, mode, alphabet=k, max_vertices=size)
+                    monkeypatch.setattr(graph_build, "MAX_VERTICES", size)
+                    build_graph(space, kind, mode, alphabet=k)
                     if size:
-                        with pytest.raises(GraphTooLargeError):
-                            build_graph(space, kind, mode, alphabet=k, max_vertices=size - 1)
+                        monkeypatch.setattr(graph_build, "MAX_VERTICES", size - 1)
+                        with pytest.raises(BoundExceededError):
+                            build_graph(space, kind, mode, alphabet=k)
+                    monkeypatch.undo()
 
 
 def test_guard_fires_before_enumeration(monkeypatch):
     from mrfgraph import graph_build
-    from mrfgraph.graph_build import GraphTooLargeError
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated vertices of an oversized graph")
@@ -308,10 +310,11 @@ def test_guard_fires_before_enumeration(monkeypatch):
     monkeypatch.setattr(graph_build, "enumerate_functions", refuse)
     monkeypatch.setattr(graph_build, "enumerate_zclasses", refuse)
     for kind in GraphKind:
-        with pytest.raises(GraphTooLargeError, match="exceed guard 5000"):
+        with pytest.raises(BoundExceededError, match="exceed guard 5000"):
             build_graph(unit_space(12), kind, "expanded", alphabet=3)
-    with pytest.raises(GraphTooLargeError, match="^4094 vertices exceed guard 5$"):
-        build_graph(unit_space(12), GraphKind.COMAXIMAL, "quotient", max_vertices=5)
+    monkeypatch.setattr(graph_build, "MAX_VERTICES", 5)
+    with pytest.raises(BoundExceededError, match="^4094 vertices exceed guard 5$"):
+        build_graph(unit_space(12), GraphKind.COMAXIMAL, "quotient")
 
 
 @pytest.fixture
@@ -439,13 +442,15 @@ def test_expanded_build_workload_output_is_pinned():
             "f1920d1c8a057de0d00f77e07e1b1f7e88ecb80bfa04a2e2defbacb5f4a0f89b", seed
 
 
-def test_interval_guard_counts_the_deduped_sample():
-    from mrfgraph.graph_build import GraphTooLargeError
+def test_interval_guard_counts_the_deduped_sample(monkeypatch):
+    from mrfgraph import graph_build
     classes = sample_interval_classes(3, 20)
     size = len({zc.zero_set for zc in classes})
-    build_graph(IntervalSpace(), GraphKind.COMAXIMAL, sample=classes + classes, max_vertices=size)
-    with pytest.raises(GraphTooLargeError, match=f"^{size} vertices exceed guard {size - 1}$"):
-        build_graph(IntervalSpace(), GraphKind.COMAXIMAL, sample=classes, max_vertices=size - 1)
+    monkeypatch.setattr(graph_build, "MAX_VERTICES", size)
+    build_graph(IntervalSpace(), GraphKind.COMAXIMAL, sample=classes + classes)
+    monkeypatch.setattr(graph_build, "MAX_VERTICES", size - 1)
+    with pytest.raises(BoundExceededError, match=f"^{size} vertices exceed guard {size - 1}$"):
+        build_graph(IntervalSpace(), GraphKind.COMAXIMAL, sample=classes)
 
 
 def test_interval_build_is_sampled_and_deduped():

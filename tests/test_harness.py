@@ -789,8 +789,6 @@ def _exit_code(argv) -> int:
       "--dominating-bound", "10"], "exceed dominating bound 10"),
     (["build", "--atoms", "9", "--mode", "expanded", "--kind", "comaximal"],
      "exceed guard 5000"),
-    (["verify", "--atoms", "2..2", "--alphabet", "20000", "--only", "quotient.class_partition"],
-     "39998 vertices exceed guard 5000"),
     (["verify", "--atoms", "2..x"], "--atoms: expected N or LO..HI, got '2..x'"),
     (["verify", "--atoms", "2..3", "--max-cycle-len", "0", "--suite", "comaximal"],
      "invalid configuration: max_cycle_len must be at least 3"),
@@ -822,7 +820,6 @@ def _exit_code(argv) -> int:
     (["verify", "--suite", ""], "invalid configuration: unknown suites ['']"),
     (["verify", "--kinds", ""], "invalid configuration: unknown kinds ['']"),
 ], ids=["atoms-0", "alphabet-1", "missing-config", "bound-exceeded", "graph-too-large",
-        "class-partition-too-large",
         "atoms-malformed", "max-cycle-len-0", "samples-0", "out-unwritable", "only-unknown",
         "only-other-backend", "which-unknown", "verify-budget-negative",
         "verify-clique-bound-negative", "verify-chromatic-bound-negative",
@@ -904,12 +901,97 @@ def test_explore_nonatomic_iso_prints_one_verdict_per_size(capsys):
     assert "complement map verified" in verdicts[0]
 
 
-def test_check_times_exits_2_over_the_guard(capsys):
+def test_check_times_skips_over_the_guard(capsys):
     """n=8 has 6,304 expanded vertices, over the default guard of 5,000: the
-    script stops as ``mrfgraph verify`` does, with no traceback."""
-    assert _script("check_times").main(["--atoms", "8..8"]) == 2
-    err = capsys.readouterr().err
-    assert err == "mrfgraph: 6304 vertices exceed guard 5000\n"
+    shared line builds the five graphs under it (four quotient graphs and the
+    1,024-vertex weakly-zd one), and the checks skip the others, as
+    ``mrfgraph verify`` does."""
+    assert _script("check_times").main(["--atoms", "8..8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ids = [check.id for check in applicable_checks(SuiteConfig(atoms_min=8, atoms_max=8))]
+    assert lines[0].split()[2:] == ["RunContext.graph", "5", "quotient", "and", "expanded",
+                                    "graphs"]
+    counts = {line.split()[2]: line.split()[-1] for line in lines[1:-1]}
+    assert list(counts) == ids
+    assert counts["comaximal.class_stability"] == "0/0/1"
+    assert counts["comaximal.distance_formula"] == "1/0/1"
+    assert counts["zero_divisor.complete_bipartite_rule"] == "1/0/1"
+    assert counts["weakly_zd.complete_multipartite_rule"] == "1/0/0"
+    assert all(c.split("/")[1] == "0" for c in counts.values())
+    assert lines[-1].endswith(f"total over {len(ids)} checks")
+
+
+def _entries_by_check(argv, capsys) -> dict[str, list[dict]]:
+    assert main(argv) == 0
+    by_check: dict[str, list[dict]] = {}
+    for entry in json.loads(capsys.readouterr().out)["entries"]:
+        by_check.setdefault(entry["check"], []).append(entry)
+    return by_check
+
+
+def test_verify_skips_the_instances_over_the_guard(monkeypatch, capsys):
+    """n=8 expanded graphs have 6,304 vertices, over the guard of 5,000.  The
+    run goes on: its entries for n <= 7 are those of ``--atoms 2..7``, and
+    each n=8 entry is the one a run with the guard at 6,304 makes, or a
+    SKIPPED entry naming the guard.  Only the coverage self-audit differs."""
+    wide = _entries_by_check(["verify", "--atoms", "2..8"], capsys)
+    low = _entries_by_check(["verify", "--atoms", "2..7"], capsys)
+    monkeypatch.setattr(graph_build, "MAX_VERTICES", 6304)
+    lifted = _entries_by_check(["verify", "--atoms", "8..8"], capsys)
+    assert wide.keys() == low.keys() == lifted.keys()
+    guard_skips = 0
+    for check, entries in wide.items():
+        if check == "harness.coverage_complete":
+            continue
+        assert entries[:len(low[check])] == low[check], check
+        top = entries[len(low[check]):]
+        full = [e for e in lifted[check] if e.get("note") != "check produced no instances"]
+        assert len(top) == len(full), check
+        for got, want in zip(top, full):
+            if got != want:
+                assert (got["status"], got.get("note")) == \
+                    ("skipped", "6304 vertices exceed guard 5000"), check
+                guard_skips += 1
+    assert guard_skips == 26
+
+
+def test_verify_skips_a_class_partition_over_the_guard(capsys):
+    """Alphabet 20,000 at n=2 gives 39,998 expanded vertices: the one
+    instance skips on the guard, and the run exits 0."""
+    argv = ["verify", "--atoms", "2..2", "--alphabet", "20000", "--only",
+            "quotient.class_partition"]
+    entries = _entries_by_check(argv, capsys)["quotient.class_partition"]
+    assert [(e["status"], e["note"]) for e in entries] == \
+        [("skipped", "39998 vertices exceed guard 5000")]
+
+
+def test_sample_skips_the_probe_over_the_guard(monkeypatch, capsys):
+    """The complement probe builds its graphs on the 50 complement-closed
+    classes of a 100-class sample; with the guard below that the probe alone
+    skips, and every other interval check passes."""
+    monkeypatch.setattr(graph_build, "MAX_VERTICES", 49)
+    by_check = _entries_by_check(["sample", "--samples", "100", "--seed", "7"], capsys)
+    probe = by_check.pop("iso.sampled_complement_probe")
+    assert [(e["status"], e["note"]) for e in probe] == \
+        [("skipped", "50 vertices exceed guard 49")]
+    assert len(by_check) == 7
+    assert all(e["status"] == "pass" for entries in by_check.values() for e in entries)
+
+
+def test_kinds_accept_the_cli_aliases(tmp_path, capsys):
+    """``--kinds`` and a config's ``kinds`` take the names ``--kind`` takes,
+    and the report echoes the canonical ones."""
+    base = ["verify", "--atoms", "2..2"]
+    assert main(base + ["--kinds", "weakly_zd,zero_divisor"]) == 0
+    canonical = capsys.readouterr().out
+    assert main(base + ["--kinds", "weakly-zd,zero-divisor"]) == 0
+    assert capsys.readouterr().out == canonical
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"kinds": ["weakly-zd", "zero-divisor"]}')
+    assert main(base + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == canonical
+    assert _exit_code(base + ["--kinds", "weakly-zd,septic"]) == 2
+    assert capsys.readouterr().err == "invalid configuration: unknown kinds ['septic']\n"
 
 
 def _assert_renders_reports(argv, name, capsys):
