@@ -233,7 +233,7 @@ class CheckDef:
     alphabets: tuple[int, ...] = ()
     needs_k3: str | None = None   # skip reason when the alphabet is below 3
     label: str = "n={n} k={k} expanded"
-    skip_label: str = "n={n} k={k}"
+    skip_label: str = "n={n} k={k}"   # a per-mode check's label names its mode either way
 
     def instances(self, config: SuiteConfig):
         """``(n, mode, k)`` for every atomic instance, in report order."""
@@ -380,15 +380,15 @@ def _check_entries(check: CheckDef, ctx: RunContext) -> list[ReportEntry]:
             return [_skip(check.id, "all", str(exc))]
     entries = []
     for n, mode, k in check.instances(config):
+        if mode is None:
+            label, skip_label = check.label.format(n=n, k=k), check.skip_label.format(n=n, k=k)
+        else:
+            label = skip_label = f"n={n} {mode}" + (f" k={k}" if k is not None else "")
         try:
             outcome = check.fn(ctx, n, mode, k) if check.per_mode else check.fn(ctx, n, k)
         except BoundExceededError as exc:
-            entries.append(_skip(check.id, check.skip_label.format(n=n, k=k), str(exc)))
+            entries.append(_skip(check.id, skip_label, str(exc)))
             continue
-        if mode is None:
-            label = check.label.format(n=n, k=k)
-        else:
-            label = f"n={n} {mode}" + (f" k={k}" if k is not None else "")
         entries.append(_entry(config, check.id, label, n, outcome))
     return entries
 

@@ -14,18 +14,19 @@ Two finitely representable backends share one set-algebra API:
 
 Each binary operation is a 4-entry truth table on the two memberships,
 evaluated on atom masks by ``_atoms`` and on intervals by one merge sweep
-over the two cut lists (``_sweep``).  The nullity forms ask whether such a
-set is null without building it: ``is_disjoint``, ``is_subset``,
-``null_equal``, and ``covers`` (the union is X: the complements meet in a
-null set), which is zero-divisor adjacency as ``is_disjoint`` is comaximal.
+over the two cut lists (``_sweep``), the one kernel that builds interval
+sets.  The nullity forms ask whether such a set is null and build no set:
+``is_disjoint``, ``is_subset`` and ``null_equal`` (``_null``) stop at the
+first piece where the table holds, and ``covers`` (the union is X), which
+is zero-divisor adjacency as ``is_disjoint`` is comaximal, at the first gap.
 
 Weights, measures and split targets are ``fractions.Fraction``; interval
 endpoints are ints over a common denominator, so the interval algebra is
 int arithmetic.  Nothing in this module ever rounds, and the entry points
 that take a value (``AtomicSpace``, ``interval_set``, ``split_at_measure``)
-refuse floats.  All types are immutable and all operations are pure
-functions.  Each operation validates its arguments once, then branches
-once on the backend.
+refuse floats.  A set is a named tuple and a space a frozen dataclass, so
+all types are immutable, and all operations are pure functions.  Each
+operation validates its arguments once, then branches once on the backend.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 ATOMIC = "atomic"
 INTERVAL = "interval"
@@ -44,7 +45,10 @@ class BackendMismatchError(ValueError):
 
 
 def _exact(value: Fraction | int | str) -> Fraction:
-    """``Fraction(value)``, refusing floats: a float is not an exact rational."""
+    """``Fraction(value)``, refusing floats: a float is not an exact rational.
+    A Fraction is immutable, so one is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"exact rationals only (int, Fraction or str), got float {value!r}")
     return Fraction(value)
@@ -92,16 +96,17 @@ def unit_space(n_atoms: int) -> AtomicSpace:
     return AtomicSpace(tuple(Fraction(1) for _ in range(n_atoms)))
 
 
-@dataclass(frozen=True)
-class MeasurableSet:
+class MeasurableSet(NamedTuple):
     """A set in one backend: atom bitmask, or canonical interval union.
 
-    Exactly one payload is populated, selected by ``backend``: ``mask``, or
-    ``den`` and ``cuts``.  Interval payloads are always canonical -- cuts
-    strictly increasing in [0, den] and even in number, ``gcd(den, *cuts)
-    == 1``, the empty set ``den=1, cuts=()`` -- so structural equality
-    coincides with null-equality (two canonical interval unions that differ
-    must differ by a set of positive length).
+    A named tuple, cheap to build, hash and compare; ``backend`` is its
+    first field, so an atomic set never equals an interval set.  Exactly one
+    payload is populated, selected by ``backend``: ``mask``, or ``den`` and
+    ``cuts``.  Interval payloads are always canonical -- cuts strictly
+    increasing in [0, den] and even in number, ``gcd(den, *cuts) == 1``, the
+    empty set ``den=1, cuts=()`` -- so structural equality coincides with
+    null-equality (two canonical interval unions that differ must differ by
+    a set of positive length).
     """
 
     backend: str
@@ -161,12 +166,13 @@ def interval_set(pairs: Iterable[tuple[Fraction | int | str, Fraction | int | st
 def _check(space: MeasureSpace, *sets: MeasurableSet) -> None:
     """Refuse a set of the other backend, or an atomic set with a bit at or
     above the atom count.  An interval set costs one comparison."""
+    backend = space.backend
     for s in sets:
-        if s.backend != space.backend:
+        if s.backend != backend:
             raise BackendMismatchError(
-                f"set backend {s.backend!r} used with space backend {space.backend!r}"
+                f"set backend {s.backend!r} used with space backend {backend!r}"
             )
-    if space.backend == ATOMIC:
+    if backend == ATOMIC:
         for s in sets:
             if s.mask >> space.n_atoms:
                 raise ValueError(f"atom index out of range for a {space.n_atoms}-atom space")
@@ -234,12 +240,25 @@ def _combine(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet,
 
 def _null(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet, table: tuple[int, ...]) -> bool:
     """True when the set where ``table`` holds is null, building no set: on
-    intervals the sweep stops at its first cut."""
+    intervals the walk of ``_sweep`` stops at the first piece where the
+    table holds, and past it the rest of the unspent list is in it only."""
     _check(space, a, b)
     if space.backend == ATOMIC:
         return not _atoms(a.mask, b.mask, table)
     ca, cb, _ = _rescaled(a, b)
-    return next(_sweep(ca, cb, table), None) is None
+    na, nb = len(ca), len(cb)
+    i = j = state = 0
+    while i < na and j < nb:
+        x, y = ca[i], cb[j]
+        if x <= y:
+            i += 1
+            state ^= 2
+        if y <= x:
+            j += 1
+            state ^= 1
+        if table[state]:
+            return False
+    return not (table[2] and i < na or table[1] and j < nb)
 
 
 def union(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:
@@ -303,8 +322,28 @@ def is_disjoint(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool
 
 
 def covers(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> bool:
-    """The union is X up to null sets: the complements meet in a null set."""
-    return is_subset(space, complement(space, a), b)
+    """The union is X up to null sets, building no set.  On intervals one
+    walk over both lists' pieces tracks the covered prefix [0, reach): a
+    piece that starts within or at its end extends it, and when neither
+    list's next piece does, [reach, den) has a gap of positive length."""
+    _check(space, a, b)
+    if space.backend == ATOMIC:
+        return a.mask | b.mask == (1 << space.n_atoms) - 1
+    ca, cb, den = _rescaled(a, b)
+    na, nb = len(ca), len(cb)
+    i = j = reach = 0
+    while reach < den:
+        if i < na and ca[i] <= reach:
+            hi = ca[i + 1]
+            i += 2
+        elif j < nb and cb[j] <= reach:
+            hi = cb[j + 1]
+            j += 2
+        else:
+            return False
+        if hi > reach:
+            reach = hi
+    return True
 
 
 def is_atom(space: MeasureSpace, a: MeasurableSet) -> bool:

@@ -309,6 +309,7 @@ def test_guard_fires_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(graph_build, "enumerate_functions", refuse)
     monkeypatch.setattr(graph_build, "enumerate_zclasses", refuse)
+    monkeypatch.setattr(graph_build, "MAX_VERTICES", 5000)
     for kind in GraphKind:
         with pytest.raises(BoundExceededError, match="exceed guard 5000"):
             build_graph(unit_space(12), kind, "expanded", alphabet=3)

@@ -955,6 +955,15 @@ def test_verify_skips_the_instances_over_the_guard(monkeypatch, capsys):
     assert guard_skips == 26
 
 
+def test_a_skipped_per_mode_instance_names_its_mode(capsys):
+    """A per-mode check labels a skipped instance as it labels a passing one."""
+    argv = ["verify", "--atoms", "8..8", "--only", "comaximal.distance_formula"]
+    entries = _entries_by_check(argv, capsys)["comaximal.distance_formula"]
+    assert [(e["instance"], e["status"], e.get("note")) for e in entries] == [
+        ("n=8 quotient", "pass", None),
+        ("n=8 expanded k=3", "skipped", "6304 vertices exceed guard 5000")]
+
+
 def test_verify_skips_a_class_partition_over_the_guard(capsys):
     """Alphabet 20,000 at n=2 gives 39,998 expanded vertices: the one
     instance skips on the guard, and the run exits 0."""

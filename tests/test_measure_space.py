@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrfgraph import measure_space
 from mrfgraph.measure_space import (
     DIFFERENCE,
     INTERSECT,
@@ -18,6 +19,7 @@ from mrfgraph.measure_space import (
     BackendMismatchError,
     IntervalSpace,
     MeasurableSet,
+    _exact,
     _null,
     atom_set,
     cell_masks,
@@ -193,6 +195,35 @@ def test_interval_payload_is_reduced_integer_cuts():
     assert iv((0, 1)) == MeasurableSet("interval", den=1, cuts=(0, 1))
     assert iv() == MeasurableSet("interval") == complement(INTERVAL_SPACE, iv((0, 1)))
     assert iv(("1/3", "2/3")).intervals == ((Fraction(1, 3), Fraction(2, 3)),)
+
+
+def test_measurable_set_is_a_value():
+    """Keyword and positional construction agree, the backend takes part in
+    equality, a set cannot be assigned to, and ``repr``, ``str`` and
+    ``hash`` read as those of the frozen dataclass the named tuple replaced."""
+    kw = MeasurableSet(backend="interval", mask=0, den=4, cuts=(0, 1, 2, 3))
+    pos = MeasurableSet("interval", 0, 4, (0, 1, 2, 3))
+    assert kw == pos == iv((0, "1/4"), ("1/2", "3/4")) and hash(kw) == hash(pos)
+    assert hash(kw) == hash(("interval", 0, 4, (0, 1, 2, 3)))
+    assert MeasurableSet("atomic") != MeasurableSet("interval")
+    assert atom_set([]) != iv() and len({atom_set([]), iv()}) == 2
+    assert MeasurableSet("atomic", mask=1) != MeasurableSet("interval", mask=1)
+    with pytest.raises(AttributeError):
+        kw.cuts = ()
+    assert repr(kw) == "MeasurableSet(backend='interval', mask=0, den=4, cuts=(0, 1, 2, 3))"
+    assert str(kw) == "[0,1/4)+[1/2,3/4)" and f"{kw}" == str(kw)
+    a = atom_set([0, 2])
+    assert repr(a) == "MeasurableSet(backend='atomic', mask=5, den=1, cuts=())"
+    assert str(a) == "{0,2}" and str(iv()) == "[]"
+
+
+def test_exact_passes_a_fraction_through():
+    """A Fraction is immutable, so ``_exact`` returns it as it is."""
+    r = Fraction(2, 7)
+    assert _exact(r) is r
+    assert _exact("2/7") == r and _exact(3) == Fraction(3)
+    with pytest.raises(TypeError):
+        _exact(0.25)
 
 
 def test_interval_set_rejects_bad_bounds():
@@ -668,3 +699,28 @@ def test_nullity_forms_check_their_arguments():
             form(space, ok, atom_set([2]))
         with pytest.raises(BackendMismatchError):
             form(INTERVAL_SPACE, iv((0, "1/2")), ok)
+
+
+def test_nullity_forms_build_no_set(monkeypatch):
+    """``is_disjoint``, ``is_subset``, ``null_equal`` and ``covers`` answer
+    from the payloads on both backends: no call constructs a set."""
+    atomic = unit_space(3)
+    cases = [(atomic, atom_set(i for i in range(3) if x >> i & 1),
+              atom_set(i for i in range(3) if y >> i & 1))
+             for x in range(8) for y in range(8)]
+    cases += [(INTERVAL_SPACE, a, b) for a, b in itertools.product(GRID, repeat=2)]
+    half, first = iv((0, "1/2")), atom_set([0])
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return MeasurableSet(*args, **kwargs)
+
+    monkeypatch.setattr(measure_space, "MeasurableSet", counting)
+    for space, a, b in cases:
+        for form in NULLITY:
+            form(space, a, b)
+    assert built == []
+    complement(INTERVAL_SPACE, half)  # the spy does see a set that is built
+    complement(atomic, first)
+    assert len(built) == 2
