@@ -215,7 +215,9 @@ def _add_suite_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--atoms", type=_atom_range, default=None, help="atom range, e.g. 3 or 2..5")
     p.add_argument("--alphabet", type=int, default=None)
     p.add_argument("--weights", choices=["unit", "random-positive"], default=None)
-    p.add_argument("--kinds", default=None, help="comma-separated graph kinds to build")
+    p.add_argument("--kinds", default=None,
+                   help="comma-separated graph kinds whose suites run; the measure_core, "
+                        "quotient and iso checks still build every kind")
     p.add_argument("--samples", type=_int_at_least(1), default=None, dest="sample_count",
                    metavar="SAMPLES")
     p.add_argument("--seed", type=int, default=None)

@@ -10,10 +10,10 @@ Adjacency is decided by closed-form nullity predicates on zero sets:
 * weakly-zd        -- on vertices whose zero set is an atom: the zero sets
                       differ by a set of positive measure.
 
-The four kinds share one vertex set, so an expanded build takes its
-functions and their zero-set partition from one cached universe per space
-and alphabet; a build then only fills the adjacency, and
-weakly-zd keeps the members of the classes whose zero set is an atom.  A
+The four kinds share one vertex set, so an atomic build takes its vertices
+and their zero-set partition from one cached universe per space and alphabet
+(None in quotient mode); a build then only fills the adjacency, and weakly-zd
+keeps the members of the classes whose zero set is an atom.  A
 build tests the predicates on cell masks, where a set is null exactly when
 its mask is 0, so both backends share one int kernel; ``adjacent`` is the
 exact reference.  ``oracle_row`` recomputes the same relations from the
@@ -391,15 +391,17 @@ def _vertex_count(n: int, kind: GraphKind, mode: str, alphabet: int | None) -> i
 
 
 @lru_cache(maxsize=8)
-class _ExpandedUniverse:
-    """The expanded vertices of one space and alphabet, enumerated once for
-    all four graph kinds: the functions of :func:`enumerate_functions` as a
-    tuple and their zero-set partition.  Keyed by the space, not by n, so a
-    space with other weights enumerates its own."""
+class _Universe:
+    """The atomic vertices of one space and alphabet, enumerated once for all
+    four graph kinds, as a tuple, and their zero-set partition: the classes
+    of :func:`enumerate_zclasses` when ``k`` is None (quotient mode), else
+    the functions of :func:`enumerate_functions`.  Keyed by the space, not
+    by n, so a space with other weights enumerates its own."""
 
-    def __init__(self, space: AtomicSpace, k: int):
-        self.functions = tuple(enumerate_functions(space, k))
-        self.classes = zero_set_classes([f.zero_set for f in self.functions])
+    def __init__(self, space: AtomicSpace, k: int | None):
+        found = enumerate_zclasses(space) if k is None else enumerate_functions(space, k)
+        self.vertices = tuple(found)
+        self.classes = zero_set_classes([v.zero_set for v in self.vertices])
 
 
 def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
@@ -417,22 +419,18 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
             raise ValueError("interval-backend graphs need an explicit sampled vertex list")
         mode, alphabet = "sampled", None
         payloads = [zclass(space, z) for z in dict.fromkeys(zc.zero_set for zc in sample)]
+        classes = zero_set_classes([p.zero_set for p in payloads])
     else:
         if mode not in ("quotient", "expanded"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "expanded" and (alphabet is None or alphabet < 2):
             raise ValueError("expanded mode needs an alphabet size k >= 2")
+        alphabet = alphabet if mode == "expanded" else None
         count = _vertex_count(space.n_atoms, kind, mode, alphabet)
         if count > MAX_VERTICES:
             raise BoundExceededError(f"{count} vertices exceed guard {MAX_VERTICES}")
-        if mode == "quotient":
-            alphabet = None
-            payloads = enumerate_zclasses(space)
-    if mode == "expanded":
-        universe = _ExpandedUniverse(space, alphabet)
-        payloads, classes = universe.functions, universe.classes
-    else:
-        classes = zero_set_classes([p.zero_set for p in payloads])
+        universe = _Universe(space, alphabet)
+        payloads, classes = universe.vertices, universe.classes
     if kind is GraphKind.WEAKLY_ZD:  # the members of the atom classes, in vertex order
         keep = [vs for z, vs in zip(classes.zero_sets, classes.members) if is_atom(space, z)]
         payloads = [payloads[v] for v in sorted(itertools.chain.from_iterable(keep))]

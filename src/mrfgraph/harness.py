@@ -369,8 +369,12 @@ def _skip(check_id: str, instance: str, reason: str) -> ReportEntry:
 
 
 def _check_entries(check: CheckDef, ctx: RunContext) -> list[ReportEntry]:
-    """Run one check over its domain: one entry per instance, in order."""
+    """Every entry one check contributes: one ``all`` skip when its kind is
+    not selected or it needs k >= 3, else one entry per instance, in order,
+    or one ``none`` skip when its domain is empty."""
     config = ctx.config
+    if check.kind is not None and check.kind not in config.kinds:
+        return [_skip(check.id, "all", f"kind {check.kind} not selected")]
     if check.needs_k3 is not None and config.alphabet < 3:
         return [_skip(check.id, "all", check.needs_k3)]
     if check.backend == INTERVAL:
@@ -390,22 +394,14 @@ def _check_entries(check: CheckDef, ctx: RunContext) -> list[ReportEntry]:
             entries.append(_skip(check.id, skip_label, str(exc)))
             continue
         entries.append(_entry(config, check.id, label, n, outcome))
-    return entries
+    return entries or [_skip(check.id, "none", "check produced no instances")]
 
 
 def run_suite(config: SuiteConfig) -> Report:
     """Execute every applicable check and append a coverage self-audit."""
     ctx = RunContext(config)
     selected = applicable_checks(config)
-    entries: list[ReportEntry] = []
-    for check in selected:
-        if check.kind is not None and check.kind not in config.kinds:
-            entries.append(_skip(check.id, "all", f"kind {check.kind} not selected"))
-            continue
-        produced = _check_entries(check, ctx)
-        if not produced:
-            produced = [_skip(check.id, "none", "check produced no instances")]
-        entries.extend(produced)
+    entries = [e for check in selected for e in _check_entries(check, ctx)]
     if config.only is None:
         expected_ids = sorted(c.id for c in selected)
         present = {e.check for e in entries}
@@ -420,10 +416,5 @@ def run_suite(config: SuiteConfig) -> Report:
     return Report(config, entries)
 
 
-def render_report(report: Report, output: str | None = None) -> str:
-    fmt = output or report.config.output
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "text":
-        return report.to_text()
-    raise ValueError(f"unknown output format {fmt!r}")
+def render_report(report: Report) -> str:  # in the config's validated output format
+    return report.to_json() if report.config.output == "json" else report.to_text()

@@ -343,4 +343,4 @@ def test_criterion_8_degenerate_and_determinism():
     config = SuiteConfig(atoms_min=2, atoms_max=3)
     first, second = run_suite(config), run_suite(config)
     assert render_report(first) == render_report(second)
-    assert render_report(first, "text") == render_report(second, "text")
+    assert first.to_text() == second.to_text()

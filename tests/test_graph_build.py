@@ -13,7 +13,7 @@ from mrfgraph.graph_build import (
     BoundExceededError,
     GraphKind,
     _AnnihilatorTable,
-    _ExpandedUniverse,
+    _Universe,
     _fill_adjacency,
     adjacent,
     build_graph,
@@ -44,6 +44,7 @@ from mrfgraph.vertex_universe import (
     ExpandedFunction,
     ZClass,
     enumerate_functions,
+    enumerate_zclasses,
     sample_interval_classes,
 )
 
@@ -320,11 +321,11 @@ def test_guard_fires_before_enumeration(monkeypatch):
 
 @pytest.fixture
 def fresh_universes():
-    """An empty expanded-universe cache, before and after, for tests that
+    """An empty vertex-universe cache, before and after, for tests that
     count enumerations or patch the enumerator."""
-    _ExpandedUniverse.cache_clear()
+    _Universe.cache_clear()
     yield
-    _ExpandedUniverse.cache_clear()
+    _Universe.cache_clear()
 
 
 def spy_enumerations(monkeypatch):
@@ -401,15 +402,45 @@ def test_expanded_build_holds_the_universe_partition(fresh_universes):
     partition objects (weakly-zd its own partition of the atom classes); the
     partition stays out of equality and hashing."""
     space = unit_space(4)
-    universe = _ExpandedUniverse(space, 3)
+    universe = _Universe(space, 3)
     for kind in KINDS:
         g = build_graph(space, kind, "expanded", alphabet=3)
         if kind is GraphKind.WEAKLY_ZD:
             assert g.classes == zero_set_classes(g.zero_sets)
         else:
-            assert g.vertices is universe.functions and g.classes is universe.classes
+            assert g.vertices is universe.vertices and g.classes is universe.classes
         bare = dataclasses.replace(g, classes=None)
         assert bare == g and hash(bare) == hash(g) and "classes" not in repr(g)
+
+
+def test_quotient_build_holds_the_universe_partition(fresh_universes):
+    """The quotient builds of the four kinds on one space hold one vertex
+    tuple and one partition object; weakly-zd partitions its atom classes."""
+    space = unit_space(4)
+    universe = _Universe(space, None)
+    for kind in KINDS:
+        g = build_graph(space, kind, "quotient")
+        if kind is GraphKind.WEAKLY_ZD:
+            assert g.classes == zero_set_classes(g.zero_sets)
+            assert g.classes is not universe.classes
+        else:
+            assert g.vertices is universe.vertices and g.classes is universe.classes
+
+
+def test_quotient_kinds_enumerate_once_per_space(monkeypatch, fresh_universes):
+    from mrfgraph import graph_build
+
+    calls = []
+
+    def spy(space):
+        calls.append(space)
+        return enumerate_zclasses(space)
+
+    monkeypatch.setattr(graph_build, "enumerate_zclasses", spy)
+    space = unit_space(4)
+    for kind in KINDS:
+        build_graph(space, kind, "quotient")
+    assert calls == [space]
 
 
 def test_definition_checks_read_the_shared_vertices(monkeypatch, fresh_universes):

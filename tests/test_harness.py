@@ -24,6 +24,7 @@ from mrfgraph.harness import (
     Report,
     RunContext,
     SuiteConfig,
+    _check_entries,
     applicable_checks,
     make_weights,
     render_report,
@@ -58,7 +59,7 @@ def test_small_run_matches_committed_report(small_report):
 def test_reports_are_byte_identical(small_report):
     again = run_suite(SMALL)
     assert render_report(small_report) == render_report(again)
-    assert render_report(small_report, "text") == render_report(again, "text")
+    assert small_report.to_text() == again.to_text()
 
 
 def test_coverage_self_audit(small_report):
@@ -921,6 +922,63 @@ def test_check_times_skips_over_the_guard(capsys):
     assert lines[-1].endswith(f"total over {len(ids)} checks")
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["--atoms", "2..2"], SuiteConfig(atoms_min=2, atoms_max=2)),
+    (["--atoms", "2..3"], SuiteConfig(atoms_min=2, atoms_max=3)),
+    (["--atoms", "8..8"], SuiteConfig(atoms_min=8, atoms_max=8)),
+    (["--samples", "20"], SuiteConfig(backend="interval", sample_count=20)),
+], ids=["atoms-2..2", "atoms-2..3", "atoms-8..8", "samples-20"])
+def test_check_times_counts_equal_the_report(argv, config, capsys):
+    """Each check's pass/fail/skipped counts are those of its entries in the
+    report of the same run, the ``none`` skip of an empty domain included."""
+    assert _script("check_times").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[1:-1]
+    printed = {line.split()[2]: line.split()[-1] for line in lines}
+    statuses: dict[str, list[str]] = {}
+    for e in run_suite(config).entries:
+        if e.check != "harness.coverage_complete":
+            statuses.setdefault(e.check, []).append(e.status)
+    assert printed == {check: "/".join(str(got.count(s)) for s in ("pass", "fail", "skipped"))
+                       for check, got in statuses.items()}
+
+
+def test_check_entries_makes_the_gate_and_empty_domain_skips():
+    """``_check_entries`` itself makes the ``all`` skip of an unselected kind
+    and the ``none`` skip of a check with no instance in the atom range."""
+    ctx = RunContext(SuiteConfig(atoms_min=2, atoms_max=2, kinds=("zero_divisor",)))
+    gated = _check_entries(REGISTRY["comaximal.distance_formula"], ctx)
+    assert [(e.instance, e.status, e.note) for e in gated] == \
+        [("all", "skipped", "kind comaximal not selected")]
+    ctx = RunContext(SuiteConfig(atoms_min=2, atoms_max=2))
+    for check_id in ("comaximal.cycle_rank_cases", "weakly_zd.three_atom_properties"):
+        assert [(e.check, e.instance, e.status, e.note)
+                for e in _check_entries(REGISTRY[check_id], ctx)] == \
+            [(check_id, "none", "skipped", "check produced no instances")]
+
+
+def test_render_report_follows_the_config(small_report):
+    assert render_report(small_report) == small_report.to_json()
+    text = Report(dataclasses.replace(small_report.config, output="text"), small_report.entries)
+    assert render_report(text) == small_report.to_text()
+
+
+def test_weight_independence_names_the_graphs_over_the_guard(capsys):
+    """At n=8 the three 6,304-vertex expanded graphs are over the guard; the
+    other five are compared and the entry passes, naming the three."""
+    argv = ["verify", "--atoms", "8..8", "--only", "measure_core.weight_independence"]
+    entries = _entries_by_check(argv, capsys)["measure_core.weight_independence"]
+    assert [(e["instance"], e["status"], e["note"]) for e in entries] == \
+        [("n=8", "pass", UNCOMPARED_AT_8)]
+
+
+def test_weight_independence_skips_when_no_graph_is_under_the_guard(monkeypatch):
+    monkeypatch.setattr(graph_build, "MAX_VERTICES", 1)
+    report = run_suite(SuiteConfig(atoms_min=3, atoms_max=3,
+                                   only="measure_core.weight_independence"))
+    assert [(e.instance, e.status, e.note) for e in report.entries] == \
+        [("n=3 k=3", "skipped", "6 vertices exceed guard 1")]
+
+
 def _entries_by_check(argv, capsys) -> dict[str, list[dict]]:
     assert main(argv) == 0
     by_check: dict[str, list[dict]] = {}
@@ -929,11 +987,17 @@ def _entries_by_check(argv, capsys) -> dict[str, list[dict]]:
     return by_check
 
 
+UNCOMPARED_AT_8 = "; ".join(f"{kind}_expanded_n8_k3 not compared: 6304 vertices exceed guard 5000"
+                           for kind in ("zero_divisor", "comaximal", "annihilator"))
+
+
 def test_verify_skips_the_instances_over_the_guard(monkeypatch, capsys):
     """n=8 expanded graphs have 6,304 vertices, over the guard of 5,000.  The
     run goes on: its entries for n <= 7 are those of ``--atoms 2..7``, and
     each n=8 entry is the one a run with the guard at 6,304 makes, or a
-    SKIPPED entry naming the guard.  Only the coverage self-audit differs."""
+    SKIPPED entry naming the guard; ``measure_core.weight_independence``
+    passes on the graphs under the guard and names the three it left out.
+    Only the coverage self-audit differs."""
     wide = _entries_by_check(["verify", "--atoms", "2..8"], capsys)
     low = _entries_by_check(["verify", "--atoms", "2..7"], capsys)
     monkeypatch.setattr(graph_build, "MAX_VERTICES", 6304)
@@ -948,11 +1012,13 @@ def test_verify_skips_the_instances_over_the_guard(monkeypatch, capsys):
         full = [e for e in lifted[check] if e.get("note") != "check produced no instances"]
         assert len(top) == len(full), check
         for got, want in zip(top, full):
-            if got != want:
+            if check == "measure_core.weight_independence":
+                assert got == dict(want, note=UNCOMPARED_AT_8), check
+            elif got != want:
                 assert (got["status"], got.get("note")) == \
                     ("skipped", "6304 vertices exceed guard 5000"), check
                 guard_skips += 1
-    assert guard_skips == 26
+    assert guard_skips == 25
 
 
 def test_a_skipped_per_mode_instance_names_its_mode(capsys):
