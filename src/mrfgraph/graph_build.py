@@ -13,17 +13,20 @@ Adjacency is decided by closed-form nullity predicates on zero sets:
 The four kinds share one vertex set, so an atomic build takes its vertices
 and their zero-set partition from one cached universe per space and alphabet
 (None in quotient mode); a build then only fills the adjacency, and weakly-zd
-keeps the members of the classes whose zero set is an atom.  A
-build tests the predicates on cell masks, where a set is null exactly when
-its mask is 0, so both backends share one int kernel; ``adjacent`` is the
-exact reference.  ``oracle_row`` recomputes the same relations from the
-ring-theoretic definitions alone, one row per vertex: the adjacency of f to
-each function of a list, as a bitmask (pointwise products; annihilator
-ideals as bitsets over the k^n candidate functions; one cached table per
-space and alphabet, which also memoises the a.e. test per value tuple), so
-that the closed forms can be cross-validated exhaustively by comparing
-rows; ``oracle_mismatches`` lists the pairs where a vertex list's oracle rows
-differ from given rows.  ``oracle_adjacent`` is its one-pair case.
+keeps the members of the classes whose zero set is an atom.  A build decides
+the predicates on cell masks, where a set is null exactly when its mask is
+0, so both backends share one int kernel: each predicate is an OR over the
+runs of consecutive cells of a class's mask, read from a sparse table of
+per-cell vertex columns, so a class row costs a few lookups and no class
+pair is tested; ``adjacent`` is the exact reference.  ``oracle_row``
+recomputes the same relations from the ring-theoretic definitions alone, one
+row per vertex: the adjacency of f to each function of a list, as a bitmask
+(pointwise products; annihilator ideals as bitsets over the k^n candidate
+functions; one cached table per space and alphabet, which also memoises the
+a.e. test per value tuple), so that the closed forms can be cross-validated
+exhaustively by comparing rows; ``oracle_mismatches`` lists the pairs where
+a vertex list's oracle rows differ from given rows.  ``oracle_adjacent`` is
+its one-pair case.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from operator import add, mul, not_
+from operator import add, mul, not_, or_, xor
 from typing import Iterable, Sequence
 
 from .measure_space import (
@@ -349,32 +352,82 @@ class Graph:
         return "_".join(parts)
 
 
+def _runs(mask: int):
+    """The maximal runs of set bits of ``mask`` as ranges ``(lo, hi)``,
+    ``hi`` exclusive, lowest first."""
+    while mask:
+        lo = (mask & -mask).bit_length() - 1
+        carried = mask + (1 << lo)  # the run's carry lands on bit hi
+        yield lo, (carried & -carried).bit_length() - 1
+        mask &= carried
+
+
+def _range_or_table(columns: list[int]) -> list[list[int]]:
+    """Sparse table over ``columns``: level k holds the OR of each window of
+    2^k consecutive columns, so the OR of any range is two lookups."""
+    table = [columns]
+    span = 1
+    while 2 * span <= len(columns):
+        level = table[-1]
+        table.append(list(map(or_, level, level[span:])))
+        span *= 2
+    return table
+
+
+def _range_or(table: list[list[int]], mask: int) -> int:
+    """The OR of the columns of the cells of ``mask``, two lookups per run."""
+    out = 0
+    for lo, hi in _runs(mask):
+        k = (hi - lo).bit_length() - 1
+        level = table[k]
+        out |= level[lo] | level[hi - (1 << k)]
+    return out
+
+
 def _fill_adjacency(kind, space, classes: ZeroSetClasses) -> tuple[int, ...]:
-    """Adjacency rows from the cell masks of the zero-set classes.  One
-    comprehension per class lists the adjacent classes from itself on, so
-    each unordered pair is tested once (the cost of a test is the AND of two
-    long masks, not the call); each adjacent pair then adds each class's
-    member mask to the other's row, and a vertex's row drops its own bit.
-    Zero-divisor adjacency is the comaximal test on the complement masks.
-    The weakly-zd atom filter must run before, on the original space: a
-    single cell would look like an atom."""
-    full, masks = cell_masks(space, classes.zero_sets)
-    if kind is GraphKind.ZERO_DIVISOR:  # the cozero sets do not meet
-        masks = [full ^ m for m in masks]
+    """Adjacency rows from the cell masks of the zero-set classes, one class
+    row at a time and no class pair tested.  XORing each class's member mask
+    into a difference array at both ends of each run of its cell mask, a
+    prefix XOR gives the column of each cell: the vertices whose zero set
+    contains it (the cozero column is its complement).  With P(M) and Q(M)
+    the ORs of the zero and cozero columns over the cells of M, read from a
+    sparse table of each, and ``every`` the mask of all vertices, the row of
+    the class with cell mask Z is:
+
+    * comaximal:    no zero set meets Z, ``every & ~P(Z)``;
+    * zero-divisor: no cozero set meets X - Z, ``every & ~Q(X - Z)``;
+    * annihilator:  ``P(X - Z) & Q(Z)``;
+    * weakly-zd:    every other class, ``every & ~members``: distinct zero
+      sets have distinct cell masks.  The atom filter must run before, on
+      the original space: a single cell would look like an atom.
+
+    A vertex's row is its class row without its own bit; a class row holds
+    its own members only if the class is adjacent to itself, so every other
+    vertex shares its class row."""
     members = classes.masks
-    reach = [0] * len(masks)
-    for a, ma in enumerate(masks):
-        rest = enumerate(masks[a:], a)
-        if kind is GraphKind.ANNIHILATOR:
-            row = [b for b, mb in rest if ma & ~mb and mb & ~ma]
-        elif kind is GraphKind.WEAKLY_ZD:
-            row = [b for b, mb in rest if ma != mb]
+    every = (1 << len(classes.of)) - 1
+    if kind is GraphKind.WEAKLY_ZD:
+        rows = [every ^ m for m in members]
+    else:
+        full, masks = cell_masks(space, classes.zero_sets)
+        diff = [0] * (full.bit_length() + 1)
+        for z, m in zip(masks, members):
+            for lo, hi in _runs(z):
+                diff[lo] ^= m
+                diff[hi] ^= m
+        zero = list(itertools.accumulate(diff[:-1], xor))
+        if kind is GraphKind.COMAXIMAL:
+            p = _range_or_table(zero)
+            rows = [every ^ _range_or(p, z) for z in masks]
         else:
-            row = [b for b, mb in rest if not ma & mb]
-        for b in row:
-            reach[a] |= members[b]
-            reach[b] |= members[a]
-    return tuple(reach[c] & ~(1 << v) for v, c in enumerate(classes.of))
+            q = _range_or_table([every ^ col for col in zero])
+            if kind is GraphKind.ZERO_DIVISOR:
+                rows = [every ^ _range_or(q, full ^ z) for z in masks]
+            else:
+                p = _range_or_table(zero)
+                rows = [_range_or(p, full ^ z) & _range_or(q, z) for z in masks]
+    loops = [bool(r & m) for r, m in zip(rows, members)]
+    return tuple(rows[c] ^ (1 << v) if loops[c] else rows[c] for v, c in enumerate(classes.of))
 
 
 def _vertex_count(n: int, kind: GraphKind, mode: str, alphabet: int | None) -> int:

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 ATOMIC = "atomic"
@@ -125,10 +126,11 @@ class MeasurableSet(NamedTuple):
 
 
 def atom_set(indices: Iterable[int]) -> MeasurableSet:
-    """Atomic-backend set from atom indices."""
+    """Atomic-backend set from atom indices; a non-integer index such as a
+    float raises TypeError rather than being truncated."""
     mask = 0
     for i in indices:
-        i = int(i)
+        i = index(i)
         if i < 0:
             raise ValueError("atom indices must be non-negative")
         mask |= 1 << i

@@ -15,6 +15,7 @@ from mrfgraph.graph_build import (
     _AnnihilatorTable,
     _Universe,
     _fill_adjacency,
+    _runs,
     adjacent,
     build_graph,
     export_graph,
@@ -504,7 +505,7 @@ def pairwise_adjacency(g):
     return tuple(rows)
 
 
-ATOMIC_BUILDS = ([(n, "quotient", None) for n in range(1, 6)]
+ATOMIC_BUILDS = ([(n, "quotient", None) for n in range(1, 9)]
                  + [(n, "expanded", k) for n in (2, 3, 4) for k in (2, 3, 4)]
                  + [(5, "expanded", 3)])
 
@@ -557,6 +558,54 @@ def complement_closed(space, classes):
                               for z in (zc.zero_set, complement(space, zc.zero_set))))
 
 
+def grid_sets(m):
+    """Every proper nonempty union of the m equal cells of [0, 1), by cell
+    mask: bit i of the mask selects the cell [i/m, (i+1)/m)."""
+    return [interval_set((f"{i}/{m}", f"{i + 1}/{m}") for i in range(m) if mask >> i & 1)
+            for mask in range(1, 2 ** m - 1)]
+
+
+def bit_runs(mask):
+    """Reference for ``_runs``: the maximal runs of set bits, bit by bit."""
+    out, lo = [], None
+    for i in range(mask.bit_length() + 1):
+        if mask >> i & 1 and lo is None:
+            lo = i
+        elif not mask >> i & 1 and lo is not None:
+            out.append((lo, i))
+            lo = None
+    return out
+
+
+def test_runs_are_the_maximal_runs_of_set_bits():
+    sparse = sum(1 << i for i in random.Random(7).sample(range(2000), 60)) | 1 << 1999
+    cases = {0: [], 1 << 5: [(5, 6)], (1 << 40) - 1: [(0, 40)],
+             0b10101: [(0, 1), (2, 3), (4, 5)], 0b1011_0111: [(0, 3), (4, 6), (7, 8)],
+             sparse: bit_runs(sparse)}
+    for mask, want in cases.items():
+        assert list(_runs(mask)) == want, bin(mask)
+    assert bit_runs(sparse)[-1][1] == 2000
+    assert sum(hi - lo for lo, hi in _runs(sparse)) == sparse.bit_count()
+
+
+def test_grid_degrees_match_closed_forms():
+    """On the 4,094 proper unions of the m=12 grid, a class holding j cells
+    has comaximal degree 2^(m-j) - 1 (the unions inside its complement),
+    zero-divisor degree 2^j - 1 (the proper unions containing its
+    complement) and annihilator degree 2^m + 1 - 2^j - 2^(m-j) (the unions
+    neither inside it nor containing it)."""
+    m = 12
+    sets = grid_sets(m)
+    cells = [mask.bit_count() for mask in range(1, 2 ** m - 1)]
+    want = {GraphKind.COMAXIMAL: lambda j: 2 ** (m - j) - 1,
+            GraphKind.ZERO_DIVISOR: lambda j: 2 ** j - 1,
+            GraphKind.ANNIHILATOR: lambda j: 2 ** m + 1 - 2 ** j - 2 ** (m - j)}
+    for kind, degree in want.items():
+        g = build_graph(IntervalSpace(), kind, sample=map(ZClass, sets))
+        assert g.n_vertices == len(sets) == 4094
+        assert [g.degree(v) for v in range(g.n_vertices)] == list(map(degree, cells)), kind
+
+
 # Sets that touch at a shared endpoint, start at 0 or end at 1, and repeat.
 HAND_SETS = [interval_set(pairs) for pairs in (
     [(0, "1/2")], [("1/2", 1)], [("1/4", "1/2")], [("1/2", "3/4")],
@@ -568,7 +617,10 @@ HAND_SETS = [interval_set(pairs) for pairs in (
 @pytest.mark.parametrize("kind", KINDS)
 def test_mask_kernel_matches_pairwise_adjacent_on_intervals(kind):
     """The cell-mask kernel against the closed form on every vertex pair,
-    repeated zero sets included, so same-class (diagonal) pairs are tested.
+    repeated zero sets included, so same-class (diagonal) pairs are tested;
+    the empty set and X, twice each, make classes adjacent to themselves
+    (comaximal, zero-divisor), whose members' rows drop only their own bit.
+    The grid input is every proper union of the m=6 grid cells.
     A weakly-zd build keeps no interval vertex (no set is an atom), so that
     kind's kernel is compared with ``adjacent`` minus its atom guard."""
     space = IntervalSpace()
@@ -580,7 +632,8 @@ def test_mask_kernel_matches_pairwise_adjacent_on_intervals(kind):
         reference = lambda zu, zv: adjacent(kind, space, zu, zv)
         g = build_graph(space, kind, sample=map(ZClass, closed))
         assert g.adj == pairwise_adjacency(g)
-    for zero_sets in (closed + closed[:7], HAND_SETS):
+    loops = 2 * [interval_set([]), interval_set([(0, 1)])]
+    for zero_sets in (closed + closed[:7], HAND_SETS + loops, grid_sets(6)):
         rows = [0] * len(zero_sets)
         for i, j in itertools.combinations(range(len(zero_sets)), 2):
             if reference(zero_sets[i], zero_sets[j]):

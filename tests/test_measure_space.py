@@ -284,6 +284,17 @@ def test_atom_index_out_of_range():
                 unary(space, bad)
 
 
+def test_atom_set_rejects_non_integer_indices():
+    """Indices are taken with ``operator.index``: a float raises rather than
+    being truncated, while ints, bools and int-like objects pass."""
+    for bad in ([1.5, 0.9], [0, 2.0], ["1"], [Fraction(1)]):
+        with pytest.raises(TypeError):
+            atom_set(bad)
+    small = type("Small", (), {"__index__": lambda self: 2})
+    assert atom_set([0, True, small()]) == atom_set([0, 1, 2])
+    assert atom_set(range(3)).mask == 0b111
+
+
 def _members(s: MeasurableSet) -> frozenset[int]:
     """The atoms of an atomic set, read bit by bit from its mask."""
     assert s.backend == "atomic" and s.mask >= 0
