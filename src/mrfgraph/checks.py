@@ -120,9 +120,9 @@ def _pair_mismatches(g, want, got) -> int:
     (``_cell_pairs``).  This counts every vertex pair only because ``want``
     is symmetric and ``got`` is invariant under swapping false twins (an
     automorphism), so both are constant on a cell pair; every ``got`` in use
-    is: distance, orthogonal pairs, row equality, ``cycle_rank`` and edge
-    flags.  A ``got`` that reads vertex indices in any other way would be
-    compared on the representatives only."""
+    is: distance, the class-level orthogonality flag, row equality,
+    ``cycle_rank`` and edge flags.  A ``got`` that reads vertex indices in any
+    other way would be compared on the representatives only."""
     zsets, of = g.classes.zero_sets, g.classes.of
     return sum(w for i, j, w in _cell_pairs(g) if got(i, j) != want(zsets[of[i]], zsets[of[j]]))
 
@@ -163,11 +163,6 @@ def _value_row(check_id: str, expected: str, want, got, **domain) -> None:
     register(check_id, **domain)(check)
 
 
-def _orthogonal(ctx: RunContext, g):
-    pairs = set(complementation_profile(g).orthogonal_pairs)
-    return lambda i, j: (i, j) in pairs
-
-
 def _cycle_ranks(ctx: RunContext, g, need: int):
     """Smallest-cycle ranks within the run's cap, which must reach ``need``,
     the largest rank the rule predicts: a lower cap skips the instance."""
@@ -201,6 +196,11 @@ def _iso_verdict(ctx: RunContext, search, g1, g2):
 def _first_member(g, zero_set) -> int:
     """First vertex of the class with the given zero set."""
     return g.classes.members[g.classes.index[zero_set]][0]
+
+
+def _complement_firsts(g) -> list[int]:
+    """Per zero-set class, the first vertex of its complement's class."""
+    return [_first_member(g, complement(g.space, z)) for z in g.classes.zero_sets]
 
 
 def _oracle_check(ctx: RunContext, n: int, k: int, kind: GraphKind) -> Outcome:
@@ -398,13 +398,13 @@ _mismatch_row("comaximal.triangle_vertex_rule", _vertex_mismatches,
 @register("comaximal.hypertriangulated_never", per_mode=True)
 def check_comaximal_never_hypertriangulated(ctx: RunContext, n: int, mode: str,
                                             k: int | None):
-    space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
     profile = triangle_profile(g)
     ok = not profile.is_hypertriangulated
     witness = None
+    partner, of = _complement_firsts(g), g.classes.of
     for i in range(g.n_vertices):
-        j = _first_member(g, complement(space, g.zero_sets[i]))
+        j = partner[of[i]]
         in_triangle = bool(g.adj[i] & g.adj[j])
         if not g.is_edge(i, j) or in_triangle:
             ok = False
@@ -425,22 +425,18 @@ def check_comaximal_not_triangulated(ctx: RunContext, n: int, k: int):
 
 @register("comaximal.complemented_unique", per_mode=True)
 def check_comaximal_complemented(ctx: RunContext, n: int, mode: str, k: int | None):
-    space = ctx.space(n)
     g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
     profile = complementation_profile(g)
-    ok = profile.is_complemented and profile.is_uniquely_complemented
-    pairs = set(profile.orthogonal_pairs)
-    for i in range(g.n_vertices):
-        j = _first_member(g, complement(space, g.zero_sets[i]))
-        if (min(i, j), max(i, j)) not in pairs:
-            ok = False
+    partner, of = _complement_firsts(g), g.classes.of
+    ok = (profile.is_complemented and profile.is_uniquely_complemented
+          and all(profile.is_orthogonal(i, partner[of[i]]) for i in range(g.n_vertices)))
     return Outcome("uniquely complemented; complement class is an orthogonal partner",
                    "confirmed" if ok else "violated", ok)
 
 
 _mismatch_row("comaximal.orthogonality_rule", _pair_mismatches,
               "orthogonal iff zero sets and cozero sets are both almost disjoint",
-              orthogonal_comaximal, _orthogonal)
+              orthogonal_comaximal, lambda ctx, g: complementation_profile(g).is_orthogonal)
 
 
 _mismatch_row("comaximal.cycle_rank_cases", _pair_mismatches,
@@ -625,7 +621,7 @@ _mismatch_row("annihilator.orthogonal_complement_rule", _vertex_mismatches,
 
 _mismatch_row("annihilator.orthogonality_rule", _pair_mismatches,
               "orthogonal iff disjoint zero sets, disjoint cozero sets, one side atomic",
-              orthogonal_annihilator, _orthogonal)
+              orthogonal_annihilator, lambda ctx, g: complementation_profile(g).is_orthogonal)
 
 
 _mismatch_row("annihilator.cycle_rank_cases", _pair_mismatches,
@@ -766,7 +762,7 @@ def check_weakly_three_atoms(ctx: RunContext, n: int, k: int):
     profile = triangle_profile(g)
     comp = complementation_profile(g)
     ok = (profile.is_triangulated and profile.is_hypertriangulated
-          and summary.girth == 3 and not comp.orthogonal_pairs
+          and summary.girth == 3 and not any(comp.has_complement)
           and not comp.is_complemented)
     return Outcome(
         "triangulated, hypertriangulated, girth 3, no orthogonal pairs, not complemented",

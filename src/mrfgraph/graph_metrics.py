@@ -240,10 +240,18 @@ def triangle_profile(g: Graph) -> TriangleProfile:
 
 @dataclass(frozen=True)
 class ComplementationProfile:
-    orthogonal_pairs: tuple[tuple[int, int], ...]
+    """``partners[a]`` masks the classes whose edges to class ``a`` lie on
+    no triangle (its orthogonal partners); ``of`` gives each vertex's class."""
+
     has_complement: tuple[bool, ...]
     is_complemented: bool
     is_uniquely_complemented: bool
+    of: tuple[int, ...] = field(repr=False)
+    partners: tuple[int, ...] = field(repr=False)
+
+    def is_orthogonal(self, i: int, j: int) -> bool:
+        """Whether i and j are adjacent with no common neighbour."""
+        return bool(self.partners[self.of[i]] >> self.of[j] & 1)
 
 
 def complementation_profile(g: Graph) -> ComplementationProfile:
@@ -257,14 +265,10 @@ def complementation_profile(g: Graph) -> ComplementationProfile:
     one twin class, since distinct twin classes have distinct rows."""
     if g.n_vertices == 0:
         raise ValueError("complementation profile of an empty graph is undefined")
-    of, member_masks = g.twins.of, g.twins.masks
-    partners = [near & ~meet for near, meet in zip(g.quotient, _meeting(g.quotient))]
-    reach = [sum(member_masks[b] for b in _members(p)) for p in partners]
-    pairs = tuple((i, j) for i, c in enumerate(of) for j in _members(reach[c] >> i + 1 << i + 1))
-    has = tuple(bool(partners[c]) for c in of)
-    complemented = all(has)
-    unique = complemented and all(p.bit_count() == 1 for p in partners)
-    return ComplementationProfile(pairs, has, complemented, unique)
+    partners = tuple(near & ~meet for near, meet in zip(g.quotient, _meeting(g.quotient)))
+    has = tuple(bool(partners[c]) for c in g.twins.of)
+    unique = all(has) and all(p.bit_count() == 1 for p in partners)
+    return ComplementationProfile(has, all(has), unique, g.twins.of, partners)
 
 
 @dataclass(frozen=True)

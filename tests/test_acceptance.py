@@ -238,7 +238,8 @@ def test_criterion_5_weakly_suite():
             comp = complementation_profile(gw)
             assert profile.is_triangulated and profile.is_hypertriangulated
             assert summary.girth == 3
-            assert not comp.orthogonal_pairs and not comp.is_complemented
+            assert not any(comp.is_orthogonal(i, j) for i, j in gw.edges())
+            assert not any(comp.has_complement) and not comp.is_complemented
 
         values = np_metrics(gw, ("clique", "chromatic", "dominating"),
                             dominating_bound=128)

@@ -289,10 +289,9 @@ def test_comaximal_expanded_complemented():
     g = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=3)
     profile = complementation_profile(g)
     assert profile.is_complemented and profile.is_uniquely_complemented
-    pairs = set(profile.orthogonal_pairs)
     for i in range(g.n_vertices):
         j = g.zero_sets.index(complement(space, g.zero_sets[i]))
-        assert (min(i, j), max(i, j)) in pairs
+        assert profile.is_orthogonal(i, j) and profile.is_orthogonal(j, i)
 
 
 def test_annihilator_complemented_dichotomy():

@@ -129,8 +129,14 @@ def assert_profiles_match_reference(g: Graph) -> None:
     for (i, j), flag in edge_flags.items():
         assert tri.edge_flag(i, j) == tri.edge_flag(j, i) == flag, (i, j)
     comp = complementation_profile(g)
-    assert (comp.orthogonal_pairs, comp.has_complement, comp.is_complemented,
-            comp.is_uniquely_complemented) == reference_complementation_profile(g)
+    pairs, has, complemented, unique = reference_complementation_profile(g)
+    assert (comp.has_complement, comp.is_complemented,
+            comp.is_uniquely_complemented) == (has, complemented, unique)
+    orthogonal = set(pairs)
+    for i in range(g.n_vertices):
+        for j in range(g.n_vertices):
+            if i != j:
+                assert comp.is_orthogonal(i, j) == ((min(i, j), max(i, j)) in orthogonal), (i, j)
     assert partiteness(g) == reference_partiteness(g)
 
 
@@ -254,7 +260,9 @@ def test_edgeless_graph_profiles():
     tri = triangle_profile(g)
     assert not tri.is_triangulated and not tri.is_hypertriangulated
     comp = complementation_profile(g)
-    assert comp.orthogonal_pairs == () and not comp.is_complemented
+    n = g.n_vertices
+    assert not any(comp.is_orthogonal(i, j) for i in range(n) for j in range(n) if i != j)
+    assert not any(comp.has_complement) and not comp.is_complemented
     assert not comp.is_uniquely_complemented
 
 
@@ -343,8 +351,7 @@ def rule_comparisons(g: Graph, space):
     """The (want, got) of every rule check that calls ``_pair_mismatches``.
     Both cycle-rank checks read one table of ``cycle_rank`` per vertex pair,
     built up to n=4; at n=5 it would take about 4 s more."""
-    pairs = set(complementation_profile(g).orthogonal_pairs)
-    orthogonal = lambda i, j: (i, j) in pairs  # noqa: E731
+    orthogonal = complementation_profile(g).is_orthogonal
     yield partial(expected_comaximal_distance, space), metrics(g).distance
     yield partial(orthogonal_comaximal, space), orthogonal
     yield partial(orthogonal_annihilator, space), orthogonal
