@@ -8,19 +8,21 @@ or of the interval suites over a sample.
 Runs the checks that ``mrfgraph verify --atoms LO..HI`` (or ``mrfgraph
 sample --samples N``) selects, in the same order, through the harness's own
 instance loop on one ``RunContext``, and prints one line per check: wall
-seconds, then its pass/fail/skipped entry counts.  Work that several checks
-share is done first, timed on a line of its own rather than charged to
-whichever check asks first: ``--atoms`` builds each n's four quotient and
-four expanded graphs (the expanded ones share one vertex universe), the
-graphs that checks request at the run's alphabet, except those over the
-vertex guard, which the checks skip; ``--samples`` draws the interval class
-sample.  A check's time still includes the metrics and the graphs at other
+seconds, the process's peak RSS so far (``ru_maxrss``, so it never
+decreases down the lines), then its pass/fail/skipped entry counts.  Work
+that several checks share is done first, timed on a line of its own rather
+than charged to whichever check asks first: ``--atoms`` builds each n's
+four quotient and four expanded graphs (the expanded ones share one vertex
+universe), the graphs that checks request at the run's alphabet, except
+those over the vertex guard, which the checks skip; ``--samples`` draws
+the interval class sample.  A check's time still includes the metrics and the graphs at other
 alphabets that it is the first to request; later checks find them cached,
 as in a real run.  The last line is the total.  Nothing is written into a
 report, and the report of the same run is unaffected.
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -60,7 +62,8 @@ def main(argv=None) -> int:
         elapsed = time.perf_counter() - t0
         statuses = [e.status for e in entries]
         counts = "/".join(str(statuses.count(s)) for s in ("pass", "fail", "skipped"))
-        print(f"{elapsed:8.3f} s  {check.id:45s} pass/fail/skipped {counts}")
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024  # KiB on Linux
+        print(f"{elapsed:8.3f} s  {check.id:45s} peak {peak:5d} MiB  pass/fail/skipped {counts}")
     total = time.perf_counter() - start
     print(f"{total:8.3f} s  total over {len(checks)} checks")
     return 0

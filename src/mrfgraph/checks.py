@@ -20,6 +20,7 @@ from itertools import islice
 
 from .graph_build import (
     GraphKind,
+    _members,
     adjacent,
     build_graph,
     check_oracle_bounds,
@@ -32,7 +33,6 @@ from .graph_metrics import (
     BoundExceededError,
     annihilator_common_neighbor_zero_set,
     comaximal_triangle_zero_sets,
-    complementation_profile,
     cycle_rank,
     np_metrics,
     partiteness,
@@ -275,13 +275,14 @@ def check_two_atom_partition(ctx: RunContext, n: int, k: int):
 def check_ann_preorder(ctx: RunContext, n: int, k: int):
     space = ctx.space(n)
     zsets = [zc.zero_set for zc in enumerate_zclasses(space)]
-    # up[a]: bit b set when ann(zsets[a]) <= ann(zsets[b])
+    # up[a]: bit b set when ann(zsets[a]) <= ann(zsets[b]); the laws are
+    # tested row by row, each row against the rows it reaches
     up = [sum(1 << b for b, y in enumerate(zsets) if ann_leq(space, x, y)) for x in zsets]
-    pairs = [(a, b) for a in range(len(zsets)) for b in range(len(zsets))]
-    ok = (all(row >> a & 1 for a, row in enumerate(up))
-          and all(null_equal(space, zsets[a], zsets[b]) == bool(up[a] >> b & up[b] >> a & 1)
-                  for a, b in pairs)
-          and all(not up[b] & ~up[a] for a, b in pairs if up[a] >> b & 1))
+    ok = all(row >> a & 1
+             and all(null_equal(space, x, y) == bool(row >> b & up[b] >> a & 1)
+                     for b, y in enumerate(zsets))
+             and not any(up[b] & ~row for b in _members(row))
+             for a, (x, row) in enumerate(zip(zsets, up)))
     return Outcome("reflexive + transitive containment; equality iff null-equal zero sets",
                    "laws hold" if ok else "law violated", ok)
 
@@ -426,7 +427,7 @@ def check_comaximal_not_triangulated(ctx: RunContext, n: int, k: int):
 @register("comaximal.complemented_unique", per_mode=True)
 def check_comaximal_complemented(ctx: RunContext, n: int, mode: str, k: int | None):
     g = ctx.graph(n, GraphKind.COMAXIMAL, mode, alphabet=k)
-    profile = complementation_profile(g)
+    profile = triangle_profile(g)
     partner, of = _complement_firsts(g), g.classes.of
     ok = (profile.is_complemented and profile.is_uniquely_complemented
           and all(profile.is_orthogonal(i, partner[of[i]]) for i in range(g.n_vertices)))
@@ -436,7 +437,7 @@ def check_comaximal_complemented(ctx: RunContext, n: int, mode: str, k: int | No
 
 _mismatch_row("comaximal.orthogonality_rule", _pair_mismatches,
               "orthogonal iff zero sets and cozero sets are both almost disjoint",
-              orthogonal_comaximal, lambda ctx, g: complementation_profile(g).is_orthogonal)
+              orthogonal_comaximal, lambda ctx, g: triangle_profile(g).is_orthogonal)
 
 
 _mismatch_row("comaximal.cycle_rank_cases", _pair_mismatches,
@@ -602,7 +603,7 @@ _value_row("annihilator.complete_bipartite_rule", "complete bipartite: {}",
 @register("annihilator.complemented_rule", per_mode=True)
 def check_annihilator_complemented(ctx: RunContext, n: int, mode: str, k: int | None):
     g = ctx.graph(n, GraphKind.ANNIHILATOR, mode, alphabet=k)
-    profile = complementation_profile(g)
+    profile = triangle_profile(g)
     want = n in (2, 3)
     ok = profile.is_complemented == want
     if profile.is_complemented:
@@ -616,12 +617,12 @@ def check_annihilator_complemented(ctx: RunContext, n: int, mode: str, k: int | 
 _mismatch_row("annihilator.orthogonal_complement_rule", _vertex_mismatches,
               "orthogonal partner exists iff zero set or cozero set is an atom",
               lambda space, z: is_atom(space, z) or is_atom(space, complement(space, z)),
-              lambda ctx, g: complementation_profile(g).has_complement)
+              lambda ctx, g: triangle_profile(g).has_complement)
 
 
 _mismatch_row("annihilator.orthogonality_rule", _pair_mismatches,
               "orthogonal iff disjoint zero sets, disjoint cozero sets, one side atomic",
-              orthogonal_annihilator, lambda ctx, g: complementation_profile(g).is_orthogonal)
+              orthogonal_annihilator, lambda ctx, g: triangle_profile(g).is_orthogonal)
 
 
 _mismatch_row("annihilator.cycle_rank_cases", _pair_mismatches,
@@ -760,10 +761,9 @@ def check_weakly_three_atoms(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.WEAKLY_ZD, "expanded", alphabet=k)
     summary = ctx.graph_metrics(g)
     profile = triangle_profile(g)
-    comp = complementation_profile(g)
     ok = (profile.is_triangulated and profile.is_hypertriangulated
-          and summary.girth == 3 and not any(comp.has_complement)
-          and not comp.is_complemented)
+          and summary.girth == 3 and not any(profile.has_complement)
+          and not profile.is_complemented)
     return Outcome(
         "triangulated, hypertriangulated, girth 3, no orthogonal pairs, not complemented",
         "confirmed" if ok else "violated", ok)

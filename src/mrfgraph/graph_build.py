@@ -320,11 +320,16 @@ class Graph:
     def quotient(self) -> tuple[int, ...]:
         """Per twin class, the mask of the twin classes its members are
         adjacent to: rows are unions of whole classes, so with the class
-        sizes this is all of ``adj``.  False twins are never adjacent."""
-        twins = self.twins
-        firsts = sum(1 << vs[0] for vs in twins.members)
-        return tuple(sum(1 << twins.of[v] for v in _members(self.adj[vs[0]] & firsts))
-                     for vs in twins.members)
+        sizes this is all of ``adj``.  False twins are never adjacent.
+
+        Each class's first-member row is read once as bytes, and one bit per
+        twin class is tested there, at that class's first member."""
+        firsts = [vs[0] for vs in self.twins.members]
+        at = [(v >> 3, 1 << (v & 7)) for v in firsts]
+        size = (len(self.adj) + 7) // 8
+        rows = (self.adj[v].to_bytes(size, "little") for v in firsts)
+        return tuple(sum(1 << c for c, (byte, bit) in enumerate(at) if row[byte] & bit)
+                     for row in rows)
 
     def is_edge(self, i: int, j: int) -> bool:
         return i != j and bool(self.adj[i] >> j & 1)

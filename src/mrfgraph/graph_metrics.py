@@ -181,26 +181,29 @@ def cycle_rank(g: Graph, u: int, v: int, max_len: int = 8) -> float:
 
 @dataclass(frozen=True)
 class TriangleProfile:
-    """Triangle coverage of every vertex and every edge.  Edge flags are kept
-    per ordered pair of vertex classes: ``flagged[a]`` masks the classes
-    whose edges to class ``a`` lie on a triangle, and ``of`` gives each
-    vertex's class."""
+    """Triangle coverage, orthogonality and complementation of every vertex
+    and every edge.  Edge facts are kept per ordered pair of vertex classes:
+    ``flagged[a]`` masks the classes whose edges to class ``a`` lie on a
+    triangle, ``partners[a]`` those whose edges to it lie on none (its
+    orthogonal partners), and ``of`` gives each vertex's class."""
 
     is_triangulated: bool
     is_hypertriangulated: bool
     vertex_flags: tuple[bool, ...]
+    has_complement: tuple[bool, ...]
+    is_complemented: bool
+    is_uniquely_complemented: bool
     of: tuple[int, ...] = field(repr=False)
     flagged: tuple[int, ...] = field(repr=False)
+    partners: tuple[int, ...] = field(repr=False)
 
     def edge_flag(self, i: int, j: int) -> bool:
         """Whether the edge i-j lies on a triangle."""
         return bool(self.flagged[self.of[i]] >> self.of[j] & 1)
 
-
-def _meeting(q: tuple[int, ...]) -> tuple[int, ...]:
-    """Per quotient class, the mask of adjacent classes whose quotient rows
-    meet its own: those whose edges to it lie on a triangle."""
-    return tuple(sum(1 << b for b in _members(row) if row & q[b]) for row in q)
+    def is_orthogonal(self, i: int, j: int) -> bool:
+        """Whether i and j are adjacent with no common neighbour."""
+        return bool(self.partners[self.of[i]] >> self.of[j] & 1)
 
 
 def comaximal_triangle_zero_sets(space: MeasureSpace, zs: MeasurableSet):
@@ -225,50 +228,31 @@ def annihilator_common_neighbor_zero_set(space: MeasureSpace, zu: MeasurableSet,
 
 
 def triangle_profile(g: Graph) -> TriangleProfile:
-    """Triangle coverage of every vertex and every edge, read from the twin
-    quotient (``Graph.quotient``): an edge lies on a triangle when the
-    quotient rows of its two classes meet, and a vertex when one of its
-    edges does.  Like every function here it reads the rows alone, so a
-    sampled graph's flags describe the sample, not the full graph."""
+    """Triangle coverage, orthogonality ('adjacent with no common neighbor',
+    equivalently the smallest common cycle is longer than a triangle) and
+    unique complementation, read from the twin quotient (``Graph.quotient``)
+    in one pass over its class pairs: an edge lies on a triangle when the
+    quotient rows of its two classes meet, and is orthogonal when they do
+    not; a vertex lies on a triangle when one of its edges does.  The
+    partners of a vertex all have one neighborhood exactly when they lie in
+    one twin class, since distinct twin classes have distinct rows.  Like
+    every function here it reads the rows alone, so a sampled graph's flags
+    describe the sample, not the full graph."""
     if g.n_vertices == 0:
         raise ValueError("triangle profile of an empty graph is undefined")
-    flagged = _meeting(g.quotient)
-    vertex_flags = tuple(bool(flagged[c]) for c in g.twins.of)
-    return TriangleProfile(all(vertex_flags), any(g.quotient) and g.quotient == flagged,
-                           vertex_flags, g.twins.of, flagged)
-
-
-@dataclass(frozen=True)
-class ComplementationProfile:
-    """``partners[a]`` masks the classes whose edges to class ``a`` lie on
-    no triangle (its orthogonal partners); ``of`` gives each vertex's class."""
-
-    has_complement: tuple[bool, ...]
-    is_complemented: bool
-    is_uniquely_complemented: bool
-    of: tuple[int, ...] = field(repr=False)
-    partners: tuple[int, ...] = field(repr=False)
-
-    def is_orthogonal(self, i: int, j: int) -> bool:
-        """Whether i and j are adjacent with no common neighbour."""
-        return bool(self.partners[self.of[i]] >> self.of[j] & 1)
-
-
-def complementation_profile(g: Graph) -> ComplementationProfile:
-    """Orthogonality as 'adjacent with no common neighbor' (equivalently the
-    smallest common cycle is longer than a triangle); unique complementation
-    by literal neighborhood equality across each vertex's partners.
-
-    Both are decided on the twin quotient (``Graph.quotient``): two classes
-    are orthogonal when they are adjacent and their rows do not meet, and the
-    partners of a vertex all have one neighborhood exactly when they lie in
-    one twin class, since distinct twin classes have distinct rows."""
-    if g.n_vertices == 0:
-        raise ValueError("complementation profile of an empty graph is undefined")
-    partners = tuple(near & ~meet for near, meet in zip(g.quotient, _meeting(g.quotient)))
-    has = tuple(bool(partners[c]) for c in g.twins.of)
+    q, of = g.quotient, g.twins.of
+    flagged = tuple(sum(1 << b for b in _members(row) if row & q[b]) for row in q)
+    partners = tuple(row & ~meet for row, meet in zip(q, flagged))
+    vertex_flags = tuple(bool(flagged[c]) for c in of)
+    has = tuple(bool(partners[c]) for c in of)
     unique = all(has) and all(p.bit_count() == 1 for p in partners)
-    return ComplementationProfile(has, all(has), unique, g.twins.of, partners)
+    return TriangleProfile(all(vertex_flags), any(q) and q == flagged, vertex_flags,
+                           has, all(has), unique, of, flagged, partners)
+
+
+# Another name for the same profile: the package exports it, and
+# perfbench/tracing.py wraps it by this name.
+complementation_profile = triangle_profile
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,30 @@ def test_weight_independence_catches_one_differing_graph(monkeypatch, fault, tar
     assert not outcome.ok and outcome.computed == "graphs differ"
 
 
+def test_ann_preorder_catches_planted_law_breaks(monkeypatch):
+    """``measure_core.ann_preorder`` tests the laws, not only ``ann_leq``: at
+    n=3 it fails on a relation with {0} <= {0,1} <= {1,2} but not
+    {0} <= {1,2} (a dropped transitive consequence, no new equality), and on
+    a preorder that reads {1} as {0}, so two distinct zero sets are mutually
+    <= (reflexive and transitive, only the equality law breaks)."""
+    check = REGISTRY["measure_core.ann_preorder"].fn
+    ctx = RunContext(SuiteConfig(atoms_min=3, atoms_max=3))
+    assert check(ctx, 3, 3).ok
+    leq = mrfgraph.checks.ann_leq
+    x0, x1, x01, x12 = atom_set([0]), atom_set([1]), atom_set([0, 1]), atom_set([1, 2])
+
+    def intransitive(space, x, y):
+        return leq(space, x, y) or (x, y) == (x01, x12)
+
+    def merged(space, x, y):
+        return leq(space, x0 if x == x1 else x, x0 if y == x1 else y)
+
+    for relation in (intransitive, merged):
+        monkeypatch.setattr(mrfgraph.checks, "ann_leq", relation)
+        outcome = check(ctx, 3, 3)
+        assert not outcome.ok and outcome.computed == "law violated", relation.__name__
+
+
 def test_only_filter_runs_single_check():
     report = run_suite(SuiteConfig(atoms_min=2, atoms_max=3,
                                    only="comaximal.distance_formula"))
@@ -891,6 +915,19 @@ def test_check_times_prints_one_line_per_interval_check(capsys):
     assert lines[-1].endswith(f"total over {len(ids)} checks")
     with pytest.raises(SystemExit):  # one suite per run
         _script("check_times").main(["--samples", "20", "--atoms", "2..2"])
+
+
+def test_check_times_prints_the_peak_rss_on_every_check_line(capsys):
+    """Each check line carries ``peak N MiB`` between the check id and the
+    counts; the peak is the process's, so it never decreases down the
+    lines.  The shared first line and the total line carry none."""
+    assert _script("check_times").main(["--atoms", "2..3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    columns = [line.split()[3:6] for line in lines[1:-1]]
+    assert all(col[0] == "peak" and col[2] == "MiB" and int(col[1]) > 0 for col in columns)
+    peaks = [int(col[1]) for col in columns]
+    assert peaks == sorted(peaks)
+    assert "peak" not in lines[0].split() and "peak" not in lines[-1].split()
 
 
 def test_explore_nonatomic_iso_prints_one_verdict_per_size(capsys):

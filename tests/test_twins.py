@@ -254,6 +254,34 @@ def test_planted_twins_match_reference(seed):
     assert_matches_reference(g)
 
 
+def reference_quotient(g: Graph) -> tuple[int, ...]:
+    """Per twin class, the twin classes of every member's row; all members
+    must give the same mask."""
+    of = g.twins.of
+    masks = [{sum(1 << c for c in {of[j] for j in _members(g.adj[v])}) for v in vs}
+             for vs in g.twins.members]
+    assert all(len(m) == 1 for m in masks)
+    return tuple(m.pop() for m in masks)
+
+
+def test_quotient_matches_every_member_row():
+    """Planted-twin graphs of every size from 1 to 40 vertices, across the
+    byte boundaries at 8, 16, 24 and 32, plus the empty graph."""
+    rng = random.Random("quotient")
+    graphs: dict[int, Graph] = {0: raw_graph(())}
+    while len(graphs) < 41:
+        g, _ = planted_twins(rng, rng.randint(1, 20), rng.choice([0.3, 0.5, 0.7]))
+        if g.n_vertices <= 40:
+            graphs.setdefault(g.n_vertices, g)
+    assert sorted(graphs) == list(range(41))
+    for n, g in graphs.items():
+        assert g.quotient == reference_quotient(g), n
+
+
+def test_complementation_profile_is_the_triangle_profile():
+    assert complementation_profile is triangle_profile
+
+
 def test_edgeless_graph_profiles():
     g = raw_graph((0, 0, 0))
     assert_profiles_match_reference(g)
