@@ -19,9 +19,10 @@ import sys
 from dataclasses import fields
 
 from .graph_build import KIND_BY_NAME, GraphKind, build_graph, export_graph
-from .graph_metrics import SOLVERS, BoundExceededError, metrics, np_metrics, partiteness, triangle_profile
+from .graph_metrics import (SOLVER_BOUND, SOLVERS, BoundExceededError, metrics, np_metrics,
+                            partiteness, triangle_profile)
 from .harness import SUITES, SuiteConfig, make_weights, render_report, run_suite
-from .isomorphism import are_isomorphic
+from .isomorphism import ISO_BUDGET, are_isomorphic
 from .measure_space import ATOMIC, INTERVAL, AtomicSpace, IntervalSpace
 from .vertex_universe import sample_interval_classes
 
@@ -204,7 +205,7 @@ def _add_graph_selectors(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to a file instead of stdout")
 
 
-def _add_bounds(p: argparse.ArgumentParser, parse=_int_at_least(0), default=128) -> None:
+def _add_bounds(p: argparse.ArgumentParser, parse=_int_at_least(0), default=SOLVER_BOUND) -> None:
     for name in ("clique", "chromatic", "dominating"):
         p.add_argument(f"--{name}-bound", type=parse, default=default, dest=f"{name}_bound")
 
@@ -256,7 +257,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_graph_selectors(p_iso)
     p_iso.add_argument("--left", required=True, choices=sorted(KIND_BY_NAME))
     p_iso.add_argument("--right", required=True, choices=sorted(KIND_BY_NAME))
-    p_iso.add_argument("--budget", type=_int_at_least(0), default=200_000)
+    p_iso.add_argument("--budget", type=_int_at_least(0), default=ISO_BUDGET)
     p_iso.set_defaults(fn=cmd_iso, mode="expanded")
 
     p_verify = sub.add_parser("verify", help="run the verification suites (atomic backend)")

@@ -30,6 +30,8 @@ from .measure_space import (
 )
 
 INF = math.inf
+# The default vertex bound of each exact solver (``np_metrics``).
+SOLVER_BOUND = 128
 
 
 @dataclass(frozen=True)
@@ -284,10 +286,33 @@ def partiteness(g: Graph) -> Partiteness:
     return Partiteness(bipartite, joined and len(parts) == 2, parts)
 
 
+def _depth_first(root) -> bool:
+    """Run a depth-first search whose nodes are generators: a node yields its
+    children, in order, as generators, and yields ``True`` to end the whole
+    search.  The open ancestors of the current node sit on one list, so the
+    depth is not limited by recursion.  Returns whether some node yielded
+    ``True``; the nodes still open then are never resumed, so the state
+    they changed stays as it is."""
+    node, parents = root, []
+    while True:
+        for child in node:
+            if child is True:
+                return True
+            parents.append(node)
+            node = child
+            break
+        else:
+            if not parents:
+                return False
+            node = parents.pop()
+
+
 def _max_clique(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
-    """Branch and bound with a greedy-coloring bound, on an explicit stack so
-    that its depth is not limited by recursion."""
+    """Branch and bound with a greedy-coloring bound: each node colours its
+    candidates greedily and branches on them from the highest colour down,
+    while the clique so far plus that colour can beat the best one."""
     best: list[int] = []
+    r: list[int] = []
 
     def color_order(p_mask: int) -> tuple[list[int], list[int]]:
         order, bounds = [], []
@@ -305,29 +330,25 @@ def _max_clique(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
                 bounds.append(color)
         return order, bounds
 
+    def expand(p_mask: int):
+        nonlocal best
+        order, bounds = color_order(p_mask)
+        for idx in range(len(order) - 1, -1, -1):
+            if len(r) + bounds[idx] <= len(best):
+                return
+            v = order[idx]
+            r.append(v)
+            if p_mask & rows[v]:
+                yield expand(p_mask & rows[v])
+            elif len(r) > len(best):
+                best = r[:]
+            r.pop()
+            p_mask &= ~(1 << v)
+
     if n == 0:
         return 0, []
-    full = (1 << n) - 1
-    r: list[int] = []
-    frames = [[*color_order(full), n - 1, full]]  # colour order, bounds, next index, candidates
-    while True:
-        frame = frames[-1]
-        order, bounds, idx, p_mask = frame
-        if idx >= 0 and len(r) + bounds[idx] > len(best):
-            r.append(order[idx])
-            new_p = p_mask & rows[order[idx]]
-            if new_p:
-                frames.append([*color_order(new_p), new_p.bit_count() - 1, new_p])
-                continue
-            if len(r) > len(best):
-                best = r[:]
-        else:  # this level is done: back to its parent's next candidate
-            frames.pop()
-            if not frames:
-                return len(best), sorted(best)
-            frame = frames[-1]
-        frame[2] -= 1
-        frame[3] &= ~(1 << r.pop())
+    _depth_first(expand((1 << n) - 1))
+    return len(best), sorted(best)
 
 
 def _dsatur(rows: tuple[int, ...], n: int, k: int, preset: list[int]) -> list[int] | None:
@@ -338,9 +359,9 @@ def _dsatur(rows: tuple[int, ...], n: int, k: int, preset: list[int]) -> list[in
     With k = n the first descent never backtracks and is the greedy DSATUR
     colouring.  Returns a proper colouring with colours below k, or ``None``.
 
-    Saturation counts are kept incrementally from one member mask per colour,
-    and the search runs on an explicit stack of (vertex, colour, colours in
-    use before it), so its depth is not limited by recursion."""
+    Saturation counts are kept incrementally from one member mask per colour:
+    a node colours its vertex, raises the scores of the neighbours that see a
+    new colour, and lowers them again once its child is done."""
     colors = preset[:]
     members = [0] * k
     for v, c in enumerate(colors):
@@ -353,41 +374,32 @@ def _dsatur(rows: tuple[int, ...], n: int, k: int, preset: list[int]) -> list[in
     for r, v in enumerate(rank):
         score[v] = r + n * sum(1 for m in members[:used] if rows[v] & m)
     pending = [v for v in range(n) if colors[v] < 0]
-    pending_mask = sum(1 << v for v in pending)
-    stack: list[tuple[int, int, int]] = []
-    u, c = -1, 0
-    while True:
-        if u < 0:
-            if not pending:
-                return colors
-            u, c = max(pending, key=score.__getitem__), 0
-            pending.remove(u)
-            pending_mask ^= 1 << u
-            limit = min(k, used + 1)
-        while c < limit and rows[u] & members[c]:
-            c += 1
-        if c < limit:
-            stack.append((u, c, used))
+
+    def color(used: int, pending_mask: int):
+        """Colour the best pending vertex; ``used`` counts the colours in use."""
+        u = max(pending, key=score.__getitem__)
+        pending.remove(u)
+        pending_mask ^= 1 << u
+        row = rows[u]
+        for c in range(min(k, used + 1)):
+            if row & members[c]:
+                continue
             colors[u] = c
             members[c] |= 1 << u
-            used = max(used, c + 1)
-            for w in _members(rows[u] & pending_mask):
+            for w in _members(row & pending_mask):
                 if rows[w] & members[c] == 1 << u:  # c is new around w
                     score[w] += n
-            u = -1
-            continue
+            yield color(max(used, c + 1), pending_mask) if pending else True
+            colors[u] = -1
+            members[c] ^= 1 << u
+            for w in _members(row & pending_mask):
+                if not rows[w] & members[c]:  # c is gone around w
+                    score[w] -= n
         pending.append(u)
-        pending_mask |= 1 << u
-        if not stack:
-            return None
-        u, c, used = stack.pop()
-        colors[u] = -1
-        members[c] ^= 1 << u
-        for w in _members(rows[u] & pending_mask):
-            if not rows[w] & members[c]:  # c is gone around w
-                score[w] -= n
-        c += 1
-        limit = min(k, used + 1)
+
+    if pending and not _depth_first(color(used, sum(1 << v for v in pending))):
+        return None
+    return colors
 
 
 def _chromatic(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
@@ -411,13 +423,14 @@ def _chromatic(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
 def _min_dominating(rows: tuple[int, ...], n: int, total: bool) -> tuple[float, list[int]]:
     """Iterative-deepening exact search; branches on the vertex with the
     fewest available dominators, which by symmetry are its own cover.  Each
-    depth is a frame on an explicit stack (the untried dominators and the
-    set covered so far), so the depth is not limited by recursion."""
+    node adds one dominator to ``chosen`` and takes it out once its child is
+    done."""
     full = (1 << n) - 1
     cover = [rows[i] | (0 if total else 1 << i) for i in range(n)]
     if any(c == 0 for c in cover):
         return INF, []
     max_cover = max(c.bit_count() for c in cover)
+    chosen: list[int] = []
 
     def dominators(covered: int, remaining: int) -> int:
         """The cover of the uncovered vertex with the smallest cover, or 0
@@ -432,25 +445,20 @@ def _min_dominating(rows: tuple[int, ...], n: int, total: bool) -> tuple[float, 
                 best_count, best = cnt, cover[i]
         return best
 
-    for size in range(1, n + 1):
-        chosen: list[int] = []
-        untried, covered = [dominators(0, size)], [0]
-        while untried:
-            options = untried[-1]
-            if not options:  # this depth is done: back to its parent's next option
-                untried.pop()
-                covered.pop()
-                if chosen:
-                    chosen.pop()
-                continue
+    def dominate(covered: int, remaining: int):
+        options = dominators(covered, remaining)
+        while options:
             bit = options & -options
-            untried[-1] = options ^ bit
-            chosen.append(bit.bit_length() - 1)
-            now = covered[-1] | cover[chosen[-1]]
-            if now == full:
-                return len(chosen), sorted(chosen)
-            untried.append(dominators(now, size - len(chosen)))
-            covered.append(now)
+            options ^= bit
+            v = bit.bit_length() - 1
+            chosen.append(v)
+            now = covered | cover[v]
+            yield True if now == full else dominate(now, remaining - 1)
+            chosen.pop()
+
+    for size in range(1, n + 1):
+        if _depth_first(dominate(0, size)):
+            return len(chosen), sorted(chosen)
     return INF, []
 
 
@@ -464,8 +472,8 @@ SOLVERS = {
 
 
 def np_metrics(g: Graph, which: tuple[str, ...] = ("clique",),
-               clique_bound: int = 128, chromatic_bound: int = 128,
-               dominating_bound: int = 128) -> dict[str, tuple[float, list[int]]]:
+               clique_bound: int = SOLVER_BOUND, chromatic_bound: int = SOLVER_BOUND,
+               dominating_bound: int = SOLVER_BOUND) -> dict[str, tuple[float, list[int]]]:
     """Exact optima with witnesses; raises BoundExceededError instead of
     running heuristics past the configured sizes."""
     n = g.n_vertices

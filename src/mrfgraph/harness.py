@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .graph_build import Graph, GraphKind, build_graph
-from .graph_metrics import BoundExceededError, MetricsSummary, metrics
+from .graph_metrics import SOLVER_BOUND, BoundExceededError, MetricsSummary, metrics
+from .isomorphism import ISO_BUDGET
 from .measure_space import ATOMIC, INTERVAL, AtomicSpace
 from .vertex_universe import ZClass, sample_interval_classes
 
@@ -44,10 +45,10 @@ class SuiteConfig:
     seed: int = 7
     max_cycle_len: int = 8
     oracle_atoms_max: int = 4
-    clique_bound: int = 128
-    chromatic_bound: int = 128
-    dominating_bound: int = 128
-    iso_budget: int = 200_000
+    clique_bound: int = SOLVER_BOUND
+    chromatic_bound: int = SOLVER_BOUND
+    dominating_bound: int = SOLVER_BOUND
+    iso_budget: int = ISO_BUDGET
     output: str = "json"                     # json | text
     only: str | None = None                  # run a single check id
 

@@ -14,12 +14,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graph_build import Graph, zero_set_classes
-from .graph_metrics import _members, metrics
+from .graph_metrics import _depth_first, _members, metrics
 from .measure_space import complement
 
 ISOMORPHIC = "isomorphic"
 NOT_ISOMORPHIC = "not_isomorphic"
 INCONCLUSIVE = "inconclusive"
+# The default node budget of the backtracking search.
+ISO_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ def verify_mapping(g1: Graph, g2: Graph, mapping: tuple[int, ...]) -> bool:
                for i, row in enumerate(g1.adj))
 
 
-def complement_iso(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
+def complement_iso(g1: Graph, g2: Graph, budget: int = ISO_BUDGET) -> IsoVerdict:
     """Isomorphism test that tries the complement map first: the members of
     each zero-set class of ``g1`` are paired, in order, with the members of
     the class of ``g2`` whose zero set is the complement.
@@ -88,9 +90,11 @@ def _wl_colors(g1: Graph, g2: Graph, ecc1, ecc2) -> tuple[list[int], list[int]]:
             return colors[:n1], colors[n1:]
 
 
-def are_isomorphic(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
+def are_isomorphic(g1: Graph, g2: Graph, budget: int = ISO_BUDGET) -> IsoVerdict:
     """Generic deterministic isomorphism test: invariant certificates first,
-    then partition-refined backtracking within the node budget."""
+    then partition-refined backtracking within the node budget.  Each search
+    node maps one vertex of g1, in a fixed order, to each fitting candidate
+    of its colour in turn, as a node generator on ``_depth_first``."""
     n = g1.n_vertices
     if n != g2.n_vertices:
         return IsoVerdict(NOT_ISOMORPHIC, certificate={
@@ -118,40 +122,31 @@ def are_isomorphic(g1: Graph, g2: Graph, budget: int = 200_000) -> IsoVerdict:
     color_count = Counter(colors1)
     order = sorted(range(n), key=lambda i: (color_count[colors1[i]], -g1.degree(i), i))
 
-    # depth-first over the positions of ``order`` on an explicit stack:
-    # cursor[pos] is the next candidate index to try at that position;
-    # placed1/placed2 mask the vertices mapped so far and their images
+    # a candidate j for order[pos] fits when its placed neighbours are the
+    # images of order[pos]'s; placed1/placed2 mask the vertices mapped so
+    # far and their images, and ``mapping`` is read only on placed1, so a
+    # backtracked entry needs no undo
     mapping = [-1] * n
-    placed1 = placed2 = 0
-    cursor = [0] * (n + 1)
     nodes = 0
-    pos = 0
-    while 0 <= pos < n:
+
+    def place(pos: int, placed1: int, placed2: int):
+        nonlocal nodes
         i = order[pos]
-        # a candidate j fits when its placed neighbours are the images of i's
         image = sum(1 << mapping[p] for p in _members(g1.adj[i] & placed1))
-        for c in range(cursor[pos], len(candidates[i])):
-            j = candidates[i][c]
+        for j in candidates[i]:
             if placed2 >> j & 1:
                 continue
             nodes += 1
             if nodes > budget:
-                return IsoVerdict(INCONCLUSIVE, nodes_explored=nodes)
+                yield True  # out of budget: the search ends here
             if g2.adj[j] & placed2 == image:
-                cursor[pos] = c + 1
                 mapping[i] = j
-                placed1 |= 1 << i
-                placed2 |= 1 << j
-                pos += 1
-                cursor[pos] = 0
-                break
-        else:
-            pos -= 1  # candidates exhausted: undo the previous position
-            if pos >= 0:
-                placed1 ^= 1 << order[pos]
-                placed2 ^= 1 << mapping[order[pos]]
-                mapping[order[pos]] = -1
-    if pos < 0:
+                yield place(pos + 1, placed1 | 1 << i, placed2 | 1 << j) if pos + 1 < n else True
+
+    found = _depth_first(place(0, 0, 0))
+    if nodes > budget:
+        return IsoVerdict(INCONCLUSIVE, nodes_explored=nodes)
+    if not found:
         return IsoVerdict(NOT_ISOMORPHIC, nodes_explored=nodes, certificate={
             "kind": "exhausted-search", "nodes_explored": nodes, "budget": budget})
     final = tuple(mapping)

@@ -16,9 +16,9 @@ Each binary operation is a 4-entry truth table on the two memberships,
 evaluated on atom masks by ``_atoms`` and on intervals by one merge sweep
 over the two cut lists (``_sweep``), the one kernel that builds interval
 sets.  The nullity forms ask whether such a set is null and build no set:
-``is_disjoint``, ``is_subset`` and ``null_equal`` (``_null``) stop at the
-first piece where the table holds, and ``covers`` (the union is X), which
-is zero-divisor adjacency as ``is_disjoint`` is comaximal, at the first gap.
+``is_disjoint``, ``is_subset`` and ``null_equal`` (``_null``) stop the
+sweep at its first cut, and ``covers`` (the union is X), which is
+zero-divisor adjacency as ``is_disjoint`` is comaximal, at the first gap.
 
 Weights, measures and split targets are ``fractions.Fraction``; interval
 endpoints are ints over a common denominator, so the interval algebra is
@@ -197,13 +197,16 @@ def _rescaled(a: MeasurableSet, b: MeasurableSet):
     return [c * fa for c in a.cuts], [c * fb for c in b.cuts], den
 
 
-def _sweep(ca: Sequence[int], cb: Sequence[int], table: tuple[int, ...]):
-    """Yield, left to right, the cuts of the set where ``table[2 * in_a +
-    in_b]`` holds, for two cut lists over one denominator.  Just past a cut,
-    ``state`` holds both memberships: a cut of a toggles its bit 2, a cut of
-    b its bit 1.  Once one list is spent its set is left behind, so the
-    rest of the other list is the rest of the result, or none of it."""
+def _sweep(ca: Sequence[int], cb: Sequence[int], table: tuple[int, ...],
+           limit: int | None = None) -> list[int]:
+    """The cuts, left to right, of the set where ``table[2 * in_a + in_b]``
+    holds, for two cut lists over one denominator; a ``limit`` ends the
+    merge at its first ``limit`` cuts.  Just past a cut, ``state`` holds
+    both memberships: a cut of a toggles its bit 2, a cut of b its bit 1.
+    Once one list is spent its set is left behind, so the rest of the other
+    list is the rest of the result, or none of it."""
     na, nb = len(ca), len(cb)
+    out: list[int] = []
     i = j = state = inside = 0
     while i < na and j < nb:
         x, y = ca[i], cb[j]
@@ -216,12 +219,15 @@ def _sweep(ca: Sequence[int], cb: Sequence[int], table: tuple[int, ...]):
             x = y
         if table[state] != inside:
             inside ^= 1
-            yield x
+            out.append(x)
+            if len(out) == limit:
+                return out
     if i < na:
         if table[2]:
-            yield from ca[i:]
+            out += ca[i:]
     elif table[1]:
-        yield from cb[j:]
+        out += cb[j:]
+    return out
 
 
 def _atoms(x: int, y: int, table: tuple[int, ...]) -> int:
@@ -237,30 +243,17 @@ def _combine(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet,
     if space.backend == ATOMIC:
         return MeasurableSet(ATOMIC, _atoms(a.mask, b.mask, table))
     ca, cb, den = _rescaled(a, b)
-    return _interval(den, [*_sweep(ca, cb, table)])
+    return _interval(den, _sweep(ca, cb, table))
 
 
 def _null(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet, table: tuple[int, ...]) -> bool:
     """True when the set where ``table`` holds is null, building no set: on
-    intervals the walk of ``_sweep`` stops at the first piece where the
-    table holds, and past it the rest of the unspent list is in it only."""
+    intervals the sweep stops at its first cut."""
     _check(space, a, b)
     if space.backend == ATOMIC:
         return not _atoms(a.mask, b.mask, table)
     ca, cb, _ = _rescaled(a, b)
-    na, nb = len(ca), len(cb)
-    i = j = state = 0
-    while i < na and j < nb:
-        x, y = ca[i], cb[j]
-        if x <= y:
-            i += 1
-            state ^= 2
-        if y <= x:
-            j += 1
-            state ^= 1
-        if table[state]:
-            return False
-    return not (table[2] and i < na or table[1] and j < nb)
+    return not _sweep(ca, cb, table, 1)
 
 
 def union(space: MeasureSpace, a: MeasurableSet, b: MeasurableSet) -> MeasurableSet:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mrfgraph.graph_build import Graph, GraphKind, build_graph, zero_set_classes
 from mrfgraph.graph_metrics import (
     BoundExceededError,
+    _depth_first,
     _dsatur,
     _max_clique,
     _min_dominating,
@@ -442,6 +443,36 @@ def test_np_metrics_bound_messages():
         np_metrics(g, ("clique", "chromatic"), clique_bound=n - 1, chromatic_bound=n - 1)
     with pytest.raises(BoundExceededError, match="exceed chromatic bound"):
         np_metrics(g, ("chromatic", "clique"), clique_bound=n - 1, chromatic_bound=n - 1)
+
+
+def test_depth_first_walks_a_deep_chain_to_the_end():
+    """A chain of 10,000 nested nodes, far past the recursion limit: each
+    node is entered and then resumed once its child is done, deepest first,
+    and with no node yielding ``True`` the search returns False."""
+    entered, finished = [], []
+
+    def chain(depth):
+        entered.append(depth)
+        if depth < 10_000:
+            yield chain(depth + 1)
+        finished.append(depth)
+
+    assert _depth_first(chain(1)) is False
+    assert entered == list(range(1, 10_001))
+    assert finished == list(range(10_000, 0, -1))
+
+
+def test_depth_first_ends_at_the_first_true():
+    """A node at depth 5,000 yields ``True``: the search returns True at
+    once, and no node on the path to it is resumed."""
+    resumed = []
+
+    def chain(depth):
+        yield True if depth == 5_000 else chain(depth + 1)
+        resumed.append(depth)
+
+    assert _depth_first(chain(1)) is True
+    assert resumed == []
 
 
 def test_chromatic_needs_no_recursion_depth():
