@@ -67,20 +67,22 @@ class MetricsSummary:
         return {str(e): count for e, count in sorted(self.eccentricity_histogram().items())}
 
 
-def _levels(adj: tuple[int, ...], source: int) -> tuple[list[int], int, float]:
+def _levels(adj: tuple[int, ...], source: int, seen: int = 0) -> tuple[list[int], int, float]:
     """Breadth-first search from ``source`` as level masks: each level is the
     OR of its frontier's rows, masked by the vertices not yet seen (the
     bottom-up step of Beamer, Asanovic and Patterson's direction-optimizing
-    BFS).
+    BFS).  The vertices of ``seen`` count as reached from the start, so the
+    search runs in the graph without them.
 
-    Returns the levels, the mask of vertices reached, and the shortest cycle
-    the search detects: 2d+1 for an edge inside level d, 2d+2 for a vertex of
-    level d+1 with two neighbours in level d, ``inf`` for neither.  Each is
-    the length of a closed walk that contains a cycle, so it bounds the girth
-    from above; from a vertex on a shortest cycle it equals the girth, so the
-    minimum over all sources is exact.
+    Returns the levels, the mask of vertices reached (``seen`` among them),
+    and the shortest cycle the search detects: 2d+1 for an edge inside level
+    d, 2d+2 for a vertex of level d+1 with two neighbours in level d, ``inf``
+    for neither.  Each is the length of a closed walk that contains a cycle,
+    so it bounds the girth from above; from a vertex on a shortest cycle it
+    equals the girth, so the minimum over all sources is exact.
     """
-    frontier = reached = 1 << source
+    frontier = 1 << source
+    reached = frontier | seen
     levels = [frontier]
     cycle = INF
     while True:
@@ -127,57 +129,45 @@ def metrics(g: Graph) -> MetricsSummary:
                           g.twins, tuple(levels for levels, _, _ in searches))
 
 
-def _paths(g: Graph, u: int, v: int, length: int, banned: int, ball: list[int],
-           first: bool) -> list[int]:
-    """Internal-vertex masks of simple u->v paths with exactly ``length``
-    edges avoiding ``banned`` vertices, stopping after one path when
-    ``first``.  ``ball[d]`` masks the vertices within distance d of v; a step
-    that leaves too few edges to reach v is pruned."""
-    results: list[int] = []
-
-    def dfs(x: int, steps: int, internal: int) -> bool:
-        row = g.adj[x] & ~banned & ~internal & ~(1 << u)
-        if steps == 1:
-            if row >> v & 1:
-                results.append(internal)
-                return first
-            return False
-        row &= ball[steps - 1] & ~(1 << v)
-        while row:
-            bit = row & -row
-            row ^= bit
-            if dfs(bit.bit_length() - 1, steps - 1, internal | bit):
-                return True
-        return False
-
-    if ball[length] >> u & 1:
-        dfs(u, length, 0)
-    return results
-
-
 def cycle_rank(g: Graph, u: int, v: int, max_len: int = 8) -> float:
     """Length of the smallest cycle containing both vertices, or ``inf`` if
     none exists within ``max_len``.
 
-    A cycle through u and v splits into two internally disjoint u-v paths;
-    the bounded exhaustive search enumerates the shorter side and checks for
-    a disjoint longer side, for every total length up to the cap.
+    A cycle through u and v splits into two internally disjoint u-v paths of
+    a and b edges, a <= b.  For every total length up to the cap and every
+    split, one search on ``_depth_first`` walks the u-v paths of a edges, and
+    each one it finds opens, as its child, the search for a b-edge path that
+    avoids it; the first such pair ends the search.  No path passes through
+    u again, so a step is pruned when it leaves too few edges to reach v in
+    the graph without u (``ball[d]`` masks the vertices within distance d of
+    v there).
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     if u == v:
         raise ValueError("cycle rank takes two distinct vertices")
-    ball = list(accumulate(_levels(g.adj, v)[0], or_))
+    if not (0 <= u < g.n_vertices and 0 <= v < g.n_vertices):
+        raise ValueError(f"cycle rank takes vertices of the graph, not {u} and {v}")
+    adj, target = g.adj, 1 << v
+    ball = list(accumulate(_levels(adj, v, seen=1 << u)[0], or_))
     ball += [ball[-1]] * (max_len - len(ball))
-    path_cache: dict[int, list[int]] = {}
+
+    def path(x: int, steps: int, used: int, then):
+        """The simple x-v paths of ``steps`` edges that avoid ``used``: at v,
+        yield ``then(used)``."""
+        row = adj[x] & ~used
+        if steps == 1:
+            if row & target:
+                yield then(used)
+            return
+        for w in _members(row & ball[steps - 1] & ~target):
+            yield path(w, steps - 1, used | 1 << w, then)
+
     for total in range(3, max_len + 1):
         for a in range(1, total // 2 + 1):
-            b = total - a
-            if a not in path_cache:
-                path_cache[a] = _paths(g, u, v, a, 0, ball, first=False)
-            for internal_a in path_cache[a]:
-                if _paths(g, u, v, b, internal_a, ball, first=True):
-                    return total
+            second = partial(path, u, total - a, then=lambda _: True)
+            if _depth_first(path(u, a, 1 << u, second)):
+                return total
     return INF
 
 

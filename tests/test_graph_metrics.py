@@ -3,17 +3,20 @@
 import itertools
 import math
 import random
+from operator import or_
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrfgraph.checks import _cell_pairs
 from mrfgraph.graph_build import Graph, GraphKind, build_graph, zero_set_classes
 from mrfgraph.graph_metrics import (
     BoundExceededError,
     _depth_first,
     _dsatur,
+    _levels,
     _max_clique,
     _min_dominating,
     annihilator_common_neighbor_zero_set,
@@ -159,6 +162,45 @@ def brute_cycle_rank(g: Graph, u: int, v: int, cap: int = 8) -> float:
     return best
 
 
+def recursive_cycle_rank(g: Graph, u: int, v: int, max_len: int = 8) -> float:
+    """The former ``cycle_rank``: lists every u-v path of the shorter side by
+    a recursive search, then looks for a disjoint longer side, with the
+    pruning ball taken in the whole graph."""
+    ball = list(itertools.accumulate(_levels(g.adj, v)[0], or_))
+    ball += [ball[-1]] * (max_len - len(ball))
+
+    def paths(length: int, banned: int, first: bool) -> list[int]:
+        results: list[int] = []
+
+        def dfs(x: int, steps: int, internal: int) -> bool:
+            row = g.adj[x] & ~banned & ~internal & ~(1 << u)
+            if steps == 1:
+                if row >> v & 1:
+                    results.append(internal)
+                    return first
+                return False
+            row &= ball[steps - 1] & ~(1 << v)
+            while row:
+                bit = row & -row
+                row ^= bit
+                if dfs(bit.bit_length() - 1, steps - 1, internal | bit):
+                    return True
+            return False
+
+        if ball[length] >> u & 1:
+            dfs(u, length, 0)
+        return results
+
+    path_cache: dict[int, list[int]] = {}
+    for total in range(3, max_len + 1):
+        for a in range(1, total // 2 + 1):
+            if a not in path_cache:
+                path_cache[a] = paths(a, 0, False)
+            if any(paths(total - a, internal, True) for internal in path_cache[a]):
+                return total
+    return INF
+
+
 def test_cycle_rank_examples():
     gq = build_graph(unit_space(3), GraphKind.COMAXIMAL, "quotient")
     idx = {z: i for i, z in enumerate(gq.zero_sets)}
@@ -189,6 +231,38 @@ def test_cycle_rank_validation():
         cycle_rank(g, 0, 0)
     with pytest.raises(ValueError):
         cycle_rank(g, 0, 1, max_len=2)
+    g3 = build_graph(unit_space(3), GraphKind.COMAXIMAL, "quotient")
+    assert g3.n_vertices == 6
+    for u, v in ((99, 0), (0, 99), (-1, 0)):
+        with pytest.raises(ValueError):
+            cycle_rank(g3, u, v)
+
+
+def test_cycle_rank_long_cycle_has_no_depth_limit():
+    """On C_1500 the one cycle through two neighbours has 1500 edges: the
+    search walks 1499 of them in one path, and a cap one short finds none."""
+    n = 1500
+    g = raw_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    assert cycle_rank(g, 0, 1, max_len=n) == n
+    assert cycle_rank(g, 0, 1, max_len=n - 1) == INF
+
+
+@pytest.mark.parametrize("kind", [GraphKind.COMAXIMAL, GraphKind.ANNIHILATOR])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cycle_rank_matches_recursive_search_on_cell_pairs(kind, n):
+    g = build_graph(unit_space(n), kind, "expanded", alphabet=3)
+    for i, j, _ in _cell_pairs(g):
+        assert cycle_rank(g, i, j) == recursive_cycle_rank(g, i, j), (i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_graphs(), st.data())
+def test_cycle_rank_matches_recursive_search(g, data):
+    if g.n_vertices < 2:
+        return
+    u, v = data.draw(st.lists(st.integers(0, g.n_vertices - 1), min_size=2, max_size=2,
+                              unique=True))
+    assert cycle_rank(g, u, v, max_len=8) == recursive_cycle_rank(g, u, v, max_len=8)
 
 
 @settings(max_examples=25, deadline=None)
