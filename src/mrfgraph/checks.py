@@ -63,42 +63,32 @@ NEEDS_K3 = "needs alphabet >= 3"
 
 
 # ---------------------------------------------------------------------------
-# expected-value formulas (the closed forms the computations are checked
-# against; each one is a nullity/atom predicate on zero sets)
+# expected-value formulas on atom masks (``full`` is X; ``z``, ``a``, ``b``
+# zero sets): weights are positive, so a set is null iff its mask is 0
 # ---------------------------------------------------------------------------
 
-def expected_comaximal_distance(space, zu, zv) -> int:
-    if is_disjoint(space, zu, zv):
-        return 1
-    if not covers(space, zu, zv):
-        return 2
-    return 3
+def expected_comaximal_distance(full: int, a: int, b: int) -> int:
+    return 1 if not a & b else 2 if full & ~(a | b) else 3
 
 
-def expected_comaximal_cycle(space, zu, zv) -> int:
+def expected_comaximal_cycle(full: int, a: int, b: int) -> int:
     """Valid when the space is not a union of two atoms (n >= 3)."""
-    zeros_null = is_disjoint(space, zu, zv)
-    cozs_null = covers(space, zu, zv)
-    if zeros_null and not cozs_null:
-        return 3
-    if zeros_null == cozs_null:
-        return 4
-    return 6
+    meet, cozero_meet = bool(a & b), bool(full & ~(a | b))
+    return 4 if meet == cozero_meet else 3 if cozero_meet else 6
 
 
-def orthogonal_comaximal(space, zu, zv) -> bool:
-    return is_disjoint(space, zu, zv) and covers(space, zu, zv)
+def orthogonal_comaximal(full: int, a: int, b: int) -> bool:
+    return not a & b and a | b == full
 
 
-def orthogonal_annihilator(space, zu, zv) -> bool:
-    return (orthogonal_comaximal(space, zu, zv)
-            and (is_atom(space, zu) or is_atom(space, zv)))
+def orthogonal_annihilator(full: int, a: int, b: int) -> bool:
+    return orthogonal_comaximal(full, a, b) and 1 in (a.bit_count(), b.bit_count())
 
 
-def expected_annihilator_cycle(space, zu, zv) -> int:
-    """Valid when the graph has a triangle (alphabet >= 3)."""
-    edge = adjacent(GraphKind.ANNIHILATOR, space, zu, zv)
-    return 3 if edge and not orthogonal_annihilator(space, zu, zv) else 4
+def expected_annihilator_cycle(full: int, a: int, b: int) -> int:
+    """Valid when the graph has a triangle (alphabet >= 3): 3 on the edges
+    (neither zero set contains the other) that are not orthogonal."""
+    return 3 if a & ~b and b & ~a and not orthogonal_annihilator(full, a, b) else 4
 
 
 def _cell_pairs(g):
@@ -114,23 +104,29 @@ def _cell_pairs(g):
             yield cell[0], other[0], len(cell) * len(other)
 
 
+def _atom_masks(g) -> tuple[int, list[int]]:
+    """X and each zero-set class's zero set as masks (atomic graphs only)."""
+    return (1 << g.space.n_atoms) - 1, [z.mask for z in g.classes.zero_sets]
+
+
 def _pair_mismatches(g, want, got) -> int:
-    """Vertex pairs i < j where ``got(i, j)`` differs from the expected value
-    ``want(zu, zv)`` on their zero sets, compared once per cell pair
-    (``_cell_pairs``).  This counts every vertex pair only because ``want``
-    is symmetric and ``got`` is invariant under swapping false twins (an
-    automorphism), so both are constant on a cell pair; every ``got`` in use
-    is: distance, the class-level orthogonality flag, row equality,
-    ``cycle_rank`` and edge flags.  A ``got`` that reads vertex indices in any
-    other way would be compared on the representatives only."""
-    zsets, of = g.classes.zero_sets, g.classes.of
-    return sum(w for i, j, w in _cell_pairs(g) if got(i, j) != want(zsets[of[i]], zsets[of[j]]))
+    """Vertex pairs i < j where ``got(i, j)`` differs from ``want(full, a, b)``
+    on their zero sets, compared once per cell pair (``_cell_pairs``).  This
+    counts every vertex pair only because ``want`` is symmetric and ``got``
+    is invariant under swapping false twins (an automorphism), so both are
+    constant on a cell pair; every ``got`` in use is: distance, the
+    class-level orthogonality flag, row equality, ``cycle_rank`` and edge
+    flags.  A ``got`` that reads vertex indices in any other way would be
+    compared on the representatives only."""
+    (full, masks), of = _atom_masks(g), g.classes.of
+    return sum(w for i, j, w in _cell_pairs(g) if got(i, j) != want(full, masks[of[i]], masks[of[j]]))
 
 
 def _vertex_mismatches(g, want, got) -> int:
-    """Vertices i where ``got[i]`` differs from ``want(z)`` on their zero
-    set, evaluating ``want`` once per zero-set class."""
-    expected = [want(z) for z in g.classes.zero_sets]
+    """Vertices i where ``got[i]`` differs from ``want(full, z)`` on their
+    zero set, evaluating ``want`` once per zero-set class."""
+    full, masks = _atom_masks(g)
+    expected = [want(full, z) for z in masks]
     return sum(1 for i, c in enumerate(g.classes.of) if got[i] != expected[c])
 
 
@@ -144,11 +140,11 @@ def _row_graph(ctx: RunContext, check_id: str, n: int, mode_k: tuple):
 def _mismatch_row(check_id: str, compare, expected: str, want, got, **domain) -> None:
     """Register a rule read per vertex (``compare=_vertex_mismatches``) or
     per vertex pair (``_pair_mismatches``): ``got(ctx, g)`` is the graph's
-    side, ``want(space, z)`` or ``want(space, zu, zv)`` the closed form on
-    zero sets.  ``expected`` may name ``{total}``, the vertex-pair count."""
+    side, ``want(full, z)`` or ``want(full, a, b)`` the closed form on atom
+    masks.  ``expected`` may name ``{total}``, the vertex-pair count."""
     def check(ctx: RunContext, n: int, *mode_k) -> Outcome:
         g = _row_graph(ctx, check_id, n, mode_k)
-        bad = compare(g, partial(want, ctx.space(n)), got(ctx, g))
+        bad = compare(g, want, got(ctx, g))
         return Outcome(expected.format(total=g.n_vertices * (g.n_vertices - 1) // 2),
                        f"{bad} mismatches", bad == 0)
     register(check_id, **domain)(check)
@@ -379,7 +375,7 @@ _mismatch_row("comaximal.distance_formula", _pair_mismatches,
 
 _mismatch_row("comaximal.eccentricity_formula", _vertex_mismatches,
               "eccentricity 2 exactly at atomic zero sets, else 3",
-              lambda space, z: 2 if is_atom(space, z) else 3,
+              lambda full, z: 2 if z.bit_count() == 1 else 3,
               lambda ctx, g: ctx.graph_metrics(g).eccentricity,
               needs_k3="eccentricity formula needs classes of size >= 2 (alphabet >= 3)")
 
@@ -392,7 +388,7 @@ _value_row("comaximal.diameter_girth", "(diameter, girth) = {}",
 
 _mismatch_row("comaximal.triangle_vertex_rule", _vertex_mismatches,
               "on a triangle iff the cozero set is not an atom",
-              lambda space, z: not is_atom(space, complement(space, z)),
+              lambda full, z: (full ^ z).bit_count() != 1,
               lambda ctx, g: triangle_profile(g).vertex_flags, per_mode=True)
 
 
@@ -462,7 +458,7 @@ _value_row("comaximal.complete_bipartite_rule", "complete bipartite: {}",
 
 _mismatch_row("comaximal.neighborhood_rule", _pair_mismatches,
               "equal neighborhoods exactly within one class",
-              null_equal, lambda ctx, g: lambda i, j: g.adj[i] == g.adj[j])
+              lambda full, a, b: a == b, lambda ctx, g: lambda i, j: g.adj[i] == g.adj[j])
 
 
 @register("comaximal.sampled_triangulated", backend=INTERVAL)
@@ -517,13 +513,13 @@ _value_row("zero_divisor.complete_bipartite_rule", "complete bipartite: {}",
 
 _mismatch_row("zero_divisor.triangle_vertex_rule", _vertex_mismatches,
               "on a triangle iff the zero set is not an atom",
-              lambda space, z: not is_atom(space, z),
+              lambda full, z: z.bit_count() != 1,
               lambda ctx, g: triangle_profile(g).vertex_flags)
 
 
 _mismatch_row("zero_divisor.eccentricity_formula", _vertex_mismatches,
               "eccentricity 2 exactly at atomic cozero sets, else 3",
-              lambda space, z: 2 if is_atom(space, complement(space, z)) else 3,
+              lambda full, z: 2 if (full ^ z).bit_count() == 1 else 3,
               lambda ctx, g: ctx.graph_metrics(g).eccentricity, needs_k3=NEEDS_K3)
 
 
@@ -616,7 +612,7 @@ def check_annihilator_complemented(ctx: RunContext, n: int, mode: str, k: int | 
 
 _mismatch_row("annihilator.orthogonal_complement_rule", _vertex_mismatches,
               "orthogonal partner exists iff zero set or cozero set is an atom",
-              lambda space, z: is_atom(space, z) or is_atom(space, complement(space, z)),
+              lambda full, z: 1 in (z.bit_count(), (full ^ z).bit_count()),
               lambda ctx, g: triangle_profile(g).has_complement)
 
 
@@ -636,12 +632,11 @@ _value_row("annihilator.girth_rule", "girth {}", lambda n: 4 if n == 2 else 3,
 
 @register("annihilator.edge_triangle_rule")
 def check_annihilator_edge_triangles(ctx: RunContext, n: int, k: int):
-    space = ctx.space(n)
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
     profile = triangle_profile(g)
-    zsets, of = g.classes.zero_sets, g.classes.of
+    (full, masks), of = _atom_masks(g), g.classes.of
     bad = sum(w for i, j, w in _cell_pairs(g) if g.is_edge(i, j) and profile.edge_flag(i, j)
-              == orthogonal_annihilator(space, zsets[of[i]], zsets[of[j]]))
+              == orthogonal_annihilator(full, masks[of[i]], masks[of[j]]))
     ok = bad == 0 and not profile.is_hypertriangulated
     return Outcome("edge on a triangle iff not orthogonal; not hypertriangulated over atoms",
                    f"{bad} mismatches, hypertriangulated={profile.is_hypertriangulated}", ok)
@@ -730,7 +725,7 @@ def check_weakly_self_adjacency(ctx: RunContext, n: int, k: int):
     check_oracle_bounds(space, k)
     g = ctx.graph(n, GraphKind.COMAXIMAL, "expanded", alphabet=k)  # every zero-divisor
     brute = [oracle_row(GraphKind.WEAKLY_ZD, space, k, f, (f,)) == 1 for f in g.vertices]
-    bad = _vertex_mismatches(g, lambda z: not is_atom(space, z), brute)
+    bad = _vertex_mismatches(g, lambda full, z: z.bit_count() != 1, brute)
     return Outcome("self-adjacent iff the zero set is not an atom", f"{bad} mismatches",
                    bad == 0)
 

@@ -52,6 +52,7 @@ from .measure_space import (
     is_null,
     is_subset,
     null_equal,
+    unit_space,
 )
 from .vertex_universe import (
     ExpandedFunction,
@@ -450,14 +451,14 @@ def _vertex_count(n: int, kind: GraphKind, mode: str, alphabet: int | None) -> i
 
 @lru_cache(maxsize=8)
 class _Universe:
-    """The atomic vertices of one space and alphabet, enumerated once for all
-    four graph kinds, as a tuple, and their zero-set partition: the classes
-    of :func:`enumerate_zclasses` when ``k`` is None (quotient mode), else
-    the functions of :func:`enumerate_functions`.  Keyed by the space, not
-    by n, so a space with other weights enumerates its own."""
+    """The atomic vertices of ``n`` atoms and alphabet ``k`` for all four graph
+    kinds, as a tuple, and their zero-set partition: :func:`enumerate_zclasses`
+    when ``k`` is None, else :func:`enumerate_functions`.  Keyed by ``(n, k)``,
+    all that enumeration reads, so all positive weights share one universe;
+    null cells would add the null pattern to the key."""
 
-    def __init__(self, space: AtomicSpace, k: int | None):
-        found = enumerate_zclasses(space) if k is None else enumerate_functions(space, k)
+    def __init__(self, n: int, k: int | None):
+        found = enumerate_zclasses(unit_space(n)) if k is None else enumerate_functions(unit_space(n), k)
         self.vertices = tuple(found)
         self.classes = zero_set_classes([v.zero_set for v in self.vertices])
 
@@ -487,7 +488,7 @@ def build_graph(space: MeasureSpace, kind: GraphKind, mode: str = "quotient",
         count = _vertex_count(space.n_atoms, kind, mode, alphabet)
         if count > MAX_VERTICES:
             raise BoundExceededError(f"{count} vertices exceed guard {MAX_VERTICES}")
-        universe = _Universe(space, alphabet)
+        universe = _Universe(space.n_atoms, alphabet)
         payloads, classes = universe.vertices, universe.classes
     if kind is GraphKind.WEAKLY_ZD:  # the members of the atom classes, in vertex order
         keep = [vs for z, vs in zip(classes.zero_sets, classes.members) if is_atom(space, z)]

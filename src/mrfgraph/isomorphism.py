@@ -74,20 +74,24 @@ def complement_iso(g1: Graph, g2: Graph, budget: int = ISO_BUDGET) -> IsoVerdict
 
 def _wl_colors(g1: Graph, g2: Graph, ecc1, ecc2) -> tuple[list[int], list[int]]:
     """Joint 1-dimensional Weisfeiler-Leman refinement over both graphs, run
-    on their disjoint union: g1's vertices, then g2's with rows shifted past
-    them.  Each round groups the vertices' signatures with
-    :func:`zero_set_classes`, so colours are numbered by first appearance."""
-    n1 = g1.n_vertices
-    adj = g1.adj + tuple(row << n1 for row in g2.adj)
-    colors = [(g1.degree(i), ecc1[i]) for i in range(n1)]
-    colors += [(g2.degree(i), ecc2[i]) for i in range(g2.n_vertices)]
+    on their twin quotients, g2's rows shifted past g1's classes.  A class's
+    signature is its colour and, per neighbour colour, the number of
+    neighbouring vertices; false twins share every colour, so each vertex
+    takes its class's.  Colours are numbered by first appearance
+    (:func:`zero_set_classes`), in class order and so in vertex order."""
+    shift = len(g1.quotient)
+    adj = g1.quotient + tuple(row << shift for row in g2.quotient)
+    sizes = [len(vs) for vs in g1.twins.members + g2.twins.members]
+    colors = [(g.degree(vs[0]), e[vs[0]]) for g, e in ((g1, ecc1), (g2, ecc2)) for vs in g.twins.members]
     while True:
-        refined = zero_set_classes([(c, tuple(sorted(colors[j] for j in _members(row))))
-                                    for c, row in zip(colors, adj)])
-        stable = len(refined.members) == len(set(colors))
-        colors = list(refined.of)
-        if stable:
-            return colors[:n1], colors[n1:]
+        counts = [Counter() for _ in adj]
+        for count, row in zip(counts, adj):
+            for d in _members(row):
+                count[colors[d]] += sizes[d]
+        refined = zero_set_classes([(c, tuple(sorted(n.items()))) for c, n in zip(colors, counts)]).of
+        if len(set(refined)) == len(set(colors)):
+            return [refined[c] for c in g1.twins.of], [refined[shift + c] for c in g2.twins.of]
+        colors = refined
 
 
 def are_isomorphic(g1: Graph, g2: Graph, budget: int = ISO_BUDGET) -> IsoVerdict:

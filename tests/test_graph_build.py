@@ -343,20 +343,22 @@ def spy_enumerations(monkeypatch):
     return calls
 
 
-def test_expanded_kinds_enumerate_once_per_space(monkeypatch, fresh_universes):
-    """The four kinds on one (space, k) enumerate once and share the
-    vertices; other weights or another alphabet enumerate again."""
+def test_expanded_kinds_enumerate_once_per_atom_count_and_alphabet(monkeypatch, fresh_universes):
+    """The four kinds on one (n, k) enumerate once and share the vertices,
+    under any positive weights; another alphabet enumerates again."""
     calls = spy_enumerations(monkeypatch)
     unit, weighted = (AtomicSpace(make_weights(4, policy, 7))
                       for policy in ("unit", "random-positive"))
     assert unit != weighted
     graphs = [build_graph(unit, kind, "expanded", alphabet=3) for kind in KINDS]
-    assert [c[:2] for c in calls] == [(unit, 3)]
+    assert [(c[0].n_atoms, c[1]) for c in calls] == [(4, 3)]
     assert all(g.vertices is graphs[0].vertices for g in graphs[:3])
-    for kind in KINDS:
-        build_graph(weighted, kind, "expanded", alphabet=3)
+    for kind, g in zip(KINDS, graphs):
+        h = build_graph(weighted, kind, "expanded", alphabet=3)
+        assert h.space is weighted and h.vertices == g.vertices and h.adj == g.adj
+        assert kind is GraphKind.WEAKLY_ZD or (h.vertices is g.vertices and h.classes is g.classes)
         build_graph(unit, kind, "expanded", alphabet=2)
-    assert [c[:2] for c in calls] == [(unit, 3), (weighted, 3), (unit, 2)]
+    assert [(c[0].n_atoms, c[1]) for c in calls] == [(4, 3), (4, 2)]
 
 
 def uncached_expanded_build(space, kind, k):
@@ -403,7 +405,7 @@ def test_expanded_build_holds_the_universe_partition(fresh_universes):
     partition objects (weakly-zd its own partition of the atom classes); the
     partition stays out of equality and hashing."""
     space = unit_space(4)
-    universe = _Universe(space, 3)
+    universe = _Universe(4, 3)
     for kind in KINDS:
         g = build_graph(space, kind, "expanded", alphabet=3)
         if kind is GraphKind.WEAKLY_ZD:
@@ -418,7 +420,7 @@ def test_quotient_build_holds_the_universe_partition(fresh_universes):
     """The quotient builds of the four kinds on one space hold one vertex
     tuple and one partition object; weakly-zd partitions its atom classes."""
     space = unit_space(4)
-    universe = _Universe(space, None)
+    universe = _Universe(4, None)
     for kind in KINDS:
         g = build_graph(space, kind, "quotient")
         if kind is GraphKind.WEAKLY_ZD:

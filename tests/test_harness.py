@@ -31,7 +31,15 @@ from mrfgraph.harness import (
     run_suite,
 )
 from mrfgraph.isomorphism import INCONCLUSIVE, IsoVerdict
-from mrfgraph.measure_space import AtomicSpace, atom_set, complement, is_atom, null_equal
+from mrfgraph.measure_space import (
+    ATOMIC,
+    AtomicSpace,
+    MeasurableSet,
+    atom_set,
+    complement,
+    is_atom,
+    null_equal,
+)
 from mrfgraph.vertex_universe import UNIT_INTERVAL, enumerate_functions, sample_interval_classes
 
 SMALL = SuiteConfig(atoms_min=2, atoms_max=3)
@@ -119,6 +127,28 @@ def test_weight_independence_compares_expanded_graphs_at_every_n(monkeypatch):
                          for mode, alpha in (("quotient", None), ("expanded", 3))]
         assert len(ctx._graphs) == 8
         assert all(g.space is ctx.space(5) for g in ctx._graphs.values())
+
+
+def test_weight_independence_reuses_the_runs_vertex_universe(monkeypatch):
+    """Enumeration reads only (n, k), so the comparison graphs under the
+    other weight policy hold the run's vertex tuples (and, but for weakly-zd's
+    filtered list, its zero-set partitions): no second universe is built."""
+    handed = []
+    build = mrfgraph.checks.build_graph
+    monkeypatch.setattr(mrfgraph.checks, "build_graph",
+                        lambda *args, **kwargs: handed.append(build(*args, **kwargs)) or handed[-1])
+    graph_build._Universe.cache_clear()
+    ctx = RunContext(SuiteConfig(atoms_min=4, atoms_max=4))
+    assert REGISTRY["measure_core.weight_independence"].fn(ctx, 4, 3).ok
+    assert graph_build._Universe.cache_info().misses == 2  # the quotient and the k=3 universe
+    assert len(handed) == 2 * len(GraphKind)
+    for h in handed:
+        g = ctx.graph(4, h.kind, h.mode, alphabet=h.alphabet)
+        assert h is not g and h.space != g.space
+        if h.kind is GraphKind.WEAKLY_ZD:
+            assert all(x is y for x, y in zip(h.vertices, g.vertices, strict=True))
+        else:
+            assert h.vertices is g.vertices and h.classes is g.classes
 
 
 def _flip_first_edge(g):
@@ -705,16 +735,20 @@ def _only_first_atom(space, z):
 
 @pytest.mark.parametrize("atom_test", [is_atom, _only_first_atom])
 def test_weakly_self_adjacency_counts_the_per_function_mismatches(atom_test, monkeypatch):
-    """With the atom test replaced by a faulty one, the rule counts the
-    functions whose oracle self-pair disagrees with it: the computed side is
-    the oracle's, never the closed form."""
+    """With the atom test replaced by a faulty one in the closed form handed
+    to ``_vertex_mismatches``, the rule counts the functions whose oracle
+    self-pair disagrees with it: the computed side is the oracle's, never the
+    closed form."""
     n, k = 3, 3
     ctx = RunContext(SuiteConfig())
     space = ctx.space(n)
     want = sum(oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, f) == atom_test(space, f.zero_set)
                for f in enumerate_functions(space, k))
     assert (want == 0) == (atom_test is is_atom)
-    monkeypatch.setattr(mrfgraph.checks, "is_atom", atom_test)
+    compare = mrfgraph.checks._vertex_mismatches
+    planted = lambda full, z: not atom_test(space, MeasurableSet(ATOMIC, mask=z))
+    monkeypatch.setattr(mrfgraph.checks, "_vertex_mismatches",
+                        lambda g, _, got: compare(g, planted, got))
     outcome = REGISTRY["weakly_zd.self_adjacency_rule"].fn(ctx, n, k)
     assert outcome.computed == f"{want} mismatches"
     assert outcome.ok == (want == 0)

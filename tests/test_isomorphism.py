@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from mrfgraph.graph_build import Graph, GraphKind, build_graph, zero_set_classes
+from mrfgraph.graph_build import Graph, GraphKind, _members, build_graph, zero_set_classes
+from mrfgraph.graph_metrics import metrics
 from mrfgraph.isomorphism import (
     INCONCLUSIVE,
     ISOMORPHIC,
     NOT_ISOMORPHIC,
+    _wl_colors,
     are_isomorphic,
     complement_iso,
     verify_mapping,
@@ -211,9 +213,6 @@ def recursive_backtrack(g1, g2, budget):
     same candidates and order, one Python frame per position, and each
     candidate tested against every placed vertex in turn where the search
     compares one mask."""
-    from mrfgraph.graph_metrics import metrics
-    from mrfgraph.isomorphism import _wl_colors
-
     n = g1.n_vertices
     colors1, colors2 = _wl_colors(g1, g2, metrics(g1).eccentricity, metrics(g2).eccentricity)
     candidates = [[j for j in range(n) if colors2[j] == colors1[i]] for i in range(n)]
@@ -312,9 +311,6 @@ def palette_wl_colors(g1, g2, ecc1, ecc2):
 
 
 def test_wl_colors_match_palette_reference():
-    from mrfgraph.graph_metrics import metrics
-    from mrfgraph.isomorphism import _wl_colors
-
     pairs = [zd_comaximal(n, "expanded", k) for n in (2, 3, 4) for k in (2, 3)]
     rng = random.Random("wl-colors")
     for trial in range(40):
@@ -328,6 +324,59 @@ def test_wl_colors_match_palette_reference():
     for g1, g2 in pairs:
         ecc1, ecc2 = metrics(g1).eccentricity, metrics(g2).eccentricity
         assert _wl_colors(g1, g2, ecc1, ecc2) == palette_wl_colors(g1, g2, ecc1, ecc2)
+
+
+def vertex_wl_colors(g1, g2, ecc1, ecc2):
+    """The refinement on the vertices of both graphs (reference): each round
+    sorts every vertex's neighbour colours."""
+    n1 = g1.n_vertices
+    adj = g1.adj + tuple(row << n1 for row in g2.adj)
+    colors = [(g1.degree(i), ecc1[i]) for i in range(n1)]
+    colors += [(g2.degree(i), ecc2[i]) for i in range(g2.n_vertices)]
+    while True:
+        refined = zero_set_classes([(c, tuple(sorted(colors[j] for j in _members(row))))
+                                    for c, row in zip(colors, adj)])
+        stable = len(refined.members) == len(set(colors))
+        colors = list(refined.of)
+        if stable:
+            return colors[:n1], colors[n1:]
+
+
+def planted_twins(rng, m, p):
+    """A random graph on m vertices with each vertex blown up into 1-3 false
+    twins, the vertex order shuffled."""
+    base = [[i != j and rng.random() < p for j in range(m)] for i in range(m)]
+    owner = [b for b in range(m) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(owner)
+    return raw_graph(len(owner), [(i, j) for i in range(len(owner)) for j in range(i)
+                                  if base[owner[i]][owner[j]] and base[owner[j]][owner[i]]])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_quotient_wl_colors_match_vertex_reference(n):
+    """The twin-quotient refinement gives the vertex-level colour lists on
+    the expanded (k=3) comaximal graph paired with each kind's, where twin
+    classes are large."""
+    space = unit_space(n)
+    gc = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    for kind in (GraphKind.COMAXIMAL, GraphKind.ZERO_DIVISOR, GraphKind.ANNIHILATOR):
+        g = build_graph(space, kind, "expanded", alphabet=3)
+        ecc1, ecc2 = metrics(g).eccentricity, metrics(gc).eccentricity
+        assert _wl_colors(g, gc, ecc1, ecc2) == vertex_wl_colors(g, gc, ecc1, ecc2), kind
+
+
+def test_quotient_wl_colors_match_vertex_reference_on_planted_twins():
+    rng = random.Random("wl-twins")
+    for trial in range(60):
+        g1 = planted_twins(rng, rng.randint(2, 8), rng.choice([0.3, 0.5, 0.7]))
+        n = g1.n_vertices
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g2 = (raw_graph(n, [(perm[i], perm[j]) for i, j in g1.edges()]) if trial % 2
+              else edge_switched(n, g1.edges()))
+        for h1, h2 in ((g1, g2), (g1, g1), (g2, planted_twins(rng, 5, 0.5))):
+            ecc1, ecc2 = metrics(h1).eccentricity, metrics(h2).eccentricity
+            assert _wl_colors(h1, h2, ecc1, ecc2) == vertex_wl_colors(h1, h2, ecc1, ecc2)
 
 
 def test_isomorphism_search_needs_no_recursion_depth():

@@ -42,7 +42,7 @@ from mrfgraph.graph_metrics import (
     triangle_profile,
 )
 from mrfgraph.harness import REGISTRY, RunContext, SuiteConfig
-from mrfgraph.measure_space import IntervalSpace, atom_set, null_equal, unit_space
+from mrfgraph.measure_space import IntervalSpace, atom_set, unit_space
 from mrfgraph.vertex_universe import ZClass, sample_interval_classes
 
 INF = math.inf
@@ -336,33 +336,33 @@ def test_graph_breaking_twinness_shows_as_mismatch():
     # u and w leave their zero-set classes' row classes
     assert len(broken.twins.members) > len(broken.classes.members)
     assert_matches_reference(broken)
-    bad = _pair_mismatches(broken, partial(expected_comaximal_distance, space),
-                           metrics(broken).distance)
+    bad = _pair_mismatches(broken, expected_comaximal_distance, metrics(broken).distance)
     assert bad > 0
 
 
 def reference_pair_mismatches(g: Graph, want, got) -> int:
-    """Vertex pairs i < j where ``got(i, j)`` differs from ``want`` on their
-    zero sets, with ``got`` called on every vertex pair."""
-    classes = g.classes
+    """Vertex pairs i < j where ``got(i, j)`` differs from ``want`` on the
+    masks of X and their zero sets, with ``got`` called on every vertex
+    pair."""
+    full, masks = (1 << g.space.n_atoms) - 1, [z.mask for z in g.zero_sets]
     rows: dict[int, list] = {}
     bad = 0
-    for i, a in enumerate(classes.of):
-        if a not in rows:
-            rows[a] = [want(classes.zero_sets[a], z) for z in classes.zero_sets]
+    for i, z in enumerate(masks):
+        if z not in rows:
+            rows[z] = [want(full, z, y) for y in masks]
         for j in range(i + 1, g.n_vertices):
-            if got(i, j) != rows[a][classes.of[j]]:
+            if got(i, j) != rows[z][j]:
                 bad += 1
     return bad
 
 
-def reference_edge_triangle_mismatches(g: Graph, space) -> int:
+def reference_edge_triangle_mismatches(g: Graph) -> int:
     """Edges whose triangle flag equals their orthogonality, read edge by
     edge."""
     profile = triangle_profile(g)
-    zsets, of = g.classes.zero_sets, g.classes.of
-    orthogonal = [[orthogonal_annihilator(space, zu, zv) for zv in zsets] for zu in zsets]
-    return sum(1 for i, j in g.edges() if profile.edge_flag(i, j) == orthogonal[of[i]][of[j]])
+    full, masks = (1 << g.space.n_atoms) - 1, [z.mask for z in g.zero_sets]
+    return sum(1 for i, j in g.edges()
+               if profile.edge_flag(i, j) == orthogonal_annihilator(full, masks[i], masks[j]))
 
 
 def edge_triangle_mismatches(g: Graph, n: int) -> int:
@@ -375,20 +375,20 @@ def edge_triangle_mismatches(g: Graph, n: int) -> int:
     return int(checks.check_annihilator_edge_triangles(ctx, n, 3).computed.split()[0])
 
 
-def rule_comparisons(g: Graph, space):
+def rule_comparisons(g: Graph):
     """The (want, got) of every rule check that calls ``_pair_mismatches``.
     Both cycle-rank checks read one table of ``cycle_rank`` per vertex pair,
     built up to n=4; at n=5 it would take about 4 s more."""
     orthogonal = complementation_profile(g).is_orthogonal
-    yield partial(expected_comaximal_distance, space), metrics(g).distance
-    yield partial(orthogonal_comaximal, space), orthogonal
-    yield partial(orthogonal_annihilator, space), orthogonal
-    yield partial(null_equal, space), lambda i, j: g.adj[i] == g.adj[j]
-    if space.n_atoms <= 4:
+    yield expected_comaximal_distance, metrics(g).distance
+    yield orthogonal_comaximal, orthogonal
+    yield orthogonal_annihilator, orthogonal
+    yield lambda full, a, b: a == b, lambda i, j: g.adj[i] == g.adj[j]
+    if g.space.n_atoms <= 4:
         ranks = {(i, j): cycle_rank(g, i, j, MAX_LEN)
                  for i in range(g.n_vertices) for j in range(i + 1, g.n_vertices)}
-        yield partial(expected_comaximal_cycle, space), lambda i, j: ranks[i, j]
-        yield partial(expected_annihilator_cycle, space), lambda i, j: ranks[i, j]
+        yield expected_comaximal_cycle, lambda i, j: ranks[i, j]
+        yield expected_annihilator_cycle, lambda i, j: ranks[i, j]
 
 
 def flip_first_and_last(g: Graph) -> Graph:
@@ -408,7 +408,6 @@ def test_cell_pair_counts_match_per_pair_reference(n):
     on the same graph with one flipped edge.  The flip makes ``got`` depend
     on the vertex index, so each flipped vertex falls into a cell of its
     own."""
-    space = unit_space(n)
     pair_counts, edge_counts = [], []
     for g in atomic_graphs(n):
         broken = flip_first_and_last(g)
@@ -416,15 +415,15 @@ def test_cell_pair_counts_match_per_pair_reference(n):
         assert cells.members[cells.of[0]] == (0,), g.name()
         assert cells.members[cells.of[-1]] == (g.n_vertices - 1,), g.name()
         for h in (g, broken):
-            for want, got in rule_comparisons(h, space):
+            for want, got in rule_comparisons(h):
                 pair_counts.append(reference_pair_mismatches(h, want, got))
                 assert _pair_mismatches(h, want, got) == pair_counts[-1], h.name()
-            edge_counts.append(reference_edge_triangle_mismatches(h, space))
+            edge_counts.append(reference_edge_triangle_mismatches(h))
             assert edge_triangle_mismatches(h, n) == edge_counts[-1], h.name()
             # distance 1 everywhere: every non-adjacent pair counts, inside
             # a cell too
             pairs = h.n_vertices * (h.n_vertices - 1) // 2
-            assert _pair_mismatches(h, lambda zu, zv: 1, metrics(h).distance) == \
+            assert _pair_mismatches(h, lambda full, a, b: 1, metrics(h).distance) == \
                 pairs - h.n_edges(), h.name()
     # the rules of one graph read on another, and the flips, give mismatches
     assert any(pair_counts) and (n == 2 or any(edge_counts))
