@@ -86,27 +86,22 @@ def orthogonal_annihilator(full: int, a: int, b: int) -> bool:
 
 
 def expected_annihilator_cycle(full: int, a: int, b: int) -> int:
-    """Valid when the graph has a triangle (alphabet >= 3): 3 on the edges
-    (neither zero set contains the other) that are not orthogonal."""
+    """Valid when the graph has a triangle (alphabet >= 3)."""
     return 3 if a & ~b and b & ~a and not orthogonal_annihilator(full, a, b) else 4
 
 
 def _cell_pairs(g):
     """One representative vertex pair (i, j), i < j, per unordered pair of
-    cells of the common refinement of zero-set and twin classes, and the
-    number of vertex pairs it stands for: the first members of two cells A
-    and B stand for |A|·|B| pairs, the first two of one cell for C(|A|, 2)."""
-    cells = zero_set_classes(zip(g.classes.of, g.twins.of)).members
-    for a, cell in enumerate(cells):
+    cells of the common refinement of zero-set and twin classes, their
+    zero-set masks a and b, and the number of vertex pairs it stands for:
+    the first members of two cells A and B stand for |A|·|B| pairs, the
+    first two of one cell for C(|A|, 2).  Atomic graphs only."""
+    cells = zero_set_classes((z.mask, t) for z, t in zip(g.zero_sets, g.twins.of))
+    for x, ((a, _), cell) in enumerate(zip(cells.zero_sets, cells.members)):
         if len(cell) > 1:
-            yield cell[0], cell[1], len(cell) * (len(cell) - 1) // 2
-        for other in cells[a + 1:]:
-            yield cell[0], other[0], len(cell) * len(other)
-
-
-def _atom_masks(g) -> tuple[int, list[int]]:
-    """X and each zero-set class's zero set as masks (atomic graphs only)."""
-    return (1 << g.space.n_atoms) - 1, [z.mask for z in g.classes.zero_sets]
+            yield cell[0], cell[1], a, a, len(cell) * (len(cell) - 1) // 2
+        for (b, _), other in zip(cells.zero_sets[x + 1:], cells.members[x + 1:]):
+            yield cell[0], other[0], a, b, len(cell) * len(other)
 
 
 def _pair_mismatches(g, want, got) -> int:
@@ -118,15 +113,15 @@ def _pair_mismatches(g, want, got) -> int:
     class-level orthogonality flag, row equality, ``cycle_rank`` and edge
     flags.  A ``got`` that reads vertex indices in any other way would be
     compared on the representatives only."""
-    (full, masks), of = _atom_masks(g), g.classes.of
-    return sum(w for i, j, w in _cell_pairs(g) if got(i, j) != want(full, masks[of[i]], masks[of[j]]))
+    full = (1 << g.space.n_atoms) - 1
+    return sum(w for i, j, a, b, w in _cell_pairs(g) if got(i, j) != want(full, a, b))
 
 
 def _vertex_mismatches(g, want, got) -> int:
     """Vertices i where ``got[i]`` differs from ``want(full, z)`` on their
     zero set, evaluating ``want`` once per zero-set class."""
-    full, masks = _atom_masks(g)
-    expected = [want(full, z) for z in masks]
+    full = (1 << g.space.n_atoms) - 1
+    expected = [want(full, z.mask) for z in g.classes.zero_sets]
     return sum(1 for i, c in enumerate(g.classes.of) if got[i] != expected[c])
 
 
@@ -634,9 +629,9 @@ _value_row("annihilator.girth_rule", "girth {}", lambda n: 4 if n == 2 else 3,
 def check_annihilator_edge_triangles(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
     profile = triangle_profile(g)
-    (full, masks), of = _atom_masks(g), g.classes.of
-    bad = sum(w for i, j, w in _cell_pairs(g) if g.is_edge(i, j) and profile.edge_flag(i, j)
-              == orthogonal_annihilator(full, masks[of[i]], masks[of[j]]))
+    full = (1 << g.space.n_atoms) - 1
+    bad = sum(w for i, j, a, b, w in _cell_pairs(g) if g.is_edge(i, j) and profile.edge_flag(i, j)
+              == orthogonal_annihilator(full, a, b))
     ok = bad == 0 and not profile.is_hypertriangulated
     return Outcome("edge on a triangle iff not orthogonal; not hypertriangulated over atoms",
                    f"{bad} mismatches, hypertriangulated={profile.is_hypertriangulated}", ok)

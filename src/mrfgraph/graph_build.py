@@ -458,7 +458,8 @@ class _Universe:
     null cells would add the null pattern to the key."""
 
     def __init__(self, n: int, k: int | None):
-        found = enumerate_zclasses(unit_space(n)) if k is None else enumerate_functions(unit_space(n), k)
+        space = unit_space(n)
+        found = enumerate_zclasses(space) if k is None else enumerate_functions(space, k)
         self.vertices = tuple(found)
         self.classes = zero_set_classes([v.zero_set for v in self.vertices])
 

@@ -120,7 +120,8 @@ GRAPHS = [("quotient", n, None) for n in range(2, 8)] + [("expanded", n, 3) for 
 def test_mask_forms_match_set_algebra_reference(mode, n, k, weights, monkeypatch):
     """Each rule's mask form equals its reference, value and type, on every
     class (vertex rules) and every ordered class pair, the diagonal included
-    (pair rules), of the graph the rule reads."""
+    (pair rules), of the graph the rule reads; ``_cell_pairs`` hands each
+    representative pair its classes' zero-set masks."""
     space = AtomicSpace(make_weights(n, weights, 7))
     graphs = {}
     for check_id, (want, compare) in mask_wants(monkeypatch).items():
@@ -129,9 +130,9 @@ def test_mask_forms_match_set_algebra_reference(mode, n, k, weights, monkeypatch
         if kind not in graphs:
             graphs[kind] = build_graph(space, kind, mode, alphabet=k)
         g = graphs[kind]
-        full, masks = checks._atom_masks(g)
-        zsets = g.classes.zero_sets
-        assert masks == [z.mask for z in zsets] and full == (1 << n) - 1
+        full, zsets, of = (1 << n) - 1, g.classes.zero_sets, g.classes.of
+        masks = [z.mask for z in zsets]
+        assert all(a == masks[of[i]] and b == masks[of[j]] for i, j, a, b, _ in checks._cell_pairs(g))
         reference = REFERENCES[check_id]
         for a, za in enumerate(zsets):
             if compare is checks._vertex_mismatches:

@@ -251,7 +251,7 @@ def test_cycle_rank_long_cycle_has_no_depth_limit():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cycle_rank_matches_recursive_search_on_cell_pairs(kind, n):
     g = build_graph(unit_space(n), kind, "expanded", alphabet=3)
-    for i, j, _ in _cell_pairs(g):
+    for i, j, *_ in _cell_pairs(g):
         assert cycle_rank(g, i, j) == recursive_cycle_rank(g, i, j), (i, j)
 
 

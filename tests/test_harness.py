@@ -31,15 +31,7 @@ from mrfgraph.harness import (
     run_suite,
 )
 from mrfgraph.isomorphism import INCONCLUSIVE, IsoVerdict
-from mrfgraph.measure_space import (
-    ATOMIC,
-    AtomicSpace,
-    MeasurableSet,
-    atom_set,
-    complement,
-    is_atom,
-    null_equal,
-)
+from mrfgraph.measure_space import AtomicSpace, atom_set, complement, is_atom, null_equal
 from mrfgraph.vertex_universe import UNIT_INTERVAL, enumerate_functions, sample_interval_classes
 
 SMALL = SuiteConfig(atoms_min=2, atoms_max=3)
@@ -735,20 +727,18 @@ def _only_first_atom(space, z):
 
 @pytest.mark.parametrize("atom_test", [is_atom, _only_first_atom])
 def test_weakly_self_adjacency_counts_the_per_function_mismatches(atom_test, monkeypatch):
-    """With the atom test replaced by a faulty one in the closed form handed
-    to ``_vertex_mismatches``, the rule counts the functions whose oracle
-    self-pair disagrees with it: the computed side is the oracle's, never the
-    closed form."""
+    """With the oracle's self-pair flipped wherever a faulty atom test
+    disagrees with ``is_atom``, the rule counts exactly those functions: the
+    computed side is the oracle's, never the closed form."""
     n, k = 3, 3
     ctx = RunContext(SuiteConfig())
     space = ctx.space(n)
     want = sum(oracle_adjacent(GraphKind.WEAKLY_ZD, space, k, f, f) == atom_test(space, f.zero_set)
                for f in enumerate_functions(space, k))
     assert (want == 0) == (atom_test is is_atom)
-    compare = mrfgraph.checks._vertex_mismatches
-    planted = lambda full, z: not atom_test(space, MeasurableSet(ATOMIC, mask=z))
-    monkeypatch.setattr(mrfgraph.checks, "_vertex_mismatches",
-                        lambda g, _, got: compare(g, planted, got))
+    row = mrfgraph.checks.oracle_row
+    monkeypatch.setattr(mrfgraph.checks, "oracle_row", lambda kind, space, k, f, gs: row(
+        kind, space, k, f, gs) ^ (atom_test(space, f.zero_set) != is_atom(space, f.zero_set)))
     outcome = REGISTRY["weakly_zd.self_adjacency_rule"].fn(ctx, n, k)
     assert outcome.computed == f"{want} mismatches"
     assert outcome.ok == (want == 0)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mrfgraph.graph_build import Graph, GraphKind, _members, build_graph, zero_set_classes
+from mrfgraph.graph_build import Graph, GraphKind, build_graph, zero_set_classes
 from mrfgraph.graph_metrics import metrics
 from mrfgraph.isomorphism import (
     INCONCLUSIVE,
@@ -310,38 +310,6 @@ def palette_wl_colors(g1, g2, ecc1, ecc2):
             return colors1, colors2
 
 
-def test_wl_colors_match_palette_reference():
-    pairs = [zd_comaximal(n, "expanded", k) for n in (2, 3, 4) for k in (2, 3)]
-    rng = random.Random("wl-colors")
-    for trial in range(40):
-        n = rng.randint(1, 10)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-        perm = list(range(n))
-        rng.shuffle(perm)
-        g2 = (raw_graph(n, [(perm[i], perm[j]) for i, j in edges]) if trial % 2
-              else edge_switched(n, edges))
-        pairs.append((raw_graph(n, edges), g2))
-    for g1, g2 in pairs:
-        ecc1, ecc2 = metrics(g1).eccentricity, metrics(g2).eccentricity
-        assert _wl_colors(g1, g2, ecc1, ecc2) == palette_wl_colors(g1, g2, ecc1, ecc2)
-
-
-def vertex_wl_colors(g1, g2, ecc1, ecc2):
-    """The refinement on the vertices of both graphs (reference): each round
-    sorts every vertex's neighbour colours."""
-    n1 = g1.n_vertices
-    adj = g1.adj + tuple(row << n1 for row in g2.adj)
-    colors = [(g1.degree(i), ecc1[i]) for i in range(n1)]
-    colors += [(g2.degree(i), ecc2[i]) for i in range(g2.n_vertices)]
-    while True:
-        refined = zero_set_classes([(c, tuple(sorted(colors[j] for j in _members(row))))
-                                    for c, row in zip(colors, adj)])
-        stable = len(refined.members) == len(set(colors))
-        colors = list(refined.of)
-        if stable:
-            return colors[:n1], colors[n1:]
-
-
 def planted_twins(rng, m, p):
     """A random graph on m vertices with each vertex blown up into 1-3 false
     twins, the vertex order shuffled."""
@@ -352,20 +320,25 @@ def planted_twins(rng, m, p):
                                   if base[owner[i]][owner[j]] and base[owner[j]][owner[i]]])
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_quotient_wl_colors_match_vertex_reference(n):
-    """The twin-quotient refinement gives the vertex-level colour lists on
+def test_wl_colors_match_palette_reference():
+    """The twin-quotient refinement gives the vertex-level colour lists: on
     the expanded (k=3) comaximal graph paired with each kind's, where twin
-    classes are large."""
-    space = unit_space(n)
-    gc = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=3)
-    for kind in (GraphKind.COMAXIMAL, GraphKind.ZERO_DIVISOR, GraphKind.ANNIHILATOR):
-        g = build_graph(space, kind, "expanded", alphabet=3)
-        ecc1, ecc2 = metrics(g).eccentricity, metrics(gc).eccentricity
-        assert _wl_colors(g, gc, ecc1, ecc2) == vertex_wl_colors(g, gc, ecc1, ecc2), kind
-
-
-def test_quotient_wl_colors_match_vertex_reference_on_planted_twins():
+    classes are large, on random graphs and on random graphs with planted
+    false twins."""
+    pairs = [zd_comaximal(n, "expanded", k) for n in (2, 3, 4) for k in (2, 3)]
+    for n in (3, 4, 5):
+        gc = build_graph(unit_space(n), GraphKind.COMAXIMAL, "expanded", alphabet=3)
+        pairs += [(build_graph(unit_space(n), kind, "expanded", alphabet=3), gc)
+                  for kind in (GraphKind.COMAXIMAL, GraphKind.ZERO_DIVISOR, GraphKind.ANNIHILATOR)]
+    rng = random.Random("wl-colors")
+    for trial in range(40):
+        n = rng.randint(1, 10)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g2 = (raw_graph(n, [(perm[i], perm[j]) for i, j in edges]) if trial % 2
+              else edge_switched(n, edges))
+        pairs.append((raw_graph(n, edges), g2))
     rng = random.Random("wl-twins")
     for trial in range(60):
         g1 = planted_twins(rng, rng.randint(2, 8), rng.choice([0.3, 0.5, 0.7]))
@@ -374,9 +347,10 @@ def test_quotient_wl_colors_match_vertex_reference_on_planted_twins():
         rng.shuffle(perm)
         g2 = (raw_graph(n, [(perm[i], perm[j]) for i, j in g1.edges()]) if trial % 2
               else edge_switched(n, g1.edges()))
-        for h1, h2 in ((g1, g2), (g1, g1), (g2, planted_twins(rng, 5, 0.5))):
-            ecc1, ecc2 = metrics(h1).eccentricity, metrics(h2).eccentricity
-            assert _wl_colors(h1, h2, ecc1, ecc2) == vertex_wl_colors(h1, h2, ecc1, ecc2)
+        pairs += [(g1, g2), (g1, g1), (g2, planted_twins(rng, 5, 0.5))]
+    for g1, g2 in pairs:
+        ecc1, ecc2 = metrics(g1).eccentricity, metrics(g2).eccentricity
+        assert _wl_colors(g1, g2, ecc1, ecc2) == palette_wl_colors(g1, g2, ecc1, ecc2)
 
 
 def test_isomorphism_search_needs_no_recursion_depth():
