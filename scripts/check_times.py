@@ -15,10 +15,12 @@ than charged to whichever check asks first: ``--atoms`` builds each n's
 four quotient and four expanded graphs (the expanded ones share one vertex
 universe), the graphs that checks request at the run's alphabet, except
 those over the vertex guard, which the checks skip; ``--samples`` draws
-the interval class sample.  A check's time still includes the metrics and the graphs at other
-alphabets that it is the first to request; later checks find them cached,
-as in a real run.  The last line is the total.  Nothing is written into a
-report, and the report of the same run is unaffected.
+the interval class sample.  A check's time still includes the graphs at
+other alphabets and the invariants (metrics, triangle profile, partiteness)
+that it is the first to ask for; later checks find the graphs cached and
+the invariants kept on them, as in a real run.  The last line is the
+total.  Nothing is written into a report, and the report of the same run
+is unaffected.
 """
 
 import argparse

@@ -34,6 +34,7 @@ from .graph_metrics import (
     annihilator_common_neighbor_zero_set,
     comaximal_triangle_zero_sets,
     cycle_rank,
+    metrics,
     np_metrics,
     partiteness,
     triangle_profile,
@@ -146,10 +147,10 @@ def _mismatch_row(check_id: str, compare, expected: str, want, got, **domain) ->
 
 
 def _value_row(check_id: str, expected: str, want, got, **domain) -> None:
-    """Register a rule comparing one value ``got(ctx, g)`` of the graph with
+    """Register a rule comparing one invariant ``got(g)`` of the graph with
     ``want(n)``; ``expected`` formats ``want(n)``."""
     def check(ctx: RunContext, n: int, *mode_k) -> Outcome:
-        value = got(ctx, _row_graph(ctx, check_id, n, mode_k))
+        value = got(_row_graph(ctx, check_id, n, mode_k))
         return Outcome(expected.format(want(n)), value, value == want(n))
     register(check_id, **domain)(check)
 
@@ -161,10 +162,6 @@ def _cycle_ranks(ctx: RunContext, g, need: int):
     if cap < need:
         raise BoundExceededError(f"the rule needs cycle ranks up to {need}; max_cycle_len is {cap}")
     return partial(cycle_rank, g, max_len=cap)
-
-
-def _is_complete_bipartite(ctx: RunContext, g) -> bool:
-    return partiteness(g).is_complete_bipartite
 
 
 def _solve(ctx: RunContext, g, *which: str) -> dict:
@@ -364,20 +361,20 @@ def check_comaximal_unit_witness(ctx: RunContext, n: int, k: int):
 
 _mismatch_row("comaximal.distance_formula", _pair_mismatches,
               "{total} pairwise distances follow the three-case rule",
-              expected_comaximal_distance, lambda ctx, g: ctx.graph_metrics(g).distance,
+              expected_comaximal_distance, lambda ctx, g: metrics(g).distance,
               per_mode=True)
 
 
 _mismatch_row("comaximal.eccentricity_formula", _vertex_mismatches,
               "eccentricity 2 exactly at atomic zero sets, else 3",
               lambda full, z: 2 if z.bit_count() == 1 else 3,
-              lambda ctx, g: ctx.graph_metrics(g).eccentricity,
+              lambda ctx, g: metrics(g).eccentricity,
               needs_k3="eccentricity formula needs classes of size >= 2 (alphabet >= 3)")
 
 
 _value_row("comaximal.diameter_girth", "(diameter, girth) = {}",
            lambda n: (2, 4) if n == 2 else (3, 3),
-           lambda ctx, g: (ctx.graph_metrics(g).diameter, ctx.graph_metrics(g).girth),
+           lambda g: (metrics(g).diameter, metrics(g).girth),
            needs_k3=NEEDS_K3)
 
 
@@ -448,7 +445,7 @@ def check_comaximal_class_stability(ctx: RunContext, n: int, k: int):
 
 
 _value_row("comaximal.complete_bipartite_rule", "complete bipartite: {}",
-           lambda n: n == 2, _is_complete_bipartite, per_mode=True)
+           lambda n: n == 2, lambda g: partiteness(g).is_complete_bipartite, per_mode=True)
 
 
 _mismatch_row("comaximal.neighborhood_rule", _pair_mismatches,
@@ -503,7 +500,7 @@ register("zero_divisor.adjacency_oracle", n_min=1)(
 
 
 _value_row("zero_divisor.complete_bipartite_rule", "complete bipartite: {}",
-           lambda n: n == 2, _is_complete_bipartite, per_mode=True)
+           lambda n: n == 2, lambda g: partiteness(g).is_complete_bipartite, per_mode=True)
 
 
 _mismatch_row("zero_divisor.triangle_vertex_rule", _vertex_mismatches,
@@ -515,7 +512,7 @@ _mismatch_row("zero_divisor.triangle_vertex_rule", _vertex_mismatches,
 _mismatch_row("zero_divisor.eccentricity_formula", _vertex_mismatches,
               "eccentricity 2 exactly at atomic cozero sets, else 3",
               lambda full, z: 2 if (full ^ z).bit_count() == 1 else 3,
-              lambda ctx, g: ctx.graph_metrics(g).eccentricity, needs_k3=NEEDS_K3)
+              lambda ctx, g: metrics(g).eccentricity, needs_k3=NEEDS_K3)
 
 
 @register("zero_divisor.equality_rule_two_atoms")
@@ -539,7 +536,7 @@ register("annihilator.adjacency_oracle", n_min=1)(
 @register("annihilator.eccentricity_two", needs_k3=NEEDS_K3)
 def check_annihilator_eccentricity(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.ANNIHILATOR, "expanded", alphabet=k)
-    summary = ctx.graph_metrics(g)
+    summary = metrics(g)
     ok = all(e == 2 for e in summary.eccentricity) and summary.diameter == 2
     return Outcome(
         "every eccentricity 2; diameter 2",
@@ -588,7 +585,7 @@ def check_annihilator_subgraphs(ctx: RunContext, n: int, k: int):
 
 
 _value_row("annihilator.complete_bipartite_rule", "complete bipartite: {}",
-           lambda n: n == 2, _is_complete_bipartite)
+           lambda n: n == 2, lambda g: partiteness(g).is_complete_bipartite)
 
 
 @register("annihilator.complemented_rule", per_mode=True)
@@ -622,7 +619,7 @@ _mismatch_row("annihilator.cycle_rank_cases", _pair_mismatches,
 
 
 _value_row("annihilator.girth_rule", "girth {}", lambda n: 4 if n == 2 else 3,
-           lambda ctx, g: ctx.graph_metrics(g).girth, needs_k3=NEEDS_K3)
+           lambda g: metrics(g).girth, needs_k3=NEEDS_K3)
 
 
 @register("annihilator.edge_triangle_rule")
@@ -743,16 +740,15 @@ def check_weakly_multipartite(ctx: RunContext, n: int, k: int):
 
 
 _value_row("weakly_zd.bipartite_rule", "bipartite: {}", lambda n: n == 2,
-           lambda ctx, g: partiteness(g).is_bipartite)
+           lambda g: partiteness(g).is_bipartite)
 
 
 @register("weakly_zd.three_atom_properties", n_min=3)
 def check_weakly_three_atoms(ctx: RunContext, n: int, k: int):
     g = ctx.graph(n, GraphKind.WEAKLY_ZD, "expanded", alphabet=k)
-    summary = ctx.graph_metrics(g)
     profile = triangle_profile(g)
     ok = (profile.is_triangulated and profile.is_hypertriangulated
-          and summary.girth == 3 and not any(profile.has_complement)
+          and metrics(g).girth == 3 and not any(profile.has_complement)
           and not profile.is_complemented)
     return Outcome(
         "triangulated, hypertriangulated, girth 3, no orthogonal pairs, not complemented",
@@ -891,7 +887,7 @@ def check_iso_dichotomy(ctx: RunContext, n: int, k: int):
     if verdict.is_isomorphic:
         ok = ok and verify_mapping(g1, g2, verdict.mapping)
     elif verdict.certificate is not None and verdict.certificate["kind"] == "eccentricity-class-count":
-        recount = [ctx.graph_metrics(g).eccentricity_json() for g in (g1, g2)]
+        recount = [metrics(g).eccentricity_json() for g in (g1, g2)]
         ok = ok and [verdict.certificate["left"], verdict.certificate["right"]] == recount
     return Outcome(f"isomorphic: {want}", verdict.outcome, ok, witness=verdict.certificate)
 

@@ -407,9 +407,8 @@ def _fill_adjacency(kind, space, classes: ZeroSetClasses) -> tuple[int, ...]:
       sets have distinct cell masks.  The atom filter must run before, on
       the original space: a single cell would look like an atom.
 
-    A vertex's row is its class row without its own bit; a class row holds
-    its own members only if the class is adjacent to itself, so every other
-    vertex shares its class row."""
+    No class that ``build_graph`` passes is adjacent to itself (Z and X - Z
+    are non-null and disjoint), so every vertex shares its class row."""
     members = classes.masks
     every = (1 << len(classes.of)) - 1
     if kind is GraphKind.WEAKLY_ZD:
@@ -432,8 +431,7 @@ def _fill_adjacency(kind, space, classes: ZeroSetClasses) -> tuple[int, ...]:
             else:
                 p = _range_or_table(zero)
                 rows = [_range_or(p, full ^ z) & _range_or(q, z) for z in masks]
-    loops = [bool(r & m) for r, m in zip(rows, members)]
-    return tuple(rows[c] ^ (1 << v) if loops[c] else rows[c] for v, c in enumerate(classes.of))
+    return tuple(rows[c] for c in classes.of)
 
 
 def _vertex_count(n: int, kind: GraphKind, mode: str, alphabet: int | None) -> int:

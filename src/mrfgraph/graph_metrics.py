@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, wraps
 from itertools import accumulate
 from operator import or_
 
@@ -32,6 +32,18 @@ from .measure_space import (
 INF = math.inf
 # The default vertex bound of each exact solver (``np_metrics``).
 SOLVER_BOUND = 128
+
+
+def _kept(fn):
+    """Keep ``fn(g)`` in ``g.__dict__``, beside the graph's cached
+    properties, so that each frozen graph computes it once."""
+    key = "_kept_" + fn.__name__
+    @wraps(fn)
+    def kept(g: Graph):
+        if key not in g.__dict__:
+            g.__dict__[key] = fn(g)
+        return g.__dict__[key]
+    return kept
 
 
 @dataclass(frozen=True)
@@ -106,6 +118,7 @@ def _levels(adj: tuple[int, ...], source: int, seen: int = 0) -> tuple[list[int]
         frontier = nxt
 
 
+@_kept
 def metrics(g: Graph) -> MetricsSummary:
     """Eccentricities, diameter and girth from one level-set BFS per class of
     the twin quotient (``Graph.quotient``).  A class of two or more members
@@ -219,6 +232,7 @@ def annihilator_common_neighbor_zero_set(space: MeasureSpace, zu: MeasurableSet,
     return complement(space, union(space, a1, b1))
 
 
+@_kept
 def triangle_profile(g: Graph) -> TriangleProfile:
     """Triangle coverage, orthogonality ('adjacent with no common neighbor',
     equivalently the smallest common cycle is longer than a triangle) and
@@ -254,6 +268,7 @@ class Partiteness:
     multipartite_parts: tuple[tuple[int, ...], ...] | None
 
 
+@_kept
 def partiteness(g: Graph) -> Partiteness:
     """Bipartiteness as 'no edge inside any BFS level' over every component
     of the twin quotient (``Graph.quotient``), which has the graph's odd

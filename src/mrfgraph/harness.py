@@ -276,14 +276,13 @@ def make_weights(n: int, policy: str, seed) -> tuple[Fraction, ...]:
 
 
 class RunContext:
-    """Per-run caches for spaces, graphs and metrics, all under the run's
-    weight policy."""
+    """Per-run caches for spaces and graphs, both under the run's weight
+    policy; each graph keeps its own invariants (``graph_metrics._kept``)."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self._spaces: dict[int, AtomicSpace] = {}
         self._graphs: dict[tuple, Graph] = {}
-        self._metrics: dict[int, tuple[Graph, MetricsSummary]] = {}
         self._interval_classes: list[ZClass] | None = None
 
     def space(self, n: int) -> AtomicSpace:
@@ -303,14 +302,8 @@ class RunContext:
             self._graphs[key] = build_graph(self.space(n), kind, mode, alphabet=alphabet)
         return self._graphs[key]
 
-    def graph_metrics(self, g: Graph) -> MetricsSummary:
-        """Metrics cached per graph object, keyed by ``id(g)`` so that a
-        lookup never hashes the rows; the entry holds ``g``, so its id cannot
-        be reused while it is cached."""
-        entry = self._metrics.get(id(g))
-        if entry is None:
-            entry = self._metrics[id(g)] = (g, metrics(g))
-        return entry[1]
+    def graph_metrics(self, g: Graph) -> MetricsSummary:  # perfbench/tracing.py wraps it
+        return metrics(g)
 
 
 def applicable_checks(config: SuiteConfig) -> list[CheckDef]:

@@ -619,9 +619,7 @@ HAND_SETS = [interval_set(pairs) for pairs in (
 @pytest.mark.parametrize("kind", KINDS)
 def test_mask_kernel_matches_pairwise_adjacent_on_intervals(kind):
     """The cell-mask kernel against the closed form on every vertex pair,
-    repeated zero sets included, so same-class (diagonal) pairs are tested;
-    the empty set and X, twice each, make classes adjacent to themselves
-    (comaximal, zero-divisor), whose members' rows drop only their own bit.
+    repeated zero sets included, so same-class (diagonal) pairs are tested.
     The grid input is every proper union of the m=6 grid cells.
     A weakly-zd build keeps no interval vertex (no set is an atom), so that
     kind's kernel is compared with ``adjacent`` minus its atom guard."""
@@ -634,14 +632,24 @@ def test_mask_kernel_matches_pairwise_adjacent_on_intervals(kind):
         reference = lambda zu, zv: adjacent(kind, space, zu, zv)
         g = build_graph(space, kind, sample=map(ZClass, closed))
         assert g.adj == pairwise_adjacency(g)
-    loops = 2 * [interval_set([]), interval_set([(0, 1)])]
-    for zero_sets in (closed + closed[:7], HAND_SETS + loops, grid_sets(6)):
+    for zero_sets in (closed + closed[:7], HAND_SETS, grid_sets(6)):
         rows = [0] * len(zero_sets)
         for i, j in itertools.combinations(range(len(zero_sets)), 2):
             if reference(zero_sets[i], zero_sets[j]):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         assert _fill_adjacency(kind, space, zero_set_classes(zero_sets)) == tuple(rows)
+
+
+@pytest.mark.parametrize("zero_set", [interval_set([]), interval_set([(0, 1)])],
+                         ids=["null", "X"])
+def test_sampled_build_refuses_a_class_adjacent_to_itself(zero_set):
+    """A null zero set or X would make a class adjacent to itself, which the
+    kernel's shared class rows rule out; every sampled build refuses both."""
+    sample = [*sample_interval_classes(9, 5), ZClass(zero_set)]
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="must have positive measure"):
+            build_graph(IntervalSpace(), kind, sample=sample)
 
 
 def built_set_adjacency(kind, space, zu, zv):

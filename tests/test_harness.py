@@ -11,13 +11,22 @@ import shlex
 import subprocess
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
 import mrfgraph.checks  # noqa: F401  (populates REGISTRY)
-from mrfgraph import graph_build
+from mrfgraph import graph_build, graph_metrics
 from mrfgraph.cli import main
 from mrfgraph.graph_build import GraphKind, build_graph, oracle_adjacent, weakly_adjacent_all
+from mrfgraph.graph_metrics import (
+    MetricsSummary,
+    Partiteness,
+    TriangleProfile,
+    metrics,
+    partiteness,
+    triangle_profile,
+)
 from mrfgraph.harness import (
     REGISTRY,
     Outcome,
@@ -31,7 +40,14 @@ from mrfgraph.harness import (
     run_suite,
 )
 from mrfgraph.isomorphism import INCONCLUSIVE, IsoVerdict
-from mrfgraph.measure_space import AtomicSpace, atom_set, complement, is_atom, null_equal
+from mrfgraph.measure_space import (
+    AtomicSpace,
+    atom_set,
+    complement,
+    is_atom,
+    null_equal,
+    unit_space,
+)
 from mrfgraph.vertex_universe import UNIT_INTERVAL, enumerate_functions, sample_interval_classes
 
 SMALL = SuiteConfig(atoms_min=2, atoms_max=3)
@@ -252,46 +268,84 @@ def test_config_validation():
         SuiteConfig(suites=())
 
 
-def test_metrics_cache_keys_on_rows():
+INVARIANTS = (metrics, triangle_profile, partiteness)
+
+
+class Recomputed(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise Recomputed
+
+
+@pytest.mark.parametrize("invariant", INVARIANTS, ids=lambda fn: fn.__name__)
+def test_invariant_is_kept_on_the_graph_object(invariant, monkeypatch):
+    """A second call on the same graph object computes nothing; a graph that
+    has not kept the invariant must compute it, and cannot once its
+    internals refuse."""
+    space = unit_space(3)
+    g = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    first = invariant(g)
+    fresh = build_graph(space, GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    monkeypatch.setattr(graph_metrics, "_members", _refuse)
+    monkeypatch.setattr(graph_metrics, "_levels", _refuse)
+    assert invariant(g) is first
+    with pytest.raises(Recomputed):
+        invariant(fresh)
+
+
+@pytest.mark.parametrize("invariant", INVARIANTS, ids=lambda fn: fn.__name__)
+def test_invariant_of_a_replaced_graph_is_its_own(invariant):
+    """A ``dataclasses.replace`` copy with one toggled edge is a new object
+    with nothing kept: it gets its own value, and the original keeps its
+    own.  At n=2 the graph is K(2,2); without the edge it is a path."""
+    g = build_graph(unit_space(2), GraphKind.COMAXIMAL, "expanded", alphabet=3)
+    before = invariant(g)
+    adj = list(g.adj)
+    j = (adj[0] & -adj[0]).bit_length() - 1
+    adj[0], adj[j] = adj[0] ^ 1 << j, adj[j] ^ 1
+    broken = dataclasses.replace(g, adj=tuple(adj))
+    after = invariant(broken)
+    assert after != before
+    assert after == invariant.__wrapped__(broken)
+    assert invariant(g) is before
+    assert invariant(broken) is after
+
+
+@pytest.mark.parametrize("invariant", INVARIANTS, ids=lambda fn: fn.__name__)
+def test_invariants_of_two_samples_are_kept_apart(invariant):
     """Every sampled graph has the same kind, mode and (equal) interval
     space, so only the rows tell two of them apart."""
-    ctx = RunContext(SuiteConfig(backend="interval"))
     small, large = (build_graph(UNIT_INTERVAL, GraphKind.COMAXIMAL,
                                 sample=sample_interval_classes(7, count))
                     for count in (10, 30))
     assert small.n_vertices < large.n_vertices
-    m_small, m_large = ctx.graph_metrics(small), ctx.graph_metrics(large)
-    assert m_small is not m_large
-    assert len(m_small.eccentricity) == small.n_vertices
-    assert len(m_large.eccentricity) == large.n_vertices
-    assert ctx.graph_metrics(large) is m_large
-    assert ctx.graph_metrics(small) is m_small
+    kept = invariant(small), invariant(large)
+    assert kept[0] is not kept[1]
+    for g, value in zip((small, large), kept):
+        assert invariant(g) is value
+        assert value == invariant.__wrapped__(g)
 
 
-def test_metrics_cache_hits_the_same_graph_object(monkeypatch):
-    """A second lookup of the same graph object computes nothing."""
-    ctx = RunContext(SuiteConfig())
-    g = ctx.graph(3, GraphKind.COMAXIMAL, "expanded", alphabet=3)
-    first = ctx.graph_metrics(g)
-    monkeypatch.setattr(mrfgraph.harness, "metrics", lambda g: pytest.fail("recomputed"))
-    assert ctx.graph_metrics(g) is first
-    assert ctx.graph_metrics(ctx.graph(3, GraphKind.COMAXIMAL, "expanded", alphabet=3)) is first
+def test_a_run_builds_each_invariant_once_per_graph(monkeypatch):
+    """One default run constructs each invariant's result at most once per
+    graph object, whichever checks ask for it."""
+    built, graphs = Counter(), []
 
+    def counted(cls):
+        def make(*args):
+            g = sys._getframe(1).f_locals["g"]  # the computing function's graph
+            graphs.append(g)  # held, so no id is reused during the run
+            built[cls.__name__, id(g)] += 1
+            return cls(*args)
+        return make
 
-def test_metrics_cache_misses_a_replaced_graph():
-    """A ``dataclasses.replace`` copy with other rows is another object, so
-    it gets its own metrics, and the original keeps its entry."""
-    ctx = RunContext(SuiteConfig())
-    g = ctx.graph(3, GraphKind.COMAXIMAL, "expanded", alphabet=3)
-    before = ctx.graph_metrics(g)
-    adj = list(g.adj)
-    adj[0], adj[1] = adj[0] ^ 2, adj[1] ^ 1  # toggle the pair (0, 1)
-    broken = dataclasses.replace(g, adj=tuple(adj))
-    after = ctx.graph_metrics(broken)
-    assert after is not before
-    assert after.distance(0, 1) != before.distance(0, 1)
-    assert ctx.graph_metrics(g) is before
-    assert ctx.graph_metrics(broken) is after
+    for cls in (MetricsSummary, TriangleProfile, Partiteness):
+        monkeypatch.setattr(graph_metrics, cls.__name__, counted(cls))
+    assert not run_suite(SuiteConfig()).failed
+    assert {name for name, _ in built} == {"MetricsSummary", "TriangleProfile", "Partiteness"}
+    assert max(built.values()) == 1
 
 
 def test_split_prefix_exact_catches_a_part_of_the_wrong_measure(monkeypatch):
@@ -358,7 +412,6 @@ def test_cli_iso(capsys):
 
 def test_cli_iso_mapping_is_verified(capsys):
     from mrfgraph.isomorphism import verify_mapping
-    from mrfgraph.measure_space import unit_space
 
     assert main(["iso", "--left", "comaximal", "--right", "zero-divisor",
                  "--atoms", "3", "--alphabet", "2"]) == 0

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from mrfgraph import graph_metrics
 from mrfgraph.graph_build import Graph, GraphKind, build_graph, zero_set_classes
 from mrfgraph.graph_metrics import metrics
 from mrfgraph.isomorphism import (
@@ -109,6 +110,22 @@ def test_annihilator_vs_comaximal_dichotomy():
     verdict = are_isomorphic(ga3, gc3)
     assert verdict.outcome == NOT_ISOMORPHIC
     assert verdict.certificate["kind"] == "eccentricity-class-count"
+
+
+def test_are_isomorphic_reads_kept_metrics(monkeypatch):
+    """On graphs whose metrics are already kept, neither the certificate
+    nor the search computes them again."""
+    pairs = [[build_graph(unit_space(n), kind, "expanded", alphabet=3)
+              for kind in (GraphKind.ANNIHILATOR, GraphKind.COMAXIMAL)] for n in (2, 3)]
+    for g in itertools.chain.from_iterable(pairs):
+        metrics(g)
+
+    def refuse(*args):
+        raise AssertionError("metrics recomputed")
+
+    monkeypatch.setattr(graph_metrics, "_levels", refuse)
+    assert are_isomorphic(*pairs[0]).is_isomorphic
+    assert are_isomorphic(*pairs[1]).certificate["kind"] == "eccentricity-class-count"
 
 
 def test_vertex_count_certificate():
